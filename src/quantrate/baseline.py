@@ -9,10 +9,6 @@ strong-decay limit the bias still carries the class prior.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import List, Tuple
-
 import numpy as np
 
 from .errors import SingleClass
@@ -27,18 +23,6 @@ from .types import (
 )
 
 GRAD_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    """Fitted logistic model plus its adjusted threshold.
-
-    model.weights live in the bias-augmented feature space (bias last);
-    score inputs with with_bias before comparing against the threshold.
-    """
-
-    model: LinearModel
-    calibrated_threshold: float
 
 
 def with_bias(features) -> np.ndarray:
@@ -56,13 +40,16 @@ def logistic_objective(
     return float(np.logaddexp(0.0, -margins).sum()) + penalty
 
 
-def _fit(
+def logistic_train(
     dataset: Dataset, weight_decay: float, config: TrainConfig
-) -> Tuple[np.ndarray, List[float]]:
-    """Gradient descent on the logistic objective; returns (w, trace).
+) -> LinearModel:
+    """Fit logistic regression by full-batch gradient descent.
 
-    Stops when the full gradient norm reaches 1e-6 or after
-    config.steps; the trace records the objective after every step.
+    Minimizes logistic_objective: sum_i log(1 + exp(-y_i w.x~_i)) plus
+    (weight_decay/2) times the squared norm of the feature weights
+    (bias excluded) over bias-augmented inputs x~.  Stops when the full
+    gradient norm reaches 1e-6 or after config.steps.  The returned
+    model scores augmented inputs and carries no threshold.
     """
     if dataset.positive_indices().size == 0 or dataset.negative_indices().size == 0:
         raise SingleClass("logistic regression needs both classes")
@@ -71,36 +58,16 @@ def _fit(
     rng = np.random.default_rng(config.seed)
     w = config.init_scale * rng.standard_normal(X_aug.shape[1])
     velocity = np.zeros_like(w)
-    trace = []
     for t in range(1, config.steps + 1):
         margins = y * (X_aug @ w)
         # d/ds log(1+e^(-s)) = -sigmoid(-s), s the per-sample margin
         coeffs = -y * _sigmoid(-margins)
         grad = X_aug.T @ coeffs
         grad[:-1] += weight_decay * w[:-1]
-        if config.lr_decay == "inv_sqrt":
-            lr_t = config.learning_rate / math.sqrt(t)
-        else:
-            lr_t = config.learning_rate
-        velocity = config.momentum * velocity - lr_t * grad
+        velocity = config.momentum * velocity - config.lr_at(t) * grad
         w = w + velocity
-        trace.append(logistic_objective(w, X_aug, y, weight_decay))
         if float(np.linalg.norm(grad)) <= GRAD_TOLERANCE:
             break
-    return w, trace
-
-
-def logistic_train(
-    dataset: Dataset, weight_decay: float, config: TrainConfig
-) -> LinearModel:
-    """Fit logistic regression by full-batch gradient descent.
-
-    Minimizes sum_i log(1 + exp(-y_i w.x~_i)) + (weight_decay/2) times
-    the squared norm of the feature weights (bias excluded) over
-    bias-augmented inputs x~.  The returned model scores augmented
-    inputs and carries no threshold.
-    """
-    w, _ = _fit(dataset, weight_decay, config)
     return LinearModel(w)
 
 
@@ -109,17 +76,15 @@ def baseline_with_threshold(
     constraint: RateConstraint,
     weight_decay: float,
     config: TrainConfig,
-) -> BaselineResult:
-    """Logistic fit followed by exact threshold calibration.
+) -> LinearModel:
+    """Logistic fit carrying its exactly calibrated threshold.
 
     The threshold is calibrated on the constraint subset's scores of
     the training data, so the constraint holds there by construction.
+    The weights live in the bias-augmented feature space (bias last);
+    score inputs with with_bias before comparing against the threshold.
     """
     fitted = logistic_train(dataset, weight_decay, config)
     sub = constraint_indices(dataset, constraint)
     scores = with_bias(dataset.features[sub]) @ fitted.weights
-    theta = calibrate_threshold(scores, constraint)
-    return BaselineResult(
-        model=LinearModel(fitted.weights, threshold=theta),
-        calibrated_threshold=theta,
-    )
+    return LinearModel(fitted.weights, calibrate_threshold(scores, constraint))

@@ -27,7 +27,8 @@ from .concentration import (
     estimator_stability,
     loss_uniform_deviation,
 )
-from .data import GENERATOR_NAME, SyntheticSpec, generate_synthetic, standardize
+from .config import concentration_spec, train_spec
+from .data import GENERATOR_NAME, generate_synthetic, standardize
 from .errors import (
     DegenerateSplit,
     InvalidSpec,
@@ -38,7 +39,7 @@ from .errors import (
     UnknownLabel,
 )
 from .experiment import (
-    _estimator_spec,
+    format_number,
     load_experiment_dataset,
     run_experiment,
     write_results,
@@ -52,14 +53,7 @@ from .metrics import (
 )
 from .presets import load_preset, preset_names
 from .train import multi_restart_train
-from .types import (
-    Dataset,
-    LinearModel,
-    RateConstraint,
-    SurrogateLossSpec,
-    TrainConfig,
-    constraint_indices,
-)
+from .types import Dataset, LinearModel, constraint_indices
 
 MODEL_SCHEMA = "quantrate.model.v1"
 CONCENTRATION_SCHEMA = "quantrate.concentration.v1"
@@ -79,34 +73,6 @@ def _load_config(path_or_name: str) -> dict:
         return json.load(fh)
 
 
-def _constraint_from(block: dict) -> RateConstraint:
-    return RateConstraint(
-        subset=block["subset"],
-        direction=block["direction"],
-        target=float(block["target"]),
-        indices=tuple(block["indices"]) if block.get("indices") else None,
-    )
-
-
-def _train_config_from(block: dict, seed_override) -> TrainConfig:
-    seed = seed_override if seed_override is not None else block.get("seed")
-    if seed is None:
-        raise InvalidSpec("train config needs a seed (or pass --seed)")
-    return TrainConfig(
-        learning_rate=float(block["learning_rate"]),
-        steps=int(block["steps"]),
-        seed=int(seed),
-        momentum=float(block.get("momentum", 0.0)),
-        weight_decay=float(block.get("weight_decay", 0.0)),
-        batch_size=block.get("batch_size"),
-        constraint_batch_size=block.get("constraint_batch_size"),
-        restarts=int(block.get("restarts", 1)),
-        init_scale=float(block.get("init_scale", 0.01)),
-        eval_every=int(block.get("eval_every", 1)),
-        lr_decay=str(block.get("lr_decay", "constant")),
-    )
-
-
 def _dump_json(payload: dict, out_path) -> str:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
@@ -116,27 +82,18 @@ def _dump_json(payload: dict, out_path) -> str:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
+    loss_spec, train_cfg = train_spec(config, args.seed)
     dataset = load_experiment_dataset(config, args.data)
     transform = None
     if config.get("standardize", False):
         # fit on the whole provided set; splits are the experiment
         # runner's business, cmd_train trains on what it is given
         dataset, _, transform = standardize(dataset, dataset)
-    loss_block = config["loss"]
-    constraint = _constraint_from(loss_block["constraint"])
-    loss_spec = SurrogateLossSpec(
-        objective=loss_block["objective"],
-        constraint=constraint,
-        estimator=_estimator_spec(loss_block["estimator"]),
-        logloss_base=float(loss_block.get("logloss_base", 2.0)),
-        penalize=loss_block.get("penalize", "negatives"),
-    )
-    train_cfg = _train_config_from(config["train"], args.seed)
     started = time.perf_counter()
     result = multi_restart_train(dataset, loss_spec, train_cfg)
-    sub = constraint_indices(dataset, constraint)
+    sub = constraint_indices(dataset, loss_spec.constraint)
     scores = result.model.scores(dataset)[sub]
-    threshold = calibrate_threshold(scores, constraint)
+    threshold = calibrate_threshold(scores, loss_spec.constraint)
     elapsed = time.perf_counter() - started
     payload = {
         "schema": MODEL_SCHEMA,
@@ -194,19 +151,16 @@ def cmd_eval(args) -> int:
         probe = LinearModel([1.0], threshold=float(payload["threshold"]))
         report = evaluate(probe, Dataset(scores[:, None], dataset.labels))
         result = dict(report.to_dict(), metric="report")
-    elif args.metric == "p_at_rate":
-        _require_level(args)
+    elif args.metric in ("p_at_rate", "p_at_recall"):
+        if args.level is None:
+            raise InvalidSpec(f"metric {args.metric} needs --level")
+        metric = precision_at_rate
+        if args.metric == "p_at_recall":
+            metric = precision_at_recall
         result = {
-            "metric": "p_at_rate",
+            "metric": args.metric,
             "level": args.level,
-            "value": precision_at_rate(scores, dataset.labels, args.level),
-        }
-    elif args.metric == "p_at_recall":
-        _require_level(args)
-        result = {
-            "metric": "p_at_recall",
-            "level": args.level,
-            "value": precision_at_recall(scores, dataset.labels, args.level),
+            "value": metric(scores, dataset.labels, args.level),
         }
     else:
         grid = [float(v) for v in (args.grid or "").split(",") if v != ""]
@@ -220,11 +174,6 @@ def cmd_eval(args) -> int:
     text = _dump_json(result, args.out)
     sys.stdout.write(text)
     return 0
-
-
-def _require_level(args) -> None:
-    if args.level is None:
-        raise InvalidSpec(f"metric {args.metric} needs --level")
 
 
 def cmd_experiment(args) -> int:
@@ -243,47 +192,21 @@ def cmd_experiment(args) -> int:
 
 
 def _evaluate_concentration(config: dict, seed_override):
-    kind = config.get("kind")
-    seed = int(seed_override if seed_override is not None else config.get("seed", 0))
-    if kind == "estimator_stability":
-        report = estimator_stability(
-            n=int(config["n"]),
-            batch_sizes=config["batch_sizes"],
-            trials=int(config["trials"]),
-            estimator_spec=_estimator_spec(config["estimator"]),
-            c=float(config["c"]),
-            score_law=str(config["score_law"]),
-            seed=seed,
-        )
-        rows = _deviation_rows(report)
-    elif kind == "loss_uniform_deviation":
-        dataset = generate_synthetic(SyntheticSpec(**config["synthetic"]))
-        report = loss_uniform_deviation(
-            dataset=dataset,
-            constraint=_constraint_from(config["constraint"]),
-            estimator_spec=_estimator_spec(config["estimator"]),
-            batch_sizes=config["batch_sizes"],
-            trials=int(config["trials"]),
-            w_norm_bound=float(config["w_norm_bound"]),
-            n_models=int(config["n_models"]),
-            seed=seed,
-        )
-        rows = _deviation_rows(report)
-    elif kind == "convex_sgd_convergence":
-        dataset = generate_synthetic(SyntheticSpec(**config["synthetic"]))
-        report = convex_sgd_convergence(
-            dataset=dataset,
-            c=float(config["c"]),
-            batch_size=int(config["batch_size"]),
-            t_grid=config["t_grid"],
-            trials=int(config["trials"]),
-            seed=seed,
-        )
+    kind, kwargs = concentration_spec(config, seed_override)
+    if "dataset" in kwargs:
+        kwargs["dataset"] = generate_synthetic(kwargs["dataset"])
+    harness = {
+        "estimator_stability": estimator_stability,
+        "loss_uniform_deviation": loss_uniform_deviation,
+        "convex_sgd_convergence": convex_sgd_convergence,
+    }[kind]
+    report = harness(**kwargs)
+    if kind == "convex_sgd_convergence":
         rows = [["t", "mean_excess"]] + [
             [t, e] for t, e in zip(report.t_grid, report.mean_excess)
         ]
     else:
-        raise InvalidSpec(f"unknown concentration kind {kind!r}")
+        rows = _deviation_rows(report)
     return kind, report, rows
 
 
@@ -313,16 +236,10 @@ def cmd_concentration(args) -> int:
     json_path = out_dir / "report.json"
     _dump_json(payload, json_path)
     csv_path = out_dir / "report.csv"
-    csv_lines = [",".join(_cell(v) for v in row) for row in rows]
+    csv_lines = [",".join(map(format_number, row)) for row in rows]
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     _note(args, f"{kind}: wrote {json_path} and {csv_path} ({elapsed:.2f}s)")
     return 0
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

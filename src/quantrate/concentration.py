@@ -14,7 +14,7 @@ finite sample of weight vectors and labeled as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -44,6 +44,14 @@ _REDRAW_CAP = 100
 _LN2 = float(np.log(2.0))
 
 
+def _plain(report) -> dict:
+    """A report's fields as a dict, tuples as lists."""
+    return {
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in asdict(report).items()
+    }
+
+
 @dataclass(frozen=True)
 class ConcentrationReport:
     """Deviation statistics per batch size plus the fitted decay slope."""
@@ -65,14 +73,7 @@ class ConcentrationReport:
             raise InvalidSpec("deviations must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "batch_sizes": list(self.batch_sizes),
-            "mean_abs_dev": list(self.mean_abs_dev),
-            "q95_abs_dev": list(self.q95_abs_dev),
-            "fitted_slope": self.fitted_slope,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return _plain(self)
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,7 @@ class ConvexConvergenceReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "t_grid": list(self.t_grid),
-            "mean_excess": list(self.mean_excess),
-            "ref_loss": self.ref_loss,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return _plain(self)
 
 
 def _fit_slope(batch_sizes, mean_devs) -> float:

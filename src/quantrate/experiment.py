@@ -1,6 +1,6 @@
 """Desk-scale comparison experiments: quantile training vs logistic.
 
-Two experiment kinds share one result schema:
+Two experiment kinds share one loop and one result schema:
 
 * rate_table: repeated stratified splits of a loaded dataset; per split
   the quantile method trains one model per (tau, weight decay) on the
@@ -29,33 +29,20 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .baseline import logistic_train, with_bias
-from .data import (
-    MixtureComponent,
-    SplitSpec,
-    generate_mixture,
-    load_delimited,
-    load_sparse,
-    split,
-    standardize,
-)
+from .config import ExperimentSpec, experiment_spec
+from .data import generate_mixture, load_delimited, load_sparse, split, standardize
 from .errors import InvalidSpec
 from .metrics import precision_at_rate, precision_at_recall
 from .presets import published_rows
 from .train import multi_restart_train
-from .types import (
-    Dataset,
-    QuantileEstimatorSpec,
-    RateConstraint,
-    SurrogateLossSpec,
-    TrainConfig,
-)
+from .types import Dataset, RateConstraint, SurrogateLossSpec
 
 METHOD_QUANTILE = "quantile"
 METHOD_LOGISTIC = "logistic"
@@ -101,26 +88,9 @@ class ExperimentResult:
             "seed": self.seed,
             "config": self.config,
             "aggregates": [
-                {
-                    "method": a.method,
-                    "level": a.level,
-                    "selection": a.selection,
-                    "weight_decay": a.weight_decay,
-                    "per_rep": list(a.per_rep),
-                    "mean": a.mean,
-                    "std": a.std,
-                }
-                for a in self.aggregates
+                dict(asdict(a), per_rep=list(a.per_rep)) for a in self.aggregates
             ],
-            "curve": [
-                {
-                    "method": p.method,
-                    "level": p.level,
-                    "mean": p.mean,
-                    "std": p.std,
-                }
-                for p in self.curve
-            ],
+            "curve": [asdict(p) for p in self.curve],
             "published": list(self.published),
         }
 
@@ -134,48 +104,6 @@ def _std(values: np.ndarray) -> float:
     if values.size <= 1:
         return 0.0
     return float(values.std(ddof=1))
-
-
-def _train_config(block: dict, seed: int, restarts: int = 1) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=float(block["learning_rate"]),
-        steps=int(block["steps"]),
-        seed=seed,
-        momentum=float(block.get("momentum", 0.0)),
-        weight_decay=float(block.get("weight_decay", 0.0)),
-        batch_size=block.get("batch_size"),
-        constraint_batch_size=block.get("constraint_batch_size"),
-        restarts=restarts,
-        init_scale=float(block.get("init_scale", 0.01)),
-        eval_every=int(block.get("eval_every", max(1, int(block["steps"])))),
-        lr_decay=str(block.get("lr_decay", "constant")),
-    )
-
-
-def _estimator_spec(block: dict) -> QuantileEstimatorSpec:
-    return QuantileEstimatorSpec(
-        kind=block["kind"],
-        bandwidth=block.get("bandwidth"),
-        normalize=bool(block.get("normalize", True)),
-        paper_exact=bool(block.get("paper_exact", False)),
-        k1=block.get("k1"),
-        k2=block.get("k2"),
-    )
-
-
-def _require(config: dict, keys: Sequence[str], kind: str) -> None:
-    missing = [k for k in keys if k not in config]
-    if missing:
-        raise InvalidSpec(f"{kind} experiment config lacks keys {missing}")
-
-
-def _check_levels(levels, lo_open: float, hi: float, what: str) -> List[float]:
-    out = [float(v) for v in levels]
-    if not out:
-        raise InvalidSpec(f"{what} list is empty")
-    if any(not (lo_open < v <= hi) for v in out):
-        raise InvalidSpec(f"every {what} must lie in ({lo_open}, {hi}]")
-    return out
 
 
 def load_experiment_dataset(config: dict, data_path: Optional[str]) -> Dataset:
@@ -233,236 +161,108 @@ def _select_and_aggregate(
     return out
 
 
-def _curve_from_aggregates(
-    aggregates: Sequence[MethodAggregate],
-) -> List[CurvePoint]:
-    return [
-        CurvePoint(a.method, a.level, a.mean, a.std)
-        for a in aggregates
-        if a.selection == "test"
-    ]
-
-
-def _mixture_components(blocks: Sequence[dict]) -> List[MixtureComponent]:
-    return [
-        MixtureComponent(
-            label=int(b["label"]),
-            weight=float(b["weight"]),
-            mean=tuple(float(v) for v in b["mean"]),
-            sigma=float(b["sigma"]),
-        )
-        for b in blocks
-    ]
-
-
-def _run_rate_table(
-    config: dict, dataset: Dataset, seed: int, jobs: int
+def _run(
+    spec: ExperimentSpec,
+    config: dict,
+    dataset: Optional[Dataset],
+    seed: int,
+    jobs: int,
 ) -> ExperimentResult:
-    _require(
-        config,
-        ["taus", "weight_decays", "split", "estimator", "train", "logistic", "reps"],
-        "rate_table",
-    )
-    taus = _check_levels(config["taus"], 0.0, 0.999999, "tau")
-    decays = [float(v) for v in config["weight_decays"]]
-    if not decays or any(v < 0 for v in decays):
-        raise InvalidSpec("weight_decays must be nonnegative and nonempty")
-    reps = int(config["reps"])
-    if reps < 1:
-        raise InvalidSpec("reps must be positive")
-    frac = float(config["split"]["train_fraction"])
-    stratified = bool(config["split"].get("stratified", True))
-    do_standardize = bool(config.get("standardize", True))
-    est_spec = _estimator_spec(config["estimator"])
-    restarts = int(config["train"].get("restarts", 1))
+    """The experiment loop shared by both kinds.
 
-    n_t, n_w = len(taus), len(decays)
-    q_test = np.empty((reps, n_t, n_w))
-    q_train = np.empty((reps, n_t, n_w))
-    l_test = np.empty((reps, n_t, n_w))
-    l_train = np.empty((reps, n_t, n_w))
+    Per kind: the objective and its constraint subset, the metric, and
+    the seed tags.  rate_table seeds the split, logistic and quantile
+    models with (seed, rep), (seed, rep, wi) and (seed, rep, li, wi);
+    recall_point draws its mixture with (seed, rep) and tags the rest
+    (seed, rep, 0), (seed, rep, 1, wi) and (seed, rep, 2, li, wi).
+    """
+    if spec.kind == "rate_table":
+        metric, objective, subset = precision_at_rate, "p_at_ppr_fp", "all"
+        split_tag, logistic_tag, quantile_tag = (), (), ()
+    else:
+        metric, objective, subset = precision_at_recall, "p_at_r", "positives"
+        split_tag, logistic_tag, quantile_tag = (0,), (1,), (2,)
+    levels, decays, grid = spec.levels, spec.weight_decays, spec.curve_grid
+    methods = (METHOD_QUANTILE, METHOD_LOGISTIC)
+    # values[rep, method, side, level, decay] with sides (test, train);
+    # curves[rep, method, decay, grid point] follow the first level
+    values = np.empty((spec.reps, 2, 2, len(levels), len(decays)))
+    curves = np.empty((spec.reps, 2, len(decays), len(grid)))
 
     def one_rep(rep: int):
-        spec = SplitSpec(frac, _seed_from(seed, rep), stratified)
-        train_set, test_set = split(dataset, spec)
-        if do_standardize:
-            train_set, test_set, _ = standardize(train_set, test_set)
-        qt = np.empty((n_t, n_w))
-        qr = np.empty((n_t, n_w))
-        lt = np.empty((n_t, n_w))
-        lr = np.empty((n_t, n_w))
-        for wi, wd in enumerate(decays):
-            lmodel = logistic_train(
-                train_set,
-                wd,
-                _train_config(config["logistic"], _seed_from(seed, rep, wi)),
+        data = dataset
+        if data is None:
+            data = generate_mixture(
+                spec.components, spec.n_samples, _seed_from(seed, rep)
             )
-            lsc_test = with_bias(test_set.features) @ lmodel.weights
-            lsc_train = with_bias(train_set.features) @ lmodel.weights
-            for ti, tau in enumerate(taus):
-                lt[ti, wi] = precision_at_rate(lsc_test, test_set.labels, tau)
-                lr[ti, wi] = precision_at_rate(lsc_train, train_set.labels, tau)
+        split_spec = replace(spec.split, seed=_seed_from(seed, rep, *split_tag))
+        train_set, test_set = split(data, split_spec)
+        if spec.standardize:
+            train_set, test_set, _ = standardize(train_set, test_set)
+        sides = (test_set, train_set)
+        rep_values = np.empty(values.shape[1:])
+        rep_curves = np.empty(curves.shape[1:])
+        for wi, wd in enumerate(decays):
+            lconfig = replace(
+                spec.logistic, seed=_seed_from(seed, rep, *logistic_tag, wi)
+            )
+            lmodel = logistic_train(train_set, wd, lconfig)
+            logistic_scores = [with_bias(s.features) @ lmodel.weights for s in sides]
+            for li, level in enumerate(levels):
                 loss_spec = SurrogateLossSpec(
-                    objective="p_at_ppr_fp",
-                    constraint=RateConstraint("all", "at_least", tau),
-                    estimator=est_spec,
+                    objective=objective,
+                    constraint=RateConstraint(subset, "at_least", level),
+                    estimator=spec.estimator,
                 )
-                cfg = _train_config(
-                    dict(config["train"], weight_decay=wd),
-                    _seed_from(seed, rep, ti, wi),
-                    restarts=restarts,
+                cfg = replace(
+                    spec.train,
+                    seed=_seed_from(seed, rep, *quantile_tag, li, wi),
+                    weight_decay=wd,
                 )
                 fitted = multi_restart_train(train_set, loss_spec, cfg)
-                qsc_test = fitted.model.scores(test_set)
-                qsc_train = fitted.model.scores(train_set)
-                qt[ti, wi] = precision_at_rate(qsc_test, test_set.labels, tau)
-                qr[ti, wi] = precision_at_rate(qsc_train, train_set.labels, tau)
-        return rep, qt, qr, lt, lr
-
-    for rep, qt, qr, lt, lr in _map_reps(one_rep, reps, jobs):
-        q_test[rep], q_train[rep] = qt, qr
-        l_test[rep], l_train[rep] = lt, lr
-
-    aggregates = _select_and_aggregate(
-        METHOD_QUANTILE, taus, q_test, q_train, decays
-    ) + _select_and_aggregate(METHOD_LOGISTIC, taus, l_test, l_train, decays)
-    return ExperimentResult(
-        kind="rate_table",
-        name=str(config.get("name", "rate_table")),
-        seed=seed,
-        config=config,
-        aggregates=tuple(aggregates),
-        curve=tuple(_curve_from_aggregates(aggregates)),
-        published=tuple(published_rows(config["published"]))
-        if config.get("published")
-        else (),
-    )
-
-
-def _run_recall_point(config: dict, seed: int, jobs: int) -> ExperimentResult:
-    _require(
-        config,
-        [
-            "synthetic",
-            "recall_levels",
-            "weight_decays",
-            "split",
-            "estimator",
-            "train",
-            "logistic",
-            "reps",
-        ],
-        "recall_point",
-    )
-    levels = _check_levels(config["recall_levels"], 0.0, 1.0, "recall level")
-    curve_grid = _check_levels(
-        config.get("curve_grid", [round(0.1 * k, 1) for k in range(1, 11)]),
-        0.0,
-        1.0,
-        "curve recall level",
-    )
-    decays = [float(v) for v in config["weight_decays"]]
-    if not decays or any(v < 0 for v in decays):
-        raise InvalidSpec("weight_decays must be nonnegative and nonempty")
-    reps = int(config["reps"])
-    if reps < 1:
-        raise InvalidSpec("reps must be positive")
-    synth = config["synthetic"]
-    components = _mixture_components(synth["components"])
-    n_samples = int(synth["n"])
-    frac = float(config["split"]["train_fraction"])
-    stratified = bool(config["split"].get("stratified", True))
-    do_standardize = bool(config.get("standardize", False))
-    est_spec = _estimator_spec(config["estimator"])
-    restarts = int(config["train"].get("restarts", 1))
-
-    n_c, n_w, n_g = len(levels), len(decays), len(curve_grid)
-    q_test = np.empty((reps, n_c, n_w))
-    q_train = np.empty((reps, n_c, n_w))
-    l_test = np.empty((reps, n_c, n_w))
-    l_train = np.empty((reps, n_c, n_w))
-    # curves follow the models trained at the first listed recall level
-    q_curve = np.empty((reps, n_w, n_g))
-    l_curve = np.empty((reps, n_w, n_g))
-
-    def one_rep(rep: int):
-        dataset = generate_mixture(components, n_samples, _seed_from(seed, rep))
-        spec = SplitSpec(frac, _seed_from(seed, rep, 0), stratified)
-        train_set, test_set = split(dataset, spec)
-        if do_standardize:
-            train_set, test_set, _ = standardize(train_set, test_set)
-        qt = np.empty((n_c, n_w))
-        qr = np.empty((n_c, n_w))
-        lt = np.empty((n_c, n_w))
-        lr = np.empty((n_c, n_w))
-        qc = np.empty((n_w, n_g))
-        lc = np.empty((n_w, n_g))
-        for wi, wd in enumerate(decays):
-            lmodel = logistic_train(
-                train_set,
-                wd,
-                _train_config(config["logistic"], _seed_from(seed, rep, 1, wi)),
-            )
-            lsc_test = with_bias(test_set.features) @ lmodel.weights
-            lsc_train = with_bias(train_set.features) @ lmodel.weights
-            for ci, c in enumerate(levels):
-                lt[ci, wi] = precision_at_recall(lsc_test, test_set.labels, c)
-                lr[ci, wi] = precision_at_recall(lsc_train, train_set.labels, c)
-                loss_spec = SurrogateLossSpec(
-                    objective="p_at_r",
-                    constraint=RateConstraint("positives", "at_least", c),
-                    estimator=est_spec,
-                )
-                cfg = _train_config(
-                    dict(config["train"], weight_decay=wd),
-                    _seed_from(seed, rep, 2, ci, wi),
-                    restarts=restarts,
-                )
-                fitted = multi_restart_train(train_set, loss_spec, cfg)
-                qsc_test = fitted.model.scores(test_set)
-                qsc_train = fitted.model.scores(train_set)
-                qt[ci, wi] = precision_at_recall(qsc_test, test_set.labels, c)
-                qr[ci, wi] = precision_at_recall(qsc_train, train_set.labels, c)
-                if ci == 0:
-                    for gi, g in enumerate(curve_grid):
-                        qc[wi, gi] = precision_at_recall(
-                            qsc_test, test_set.labels, g
+                quantile_scores = [fitted.model.scores(s) for s in sides]
+                for m, scores in enumerate((quantile_scores, logistic_scores)):
+                    for si, side in enumerate(sides):
+                        rep_values[m, si, li, wi] = metric(
+                            scores[si], side.labels, level
                         )
-                        lc[wi, gi] = precision_at_recall(
-                            lsc_test, test_set.labels, g
-                        )
-        return rep, qt, qr, lt, lr, qc, lc
+                    if li == 0:
+                        rep_curves[m, wi] = [
+                            metric(scores[0], test_set.labels, g) for g in grid
+                        ]
+        return rep, rep_values, rep_curves
 
-    for rep, qt, qr, lt, lr, qc, lc in _map_reps(one_rep, reps, jobs):
-        q_test[rep], q_train[rep] = qt, qr
-        l_test[rep], l_train[rep] = lt, lr
-        q_curve[rep], l_curve[rep] = qc, lc
+    for rep, rep_values, rep_curves in _map_reps(one_rep, spec.reps, jobs):
+        values[rep], curves[rep] = rep_values, rep_curves
 
-    aggregates = _select_and_aggregate(
-        METHOD_QUANTILE, levels, q_test, q_train, decays
-    ) + _select_and_aggregate(METHOD_LOGISTIC, levels, l_test, l_train, decays)
-
-    curve = []
-    for method, metric, curves in (
-        (METHOD_QUANTILE, q_test, q_curve),
-        (METHOD_LOGISTIC, l_test, l_curve),
-    ):
-        wi = int(np.argmax(metric[:, 0, :].mean(axis=0)))
-        for gi, g in enumerate(curve_grid):
-            values = curves[:, wi, gi]
-            curve.append(
-                CurvePoint(method, float(g), float(values.mean()), _std(values))
-            )
+    aggregates = []
+    for m, method in enumerate(methods):
+        aggregates += _select_and_aggregate(
+            method, levels, values[:, m, 0], values[:, m, 1], decays
+        )
+    if spec.kind == "rate_table":
+        curve = [
+            CurvePoint(a.method, a.level, a.mean, a.std)
+            for a in aggregates
+            if a.selection == "test"
+        ]
+    else:
+        curve = []
+        for m, method in enumerate(methods):
+            wi = int(np.argmax(values[:, m, 0, 0, :].mean(axis=0)))
+            for gi, g in enumerate(grid):
+                points = curves[:, m, wi, gi]
+                curve.append(
+                    CurvePoint(method, float(g), float(points.mean()), _std(points))
+                )
     return ExperimentResult(
-        kind="recall_point",
-        name=str(config.get("name", "recall_point")),
+        kind=spec.kind,
+        name=spec.name,
         seed=seed,
         config=config,
         aggregates=tuple(aggregates),
         curve=tuple(curve),
-        published=tuple(published_rows(config["published"]))
-        if config.get("published")
-        else (),
+        published=tuple(published_rows(spec.published)) if spec.published else (),
     )
 
 
@@ -487,24 +287,22 @@ def run_experiment(
     enters the result, so identical configs and seeds reproduce output
     files byte-for-byte.
     """
-    kind = config.get("kind")
     used_seed = int(seed if seed is not None else config.get("seed", 0))
     if used_seed < 0:
         raise InvalidSpec("seed must be nonnegative")
     if jobs < 1:
         raise InvalidSpec("jobs must be positive")
     started = time.perf_counter()
-    if kind == "rate_table":
+    spec = experiment_spec(config)
+    dataset = None
+    if spec.kind == "rate_table":
         dataset = load_experiment_dataset(config, data_path)
-        result = _run_rate_table(config, dataset, used_seed, jobs)
-    elif kind == "recall_point":
-        result = _run_recall_point(config, used_seed, jobs)
-    else:
-        raise InvalidSpec(f"unknown experiment kind {kind!r}")
+    result = _run(spec, config, dataset, used_seed, jobs)
     return result, time.perf_counter() - started
 
 
-def _format_number(value) -> str:
+def format_number(value) -> str:
+    """A CSV cell: shortest round-trip repr for floats, str otherwise."""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -517,63 +315,27 @@ def write_results(result: ExperimentResult, out_dir) -> List[Path]:
     JSON uses sorted keys and CSV floats use shortest-round-trip repr,
     so reruns of a deterministic experiment match byte-for-byte.
     """
+    summary = ["method,level,mean,std,selection,weight_decay,source"]
+    for a in result.aggregates:
+        cells = [a.method, a.level, a.mean, a.std, a.selection, a.weight_decay]
+        summary.append(",".join(map(format_number, cells + ["computed"])))
+    for row in result.published:
+        cells = [float(row[k]) for k in ("level", "mean", "std")]
+        cells = [str(row["method"])] + cells + ["", "", "published"]
+        summary.append(",".join(map(format_number, cells)))
+    curve = ["method,level,mean,std"] + [
+        ",".join(map(format_number, (p.method, p.level, p.mean, p.std)))
+        for p in result.curve
+    ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-
-    results_path = out / "results.json"
-    results_path.write_text(
-        json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    paths.append(results_path)
-
-    summary_path = out / "summary.csv"
-    lines = ["method,level,mean,std,selection,weight_decay,source"]
-    for a in result.aggregates:
-        lines.append(
-            ",".join(
-                [
-                    a.method,
-                    _format_number(a.level),
-                    _format_number(a.mean),
-                    _format_number(a.std),
-                    a.selection,
-                    _format_number(a.weight_decay),
-                    "computed",
-                ]
-            )
-        )
-    for row in result.published:
-        lines.append(
-            ",".join(
-                [
-                    str(row["method"]),
-                    _format_number(float(row["level"])),
-                    _format_number(float(row["mean"])),
-                    _format_number(float(row["std"])),
-                    "",
-                    "",
-                    "published",
-                ]
-            )
-        )
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths.append(summary_path)
-
-    curve_path = out / "pr_points.csv"
-    lines = ["method,level,mean,std"]
-    for p in result.curve:
-        lines.append(
-            ",".join(
-                [
-                    p.method,
-                    _format_number(p.level),
-                    _format_number(p.mean),
-                    _format_number(p.std),
-                ]
-            )
-        )
-    curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths.append(curve_path)
+    for name, text in (
+        ("results.json", json.dumps(result.to_dict(), sort_keys=True, indent=2)),
+        ("summary.csv", "\n".join(summary)),
+        ("pr_points.csv", "\n".join(curve)),
+    ):
+        path = out / name
+        path.write_text(text + "\n", encoding="utf-8")
+        paths.append(path)
     return paths

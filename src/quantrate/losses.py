@@ -18,12 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    EmptyObjective,
-    InvalidSpec,
-    NoConstraintSubset,
-)
+from .errors import DimensionError, EmptyObjective, InvalidSpec
 from .estimators import estimate
 from .types import (
     Dataset,
@@ -31,7 +26,6 @@ from .types import (
     Objective,
     Penalize,
     QuantileEstimatorSpec,
-    RateConstraint,
     SurrogateLossSpec,
     constraint_indices,
 )
@@ -66,19 +60,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _side(penalize: Penalize) -> Tuple[int, float]:
-    """Penalized label and the sign s in l(s * (f(x) - theta))."""
-    if penalize is Penalize.NEGATIVES:
-        return -1, 1.0
-    return +1, -1.0
+def _side(spec: SurrogateLossSpec) -> Tuple[int, float]:
+    """Penalized label and the sign s in l(s * (f(x) - theta)).
 
-
-def _objective_side(spec: SurrogateLossSpec) -> Penalize:
-    if spec.objective is Objective.P_AT_PPR_TP:
-        return Penalize.POSITIVES
-    if spec.objective is Objective.GENERIC:
-        return spec.penalize
-    return Penalize.NEGATIVES
+    P_AT_PPR_TP penalizes positives, GENERIC the side its spec names,
+    and the other objectives negatives.
+    """
+    if spec.objective is Objective.P_AT_PPR_TP or (
+        spec.objective is Objective.GENERIC
+        and spec.penalize is Penalize.POSITIVES
+    ):
+        return +1, -1.0
+    return -1, 1.0
 
 
 def core_eval(
@@ -127,121 +120,10 @@ def _check_c(c: float, *, open_top: bool) -> float:
     return c
 
 
-def p_at_r_loss(
-    model: LinearModel,
-    dataset: Dataset,
-    c: float,
-    estimator_spec: QuantileEstimatorSpec,
-    logloss_base: float = 2.0,
-) -> LossValue:
-    """Precision-at-recall surrogate: quantile of the positives' scores
-    at level 1-c, logloss summed over negatives above it."""
-    c = _check_c(c, open_top=False)
-    pos = dataset.positive_indices()
-    if pos.size == 0:
-        raise NoConstraintSubset("p_at_r needs at least one positive")
-    neg = dataset.negative_indices()
-    if neg.size == 0:
-        raise EmptyObjective("p_at_r penalizes negatives; none present")
-    value, per_sample, _ = core_eval(
-        model.weights,
-        dataset.features[neg],
-        dataset.features[pos],
-        1.0,
-        1.0 - c,
-        estimator_spec,
-        logloss_base,
-    )
-    return LossValue(value, per_sample)
-
-
-def p_at_ppr_fp_loss(
-    model: LinearModel,
-    dataset: Dataset,
-    c: float,
-    estimator_spec: QuantileEstimatorSpec,
-    logloss_base: float = 2.0,
-) -> LossValue:
-    """False-positive-side surrogate at a predicted-positive rate c:
-    quantile over all scores at level 1-c, logloss over negatives."""
-    c = _check_c(c, open_top=True)
-    neg = dataset.negative_indices()
-    if neg.size == 0:
-        raise EmptyObjective("fp-side loss penalizes negatives; none present")
-    value, per_sample, _ = core_eval(
-        model.weights,
-        dataset.features[neg],
-        dataset.features,
-        1.0,
-        1.0 - c,
-        estimator_spec,
-        logloss_base,
-    )
-    return LossValue(value, per_sample)
-
-
-def p_at_ppr_tp_loss(
-    model: LinearModel,
-    dataset: Dataset,
-    c: float,
-    estimator_spec: QuantileEstimatorSpec,
-    logloss_base: float = 2.0,
-) -> LossValue:
-    """True-positive-side surrogate at a predicted-positive rate c:
-    same quantile as the fp form, logloss over positives below it."""
-    c = _check_c(c, open_top=True)
-    pos = dataset.positive_indices()
-    if pos.size == 0:
-        raise EmptyObjective("tp-side loss penalizes positives; none present")
-    value, per_sample, _ = core_eval(
-        model.weights,
-        dataset.features[pos],
-        dataset.features,
-        -1.0,
-        1.0 - c,
-        estimator_spec,
-        logloss_base,
-    )
-    return LossValue(value, per_sample)
-
-
-def generic_rate_loss(
-    model: LinearModel,
-    dataset: Dataset,
-    constraint: RateConstraint,
-    estimator_spec: QuantileEstimatorSpec,
-    penalize: Penalize = Penalize.NEGATIVES,
-    logloss_base: float = 2.0,
-) -> LossValue:
-    """Surrogate for an arbitrary rate constraint.
-
-    The threshold stand-in is the estimator at level 1-target over the
-    constraint subset's scores (both directions; the exact calibrator
-    handles the at_most tie adjustment after training).
-    """
-    penalize = Penalize(penalize)
-    sub = constraint_indices(dataset, constraint)
-    label, sign = _side(penalize)
-    pen = np.flatnonzero(dataset.labels == label)
-    if pen.size == 0:
-        raise EmptyObjective(f"no samples with label {label} to penalize")
-    value, per_sample, _ = core_eval(
-        model.weights,
-        dataset.features[pen],
-        dataset.features[sub],
-        sign,
-        1.0 - constraint.target,
-        estimator_spec,
-        logloss_base,
-    )
-    return LossValue(value, per_sample)
-
-
 def _resolved(spec: SurrogateLossSpec, dataset: Dataset):
     """(subset idx, penalized idx, sign, level) for a loss spec."""
     sub = constraint_indices(dataset, spec.constraint)
-    side = _objective_side(spec)
-    label, sign = _side(side)
+    label, sign = _side(spec)
     pen = np.flatnonzero(dataset.labels == label)
     if pen.size == 0:
         raise EmptyObjective(f"no samples with label {label} to penalize")
@@ -255,7 +137,15 @@ def _resolved(spec: SurrogateLossSpec, dataset: Dataset):
 def surrogate_loss(
     model: LinearModel, dataset: Dataset, loss_spec: SurrogateLossSpec
 ) -> LossValue:
-    """Spec-driven dispatch over the four objectives."""
+    """The surrogate loss of a spec: logloss summed over the penalized side.
+
+    The threshold stand-in is the spec's estimator at level 1 - target
+    over the constraint subset's scores.  p_at_r anchors on the
+    positives and penalizes negatives; p_at_ppr_fp / p_at_ppr_tp anchor
+    on all samples and penalize negatives / positives; generic anchors
+    on its constraint's subset and penalizes the side it names.  The
+    exact calibrator handles the at_most tie adjustment after training.
+    """
     sub, pen, sign, level = _resolved(loss_spec, dataset)
     value, per_sample, _ = core_eval(
         model.weights,

@@ -15,7 +15,6 @@ identical results.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -123,11 +122,7 @@ def sgd_train(
             grad = np.zeros_like(w)
         if config.weight_decay:
             grad = grad + config.weight_decay * w
-        if config.lr_decay == "inv_sqrt":
-            lr_t = config.learning_rate / math.sqrt(t)
-        else:
-            lr_t = config.learning_rate
-        velocity = config.momentum * velocity - lr_t * grad
+        velocity = config.momentum * velocity - config.lr_at(t) * grad
         w = w + velocity
         if t % config.eval_every == 0:
             trace.append(_full_loss(w, X, pen, sub, sign, level, loss_spec))
@@ -158,13 +153,3 @@ def multi_restart_train(
         if best is None or result.final_train_loss < best.final_train_loss:
             best = dataclasses.replace(result, restart_index=r)
     return best
-
-
-def gd_train(
-    dataset: Dataset, loss_spec: SurrogateLossSpec, config: TrainConfig
-) -> TrainResult:
-    """Full-batch gradient descent: sgd_train with both batches full."""
-    full = dataclasses.replace(
-        config, batch_size=None, constraint_batch_size=None
-    )
-    return sgd_train(dataset, loss_spec, full)

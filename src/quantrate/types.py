@@ -12,7 +12,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,12 +71,6 @@ class Penalize(str, enum.Enum):
     POSITIVES = "positives"
 
 
-@dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    label: int
-
-
 class Dataset:
     """Feature matrix plus {-1,+1} labels, immutable once built."""
 
@@ -113,9 +108,6 @@ class Dataset:
 
     def negative_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == -1)
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i], int(self.labels[i]))
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -293,9 +285,6 @@ class SurrogateLossSpec:
                 )
 
 
-FULL_BATCH = None  # sentinel: batch covers everything available
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the stochastic trainer.
@@ -310,8 +299,8 @@ class TrainConfig:
     seed: int
     momentum: float = 0.0
     weight_decay: float = 0.0
-    batch_size: Optional[int] = FULL_BATCH
-    constraint_batch_size: Optional[int] = FULL_BATCH
+    batch_size: Optional[int] = None
+    constraint_batch_size: Optional[int] = None
     restarts: int = 1
     init_scale: float = 0.01
     eval_every: int = 1
@@ -340,6 +329,12 @@ class TrainConfig:
             raise InvalidSpec("lr_decay must be 'constant' or 'inv_sqrt'")
         if self.seed < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
+
+    def lr_at(self, t: int) -> float:
+        """Step size of step t (1-based) under lr_decay."""
+        if self.lr_decay == "inv_sqrt":
+            return self.learning_rate / math.sqrt(t)
+        return self.learning_rate
 
     def check_against(self, n: int) -> None:
         if self.batch_size is not None and self.batch_size > n:

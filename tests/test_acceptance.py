@@ -31,13 +31,12 @@ from quantrate import (
     logloss,
     loss_gradient,
     loss_uniform_deviation,
-    p_at_r_loss,
     published_rows,
     run_experiment,
     surrogate_loss,
 )
 from quantrate.cli import main
-from quantrate.experiment import _estimator_spec
+from quantrate.config import estimator_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 IONOSPHERE = REPO_ROOT / "data" / "ionosphere.data"
@@ -115,7 +114,7 @@ def run_stability_preset(name):
         n=int(config["n"]),
         batch_sizes=config["batch_sizes"],
         trials=int(config["trials"]),
-        estimator_spec=_estimator_spec(config["estimator"]),
+        estimator_spec=estimator_spec(config["estimator"]),
         c=float(config["c"]),
         score_law=str(config["score_law"]),
         seed=int(config["seed"]),
@@ -142,7 +141,7 @@ def test_loss_deviation_scales_like_root_batch():
     report = loss_uniform_deviation(
         dataset=dataset,
         constraint=RateConstraint(**config["constraint"]),
-        estimator_spec=_estimator_spec(config["estimator"]),
+        estimator_spec=estimator_spec(config["estimator"]),
         batch_sizes=config["batch_sizes"],
         trials=int(config["trials"]),
         w_norm_bound=float(config["w_norm_bound"]),
@@ -186,11 +185,16 @@ def test_property_lower_mean_loss_is_midpoint_convex():
                             -np.ones(n_neg, dtype=int)])
         d = Dataset(X, y)
         c = float(rng.uniform(0.05, 1.0))
+        spec = SurrogateLossSpec(
+            objective="p_at_r",
+            constraint=RateConstraint("positives", "at_least", c),
+            estimator=lower,
+        )
         w1 = rng.standard_normal(dim) * 3.0
         w2 = rng.standard_normal(dim) * 3.0
-        l1 = p_at_r_loss(LinearModel(w1), d, c, lower).value
-        l2 = p_at_r_loss(LinearModel(w2), d, c, lower).value
-        mid = p_at_r_loss(LinearModel((w1 + w2) / 2.0), d, c, lower).value
+        l1 = surrogate_loss(LinearModel(w1), d, spec).value
+        l2 = surrogate_loss(LinearModel(w2), d, spec).value
+        mid = surrogate_loss(LinearModel((w1 + w2) / 2.0), d, spec).value
         if not mid <= (l1 + l2) / 2.0 + 1e-9:
             violations += 1
     print(f"midpoint convexity violations: {violations}/1000")

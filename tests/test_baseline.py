@@ -73,21 +73,19 @@ def test_single_class_raises():
 def test_baseline_threshold_is_the_calibrated_one():
     d = separable_free_dataset(13)
     constraint = RateConstraint("positives", "at_least", 0.8)
-    result = baseline_with_threshold(d, constraint, 0.5, fit_config())
-    pos_scores = with_bias(d.features[d.positive_indices()]) @ result.model.weights
-    assert result.calibrated_threshold == calibrate_threshold(
-        pos_scores, constraint)
-    assert result.model.threshold == result.calibrated_threshold
+    model = baseline_with_threshold(d, constraint, 0.5, fit_config())
+    pos_scores = with_bias(d.features[d.positive_indices()]) @ model.weights
+    assert model.threshold == calibrate_threshold(pos_scores, constraint)
     # the constraint holds on the training subset by construction
-    assert rate(pos_scores, result.calibrated_threshold) >= 0.8
+    assert rate(pos_scores, model.threshold) >= 0.8
 
 
 def test_baseline_at_most_constraint_holds():
     d = separable_free_dataset(17)
     constraint = RateConstraint("negatives", "at_most", 0.1)
-    result = baseline_with_threshold(d, constraint, 0.5, fit_config())
-    neg_scores = with_bias(d.features[d.negative_indices()]) @ result.model.weights
-    assert rate(neg_scores, result.calibrated_threshold) <= 0.1
+    model = baseline_with_threshold(d, constraint, 0.5, fit_config())
+    neg_scores = with_bias(d.features[d.negative_indices()]) @ model.weights
+    assert rate(neg_scores, model.threshold) <= 0.1
 
 
 def test_fit_is_deterministic():

@@ -294,3 +294,70 @@ def test_quiet_controls_the_stderr_note(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "wrote" in captured.err
     assert captured.out == ""
+
+
+STABILITY_CONFIG = {
+    "kind": "estimator_stability",
+    "n": 400,
+    "batch_sizes": [20, 80],
+    "trials": 100,
+    "estimator": {"kind": "point"},
+    "c": 0.8,
+    "score_law": "uniform",
+    "seed": 3,
+}
+
+
+def misspelt_config(case, tmp_path):
+    """(command, config, block): a valid config plus one stray key, and
+    the block of the config that holds it."""
+    if case == "momentun":
+        _, config = write_train_config(tmp_path, write_csv(tmp_path))
+        block = config["train"]
+        block["momentun"] = 0.9
+        return "train", config, block
+    if case == "standardise":
+        config = {
+            "kind": "recall_point", "reps": 1, "recall_levels": [0.8],
+            "curve_grid": [1.0], "weight_decays": [0.0], "standardise": True,
+            "synthetic": {"n": 100, "components": [
+                {"label": -1, "weight": 0.7, "mean": [0.0], "sigma": 1.0},
+                {"label": 1, "weight": 0.3, "mean": [2.0], "sigma": 1.0}]},
+            "split": {"train_fraction": 0.5}, "estimator": {"kind": "point"},
+            "train": {"learning_rate": 0.1, "steps": 1},
+            "logistic": {"learning_rate": 0.1, "steps": 1},
+        }
+        return "experiment", config, config
+    if case == "bandwith":
+        config = dict(STABILITY_CONFIG, estimator={"kind": "point",
+                                                   "bandwith": 0.1})
+        return "concentration", config, config["estimator"]
+    if case == "trails":
+        config = dict(STABILITY_CONFIG, trails=100)
+        return "concentration", config, config
+    config = {
+        "kind": "convex_sgd_convergence", "c": 0.8, "batch_size": 20,
+        "t_grid": [3], "trials": 1,
+        "synthetic": {"n": 60, "mean_separation": 2.0, "sigma": 1.0,
+                      "seed": 5, "prior": 0.4},
+    }
+    return "concentration", config, config["synthetic"]
+
+
+@pytest.mark.parametrize(
+    "case", ["momentun", "standardise", "bandwith", "trails", "prior"])
+def test_unknown_config_keys_are_config_errors(tmp_path, capsys, case):
+    command, config, block = misspelt_config(case, tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [command, "--config", str(config_path), "--out",
+            str(tmp_path / "out"), "--quiet"]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "config"
+    assert f"unknown keys ['{case}']" in err["message"]
+    assert not (tmp_path / "out").exists()
+    # without the stray key the same config runs
+    del block[case]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(argv) == 0

@@ -204,6 +204,56 @@ def test_write_results_files_and_rerun_bytes(tmp_path):
     assert len(curve_lines) == 1 + len(parsed["curve"])
 
 
+# Few logistic steps from a wide init make the logistic seed visible in
+# the precisions, so these values pin every per-model seed stream.
+GOLDEN_LOGISTIC = {"learning_rate": 0.05, "steps": 3, "init_scale": 1.0}
+
+# (method, level, selection) -> (selected weight decay, per_rep);
+# precisions are tp/k fractions, so they are exact across BLAS builds
+GOLDEN_RATE_TABLE = {
+    ("quantile", 0.1, "test"): (0.01, (1.0, 1.0)),
+    ("quantile", 0.1, "train"): (0.01, (1.0, 1.0)),
+    ("quantile", 0.3, "test"): (0.01, (0.9285714285714286, 0.9285714285714286)),
+    ("quantile", 0.3, "train"): (0.5, (0.8571428571428571, 0.9285714285714286)),
+    ("logistic", 0.1, "test"): (0.01, (1.0, 1.0)),
+    ("logistic", 0.1, "train"): (0.01, (1.0, 1.0)),
+    ("logistic", 0.3, "test"): (0.5, (1.0, 1.0)),
+    ("logistic", 0.3, "train"): (0.01, (0.9285714285714286, 1.0)),
+}
+GOLDEN_RECALL_POINT = {
+    ("quantile", 0.8, "test"): (0.0, (0.918918918918919, 0.7631578947368421)),
+    ("quantile", 0.8, "train"): (0.0, (0.918918918918919, 0.7631578947368421)),
+    ("quantile", 0.6, "test"): (0.0, (1.0, 0.9565217391304348)),
+    ("quantile", 0.6, "train"): (0.1, (1.0, 0.8461538461538461)),
+    ("logistic", 0.8, "test"): (0.0, (0.918918918918919, 0.7631578947368421)),
+    ("logistic", 0.8, "train"): (0.0, (0.918918918918919, 0.7631578947368421)),
+    ("logistic", 0.6, "test"): (0.0, (1.0, 0.9166666666666666)),
+    ("logistic", 0.6, "train"): (0.0, (1.0, 0.9166666666666666)),
+}
+GOLDEN_RECALL_CURVE = [
+    ("quantile", 0.5, 0.9090909090909092, 0.12856486930664496),
+    ("quantile", 1.0, 0.675, 0.10606601717798214),
+    ("logistic", 0.5, 0.9736842105263157, 0.03721614637823938),
+    ("logistic", 1.0, 0.675, 0.10606601717798214),
+]
+
+
+def test_golden_per_rep_precisions_pin_the_seed_streams(tmp_path):
+    config = tiny_rate_config(tiny_csv(tmp_path))
+    config.update(weight_decays=[0.01, 0.5], logistic=GOLDEN_LOGISTIC)
+    recall = tiny_recall_config(recall_levels=[0.8, 0.6],
+                                logistic=GOLDEN_LOGISTIC)
+    for config, golden in ((config, GOLDEN_RATE_TABLE),
+                           (recall, GOLDEN_RECALL_POINT)):
+        result, _ = run_experiment(config)
+        assert {
+            (a.method, a.level, a.selection): (a.weight_decay, a.per_rep)
+            for a in result.aggregates
+        } == golden
+    assert [(p.method, p.level, p.mean, p.std)
+            for p in result.curve] == GOLDEN_RECALL_CURVE
+
+
 def test_published_tables_structure():
     tables = published_tables()["tables"]
     assert "ionosphere" in tables and "housing" in tables

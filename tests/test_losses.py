@@ -16,13 +16,9 @@ from quantrate import (
     RateConstraint,
     SurrogateLossSpec,
     estimate,
-    generic_rate_loss,
     logloss,
     loss_gradient,
     order_rank,
-    p_at_ppr_fp_loss,
-    p_at_ppr_tp_loss,
-    p_at_r_loss,
     surrogate_loss,
 )
 
@@ -40,6 +36,24 @@ def hand_dataset():
 
 def unit_model():
     return LinearModel([1.0])
+
+
+def loss(model, dataset, objective, c, estimator=POINT, **extra):
+    """surrogate_loss of a named objective on its own constraint."""
+    subset = "positives" if objective == "p_at_r" else "all"
+    spec = SurrogateLossSpec(
+        objective=objective,
+        constraint=RateConstraint(subset, "at_least", c),
+        estimator=estimator,
+        **extra,
+    )
+    return surrogate_loss(model, dataset, spec)
+
+
+def generic_loss(model, dataset, constraint, penalize):
+    spec = SurrogateLossSpec(objective="generic", constraint=constraint,
+                             estimator=POINT, penalize=penalize)
+    return surrogate_loss(model, dataset, spec)
 
 
 def random_dataset(rng, n_pos, n_neg, dim):
@@ -61,7 +75,7 @@ def test_logloss_values():
 def test_p_at_r_hand_value():
     # recall 0.9 over 2 positives: rank level 0.1 gives the minimum, q=1;
     # negatives at 3 and 4 contribute z=2 and z=3
-    v = p_at_r_loss(unit_model(), hand_dataset(), 0.9, POINT)
+    v = loss(unit_model(), hand_dataset(), "p_at_r", 0.9)
     expected = (math.log(1 + math.e**2) + math.log(1 + math.e**3)) / LN2
     assert v.value == pytest.approx(expected, abs=1e-12)
     assert v.per_sample.shape == (2,)
@@ -70,14 +84,14 @@ def test_p_at_r_hand_value():
 
 def test_p_at_ppr_fp_hand_value():
     # rate 0.5 over all four scores: q = 2nd statistic = 2; z = [1, 2]
-    v = p_at_ppr_fp_loss(unit_model(), hand_dataset(), 0.5, POINT)
+    v = loss(unit_model(), hand_dataset(), "p_at_ppr_fp", 0.5)
     expected = (math.log(1 + math.e) + math.log(1 + math.e**2)) / LN2
     assert v.value == pytest.approx(expected, abs=1e-12)
 
 
 def test_p_at_ppr_tp_hand_value():
     # same q = 2; positives at 1 and 2 enter with flipped sign: z = [1, 0]
-    v = p_at_ppr_tp_loss(unit_model(), hand_dataset(), 0.5, POINT)
+    v = loss(unit_model(), hand_dataset(), "p_at_ppr_tp", 0.5)
     expected = (math.log(1 + math.e) + math.log(2.0)) / LN2
     assert v.value == pytest.approx(expected, abs=1e-12)
 
@@ -85,11 +99,10 @@ def test_p_at_ppr_tp_hand_value():
 def test_generic_hand_value_at_most_penalizing_positives():
     # at_most 0.2 on negatives puts the stand-in at level 0.8 over {3,4},
     # the 1st statistic q=3; positives enter with sign -1: z = [2, 1]
-    v = generic_rate_loss(
+    v = generic_loss(
         unit_model(),
         hand_dataset(),
         RateConstraint("negatives", "at_most", 0.2),
-        POINT,
         penalize="positives",
     )
     expected = (math.log(1 + math.e**2) + math.log(1 + math.e)) / LN2
@@ -113,15 +126,15 @@ def test_gradient_hand_value():
 
 def test_loss_is_a_sum_not_a_mean():
     d = hand_dataset()
-    v = p_at_r_loss(unit_model(), d, 0.9, POINT)
+    v = loss(unit_model(), d, "p_at_r", 0.9)
     assert v.per_sample.size == d.negative_indices().size
     assert v.value == float(v.per_sample.sum())
 
 
 def test_base_conversion_scales_the_loss():
     d = hand_dataset()
-    v2 = p_at_r_loss(unit_model(), d, 0.9, POINT, logloss_base=2.0)
-    v4 = p_at_r_loss(unit_model(), d, 0.9, POINT, logloss_base=4.0)
+    v2 = loss(unit_model(), d, "p_at_r", 0.9, logloss_base=2.0)
+    v4 = loss(unit_model(), d, "p_at_r", 0.9, logloss_base=4.0)
     assert v4.value == pytest.approx(v2.value / 2.0, rel=1e-12)
 
 
@@ -129,23 +142,15 @@ def test_level_bounds_per_objective():
     d = hand_dataset()
     m = unit_model()
     # recall form admits c = 1, rate forms do not
-    assert p_at_r_loss(m, d, 1.0, POINT).value >= 0.0
+    assert loss(m, d, "p_at_r", 1.0).value >= 0.0
     with pytest.raises(InvalidSpec):
-        p_at_r_loss(m, d, 0.0, POINT)
+        loss(m, d, "p_at_r", 0.0)
     with pytest.raises(InvalidSpec):
-        p_at_r_loss(m, d, 1.1, POINT)
+        loss(m, d, "p_at_r", 1.1)
     with pytest.raises(InvalidSpec):
-        p_at_ppr_fp_loss(m, d, 1.0, POINT)
+        loss(m, d, "p_at_ppr_fp", 1.0)
     with pytest.raises(InvalidSpec):
-        p_at_ppr_tp_loss(m, d, 1.0, POINT)
-    # the same bounds hold through the spec-driven entry point
-    spec = SurrogateLossSpec(
-        objective="p_at_ppr_fp",
-        constraint=RateConstraint("all", "at_least", 1.0),
-        estimator=POINT,
-    )
-    with pytest.raises(InvalidSpec):
-        surrogate_loss(m, d, spec)
+        loss(m, d, "p_at_ppr_tp", 1.0)
 
 
 def test_empty_side_errors():
@@ -153,13 +158,13 @@ def test_empty_side_errors():
     neg_only = Dataset([[1.0], [2.0]], [-1, -1])
     m = unit_model()
     with pytest.raises(NoConstraintSubset):
-        p_at_r_loss(m, neg_only, 0.5, POINT)
+        loss(m, neg_only, "p_at_r", 0.5)
     with pytest.raises(EmptyObjective):
-        p_at_r_loss(m, pos_only, 0.5, POINT)
+        loss(m, pos_only, "p_at_r", 0.5)
     with pytest.raises(EmptyObjective):
-        p_at_ppr_tp_loss(m, neg_only, 0.5, POINT)
+        loss(m, neg_only, "p_at_ppr_tp", 0.5)
     with pytest.raises(EmptyObjective):
-        p_at_ppr_fp_loss(m, pos_only, 0.5, POINT)
+        loss(m, pos_only, "p_at_ppr_fp", 0.5)
 
 
 def test_spec_validation():
@@ -189,57 +194,19 @@ def test_spec_validation():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionError):
-        p_at_r_loss(LinearModel([1.0, 2.0]), hand_dataset(), 0.5, POINT)
-
-
-def test_spec_driven_dispatch_matches_direct_calls():
-    rng = np.random.default_rng(23)
-    for _ in range(60):
-        d = random_dataset(rng, int(rng.integers(3, 10)),
-                           int(rng.integers(3, 10)), 2)
-        w = rng.standard_normal(2)
-        m = LinearModel(w)
-        c = float(rng.uniform(0.1, 0.9))
-        direct = p_at_r_loss(m, d, c, POINT).value
-        spec = SurrogateLossSpec(
-            objective="p_at_r",
-            constraint=RateConstraint("positives", "at_least", c),
-            estimator=POINT,
-        )
-        assert surrogate_loss(m, d, spec).value == direct
-        direct = p_at_ppr_fp_loss(m, d, c, POINT).value
-        spec = SurrogateLossSpec(
-            objective="p_at_ppr_fp",
-            constraint=RateConstraint("all", "at_least", c),
-            estimator=POINT,
-        )
-        assert surrogate_loss(m, d, spec).value == direct
-        direct = p_at_ppr_tp_loss(m, d, c, POINT).value
-        spec = SurrogateLossSpec(
-            objective="p_at_ppr_tp",
-            constraint=RateConstraint("all", "at_least", c),
-            estimator=POINT,
-        )
-        assert surrogate_loss(m, d, spec).value == direct
-        cons = RateConstraint("negatives", "at_most", c)
-        direct = generic_rate_loss(m, d, cons, POINT, penalize="positives").value
-        spec = SurrogateLossSpec(
-            objective="generic", constraint=cons, estimator=POINT,
-            penalize="positives",
-        )
-        assert surrogate_loss(m, d, spec).value == direct
+        loss(LinearModel([1.0, 2.0]), hand_dataset(), "p_at_r", 0.5)
 
 
 def test_generic_honors_index_subsets():
     d = hand_dataset()
     m = unit_model()
     # anchoring on rows {2, 3} reproduces the negatives-subset loss exactly
-    by_name = generic_rate_loss(
-        m, d, RateConstraint("negatives", "at_most", 0.2), POINT,
+    by_name = generic_loss(
+        m, d, RateConstraint("negatives", "at_most", 0.2),
         penalize="positives",
     ).value
-    by_index = generic_rate_loss(
-        m, d, RateConstraint("indices", "at_most", 0.2, indices=(2, 3)), POINT,
+    by_index = generic_loss(
+        m, d, RateConstraint("indices", "at_most", 0.2, indices=(2, 3)),
         penalize="positives",
     ).value
     assert by_index == by_name
@@ -262,8 +229,8 @@ def test_tp_form_mirrors_fp_form_on_negated_data():
             continue  # the mirrored rate would leave (0, 1)
         c_mirror = 1.0 - (N - k + 1.5) / N  # mid-gap: float-safe rank target
         mirrored = Dataset(-d.features, -d.labels)
-        v_tp = p_at_ppr_tp_loss(LinearModel(w), d, c, POINT).value
-        v_fp = p_at_ppr_fp_loss(LinearModel(w), mirrored, c_mirror, POINT).value
+        v_tp = loss(LinearModel(w), d, "p_at_ppr_tp", c).value
+        v_fp = loss(LinearModel(w), mirrored, "p_at_ppr_fp", c_mirror).value
         assert v_tp == pytest.approx(v_fp, abs=1e-12)
         checked += 1
     assert checked >= 200
@@ -315,7 +282,7 @@ def test_loss_dominates_violation_count_spot():
                            int(rng.integers(4, 12)), 2)
         c = float(rng.uniform(0.1, 0.9))
         w = rng.standard_normal(2)
-        v = p_at_r_loss(LinearModel(w), d, c, POINT).value
+        v = loss(LinearModel(w), d, "p_at_r", c).value
         s = d.features @ w
         q = estimate(POINT, s[d.labels == 1], 1.0 - c).value
         count = int(np.count_nonzero(s[d.labels == -1] > q))

@@ -17,7 +17,6 @@ from quantrate import (
     RateConstraint,
     SurrogateLossSpec,
     TrainConfig,
-    gd_train,
     loss_gradient,
     multi_restart_train,
     sgd_train,
@@ -167,18 +166,6 @@ def test_trace_records_every_eval_point_plus_ragged_final():
     assert result.final_train_loss == result.loss_trace[-1]
     assert result.final_train_loss == surrogate_loss(
         result.model, d, spec).value
-
-
-def test_gd_train_ignores_configured_batch_sizes():
-    d = small_dataset(seed=31)
-    spec = fp_spec()
-    config = TrainConfig(learning_rate=0.02, steps=4, seed=7, batch_size=3,
-                         constraint_batch_size=2)
-    full = sgd_train(d, spec, replace(config, batch_size=None,
-                                      constraint_batch_size=None))
-    via_gd = gd_train(d, spec, config)
-    assert np.array_equal(via_gd.model.weights, full.model.weights)
-    assert via_gd.loss_trace == full.loss_trace
 
 
 def test_multi_restart_returns_the_argmin_member():
