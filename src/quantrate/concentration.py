@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BatchTooLarge, ConstraintBatchEmpty, InvalidSpec
 from .estimators import estimate
-from .losses import _softplus, surrogate_loss
+from .losses import surrogate_loss
 from .train import sgd_train
 from .types import (
     Dataset,
@@ -180,15 +180,15 @@ def _mean_losses(
     """Per-model mean logloss of the penalized rows over the subset quantile.
 
     scores_by_model is the (n_samples, n_models) score matrix; rows are
-    selected by position.
+    selected by position.  One estimate covers every model.  The
+    gathered subset is freed before the penalized rows are gathered, and
+    the loss is taken in place, so one gathered copy is alive at a time.
     """
-    n_models = scores_by_model.shape[1]
-    out = np.empty(n_models)
-    pen_scores = scores_by_model[pen_rows]
-    for j in range(n_models):
-        q = estimate(estimator_spec, scores_by_model[sub_rows, j], level)
-        out[j] = _softplus(pen_scores[:, j] - q.value).mean() / _LN2
-    return out
+    q = estimate(estimator_spec, scores_by_model[sub_rows], level).value
+    z = scores_by_model[pen_rows]
+    z -= q
+    np.logaddexp(0.0, z, out=z)
+    return z.mean(axis=0) / _LN2
 
 
 def loss_uniform_deviation(

@@ -27,16 +27,49 @@ _TRAIN_KEYS = (
 )
 _DEFAULT_CURVE_GRID = [round(0.1 * k, 1) for k in range(1, 11)]
 
+
+def _integer(value) -> int:
+    """An integer, or a float with an integral value such as 10.0."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidSpec(f"must be an integer, got {value!r}")
+
+
+def _integer_or_full(value) -> Optional[int]:
+    """A batch size: an integer, or None for the full batch."""
+    return None if value is None else _integer(value)
+
+
+def _integers(values) -> list:
+    """A list of integers, such as batch sizes or step counts."""
+    return [_integer(v) for v in values]
+
+
 # how a present value is read, by key; keys not listed pass through
 _CONVERT = {
-    "learning_rate": float, "steps": int, "momentum": float,
-    "weight_decay": float, "restarts": int, "init_scale": float,
-    "eval_every": int, "lr_decay": str, "normalize": bool,
-    "paper_exact": bool, "label": int, "weight": float, "sigma": float,
-    "train_fraction": float, "stratified": bool, "n": int, "trials": int,
-    "c": float, "score_law": str, "w_norm_bound": float, "n_models": int,
+    "learning_rate": float, "steps": _integer, "momentum": float,
+    "weight_decay": float, "restarts": _integer, "init_scale": float,
+    "eval_every": _integer, "lr_decay": str, "normalize": bool,
+    "batch_size": _integer_or_full, "constraint_batch_size": _integer_or_full,
+    "paper_exact": bool, "label": _integer, "weight": float, "sigma": float,
+    "train_fraction": float, "stratified": bool, "n": _integer,
+    "trials": _integer, "c": float, "score_law": str, "w_norm_bound": float,
+    "n_models": _integer, "seed": _integer, "dim": _integer, "reps": _integer,
+    "label_column": _integer, "batch_sizes": _integers, "t_grid": _integers,
     "indices": lambda v: tuple(v) if v else None,
 }
+
+
+def config_value(key: str, value, read=None):
+    """A present config value read by read, or the way its key is read;
+    a value of the wrong type is a config error naming the key."""
+    try:
+        return (read or _CONVERT.get(key, _same))(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"{key} {exc}") from None
+
 
 # concentration kind -> its required keys, all passed to the harness
 _CONCENTRATION_KEYS = {
@@ -73,7 +106,7 @@ def check_keys(block, optional: Iterable[str], where: str, required=()) -> dict:
 
 def _record(record, block, where: str, required, optional=(), **fixed):
     check_keys(block, optional, where, required)
-    values = {k: _CONVERT.get(k, _same)(v) for k, v in block.items()}
+    values = {k: config_value(k, v) for k, v in block.items()}
     return record(**fixed, **values)
 
 
@@ -132,7 +165,7 @@ def train_spec(
         constraint=rate_constraint(loss["constraint"]),
         estimator=estimator_spec(loss["estimator"]),
     ))
-    return loss_spec, train_config(block, int(seed))
+    return loss_spec, train_config(block, config_value("seed", seed))
 
 
 def concentration_spec(config: dict, seed: Optional[int]) -> Tuple[str, dict]:
@@ -149,14 +182,19 @@ def concentration_spec(config: dict, seed: Optional[int]) -> Tuple[str, dict]:
         "estimator": estimator_spec,
         "constraint": rate_constraint,
         "synthetic": _synthetic_spec,
-        "batch_size": int,
+        # the convex harness's minibatch is never the full batch
+        "batch_size": lambda v: config_value("batch_size", v, _integer),
     }
     renamed = {"estimator": "estimator_spec", "synthetic": "dataset"}
     args = {
-        renamed.get(k, k): parse.get(k, _CONVERT.get(k, _same))(config[k])
+        renamed.get(k, k): (
+            parse[k](config[k]) if k in parse else config_value(k, config[k])
+        )
         for k in required
     }
-    args["seed"] = int(seed if seed is not None else config.get("seed", 0))
+    if seed is None:
+        seed = config.get("seed", 0)
+    args["seed"] = config_value("seed", seed)
     return kind, args
 
 
@@ -217,7 +255,7 @@ def experiment_spec(config: dict) -> ExperimentSpec:
     decays = tuple(float(v) for v in config["weight_decays"])
     if not decays or any(v < 0 for v in decays):
         raise InvalidSpec("weight_decays must be nonnegative and nonempty")
-    reps = int(config["reps"])
+    reps = config_value("reps", config["reps"])
     if reps < 1:
         raise InvalidSpec("reps must be positive")
     mixture = {}
@@ -231,7 +269,7 @@ def experiment_spec(config: dict) -> ExperimentSpec:
                         ("label", "weight", "mean", "sigma"))
                 for b in synth["components"]
             ),
-            n_samples=int(synth["n"]),
+            n_samples=config_value("n", synth["n"]),
         )
     return ExperimentSpec(
         kind=kind,

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .baseline import logistic_train, with_bias
-from .config import ExperimentSpec, experiment_spec
+from .config import ExperimentSpec, config_value, experiment_spec
 from .data import generate_mixture, load_delimited, load_sparse, split, standardize
 from .errors import InvalidSpec
 from .metrics import precision_at_rate, precision_at_recall
@@ -121,7 +121,7 @@ def load_experiment_dataset(config: dict, data_path: Optional[str]) -> Dataset:
         raise InvalidSpec(f"unknown data format {form!r}")
     return load_delimited(
         path,
-        label_column=int(block["label_column"]),
+        label_column=config_value("label_column", block["label_column"]),
         positive_label_value=str(block["positive_label_value"]),
         delimiter=block.get("delimiter", ","),
         header=bool(block.get("header", False)),
@@ -287,7 +287,9 @@ def run_experiment(
     enters the result, so identical configs and seeds reproduce output
     files byte-for-byte.
     """
-    used_seed = int(seed if seed is not None else config.get("seed", 0))
+    if seed is None:
+        seed = config.get("seed", 0)
+    used_seed = config_value("seed", seed)
     if used_seed < 0:
         raise InvalidSpec("seed must be nonnegative")
     if jobs < 1:

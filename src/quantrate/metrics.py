@@ -169,7 +169,7 @@ def precision_at_rate(scores, labels, tau: float) -> float:
     if m == n:
         theta = float(np.nextafter(np.min(s), -np.inf))
     else:
-        theta = float(np.sort(s)[n - m - 1])
+        theta = float(np.partition(s, n - m - 1)[n - m - 1])
     predicted = s > theta
     predicted_n = int(np.count_nonzero(predicted))
     if predicted_n == 0:

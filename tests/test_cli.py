@@ -361,3 +361,67 @@ def test_unknown_config_keys_are_config_errors(tmp_path, capsys, case):
     del block[case]
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(argv) == 0
+
+
+def run_train(tmp_path, capsys, **train):
+    """Exit code, stdout and the model payload of `train` on the
+    write_train_config config with its train block updated."""
+    _, config = write_train_config(tmp_path, write_csv(tmp_path))
+    config["train"].update(train)
+    config_path = tmp_path / "train_config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    model_path.unlink(missing_ok=True)
+    code = main(["train", "--config", str(config_path), "--out",
+                 str(model_path), "--quiet"])
+    payload = json.loads(model_path.read_text()) if model_path.exists() else None
+    return code, capsys.readouterr().out, payload
+
+
+@pytest.mark.parametrize("sizes", [
+    {"batch_size": 10.0, "constraint_batch_size": 5},
+    {"batch_size": 10, "constraint_batch_size": 5.0},
+])
+def test_integral_float_sizes_train_as_integers(tmp_path, capsys, sizes):
+    code, _, payload = run_train(tmp_path, capsys, **sizes)
+    assert code == 0
+    code, _, expected = run_train(
+        tmp_path, capsys, batch_size=10, constraint_batch_size=5)
+    assert code == 0
+    for field in ("weights", "threshold", "final_train_loss", "loss_trace"):
+        assert payload[field] == expected[field]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", "10"),
+    ("steps", [1]),
+    ("steps", 10.5),
+])
+def test_non_integer_sizes_are_config_errors(tmp_path, capsys, key, value):
+    code, out, payload = run_train(tmp_path, capsys, **{key: value})
+    assert code == 1
+    assert payload is None
+    err = json.loads(out)["error"]
+    assert err["kind"] == "config"
+    assert key in err["message"]
+
+
+def test_non_integer_list_entries_and_columns_are_config_errors(tmp_path, capsys):
+    _, train = write_train_config(tmp_path, write_csv(tmp_path))
+    train["data"]["label_column"] = 1.5
+    convex = dict(misspelt_config("prior", tmp_path)[1], t_grid=["3"])
+    del convex["synthetic"]["prior"]
+    cases = (
+        ("concentration", dict(STABILITY_CONFIG, batch_sizes=[20.5, 80]),
+         "batch_sizes"),
+        ("concentration", convex, "t_grid"),
+        ("train", train, "label_column"),
+    )
+    for command, config, key in cases:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([command, "--config", str(config_path), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "config" and key in err["message"]
+        assert not (tmp_path / "out").exists()

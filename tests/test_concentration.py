@@ -185,3 +185,80 @@ def test_convex_convergence_validation():
     with pytest.raises(InvalidSpec):
         convex_sgd_convergence(d, c=0.5, batch_size=10, t_grid=[5], trials=0,
                                seed=0)
+
+
+# to_dict() of tiny lab configs, recorded before the estimators selected
+# by partition and the deviation lab estimated all models in one call.
+# The stability and convex reports must match exactly; the deviation
+# lab sums its K columns in another order, so it may move by 1e-12.
+GOLDEN_STABILITY = {
+    "interval": {
+        "batch_sizes": [20, 80, 320],
+        "mean_abs_dev": [0.05997722655305413, 0.032365219758970755, 0.006894239516460986],
+        "q95_abs_dev": [0.15239185748348985, 0.0731293555628176, 0.01687652941720658],
+        "fitted_slope": -0.7802378712492433, "trials": 100, "seed": 4,
+    },
+    "kernel": {
+        "batch_sizes": [20, 80, 320],
+        "mean_abs_dev": [0.09352067870196594, 0.03480206010898335, 0.007538347252248575],
+        "q95_abs_dev": [0.2785479320916327, 0.10668891738923159, 0.01683595999790348],
+        "fitted_slope": -0.908241310206766, "trials": 100, "seed": 4,
+    },
+}
+GOLDEN_LOSS_DEVIATION = {
+    "lower_mean": {
+        "batch_sizes": [20, 60, 180],
+        "mean_abs_dev": [3.037595181634521, 1.4281524189170725, 0.46986859525996577],
+        "q95_abs_dev": [5.884157834169468, 3.001730613370172, 0.8646398955778086],
+        "fitted_slope": -0.8494208424876954, "trials": 100, "seed": 21,
+    },
+    "kernel": {
+        "batch_sizes": [20, 60],
+        "mean_abs_dev": [1.2045357613210432, 0.5316621982440506],
+        "q95_abs_dev": [2.834419448305025, 1.1548593792215185],
+        "fitted_slope": -0.7444311317608471, "trials": 100, "seed": 21,
+    },
+}
+GOLDEN_CONVEX = {
+    "t_grid": [5, 10], "mean_excess": [1394.578143565768, 159.11141279162885],
+    "ref_loss": 41.0, "trials": 3, "seed": 31,
+}
+
+
+def test_golden_stability_reports():
+    specs = {
+        "interval": (QuantileEstimatorSpec(kind="interval", k1=0.25, k2=0.75),
+                     0.5, "gaussian"),
+        "kernel": (KERNEL, 0.9, "uniform"),
+    }
+    for name, (spec, c, law) in specs.items():
+        r = estimator_stability(n=400, batch_sizes=[20, 80, 320], trials=100,
+                                estimator_spec=spec, c=c, score_law=law, seed=4)
+        assert r.to_dict() == GOLDEN_STABILITY[name]
+
+
+def test_golden_loss_deviation_reports():
+    d = small_dataset(seed=13, n=240)
+    runs = {
+        "lower_mean": (RateConstraint("all", "at_least", 0.8),
+                       QuantileEstimatorSpec(kind="lower_mean"),
+                       [20, 60, 180], 5.0, 7),
+        "kernel": (RateConstraint("positives", "at_least", 0.7), KERNEL,
+                   [20, 60], 2.0, 4),
+    }
+    for name, (constraint, spec, batches, bound, n_models) in runs.items():
+        got = loss_uniform_deviation(d, constraint, spec, batches, 100, bound,
+                                     n_models, 21).to_dict()
+        golden = GOLDEN_LOSS_DEVIATION[name]
+        assert got.keys() == golden.keys()
+        for key, want in golden.items():
+            if key in ("mean_abs_dev", "q95_abs_dev", "fitted_slope"):
+                assert np.allclose(got[key], want, rtol=1e-12, atol=0.0), key
+            else:
+                assert got[key] == want
+
+
+def test_golden_convex_report():
+    r = convex_sgd_convergence(small_dataset(seed=17, n=80), c=0.8,
+                               batch_size=20, t_grid=[5, 10], trials=3, seed=31)
+    assert r.to_dict() == GOLDEN_CONVEX

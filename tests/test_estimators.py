@@ -275,3 +275,186 @@ def test_estimate_rejects_bad_scores():
         estimate(POINT, [], 0.5)
     with pytest.raises(InvalidSpec):
         estimate(POINT, [np.inf, 1.0], 0.5)
+
+
+# -- stable-sort oracles --------------------------------------------------
+# References built in the test from np.argsort(kind="stable"): the
+# order statistics at sorted ranks lo..hi-1 of a stable sort, with ties
+# broken by input position.  The estimators select without sorting and
+# must pick exactly these positions.
+
+INTERVAL = QuantileEstimatorSpec(kind="interval", k1=0.25, k2=0.75)
+
+
+def _brute_rank(n, c):
+    return max((k for k in range(1, n + 1) if k / n <= c), default=0)
+
+
+def _dense(s, positions, weight):
+    w = np.zeros(s.size)
+    w[positions] = weight
+    return w
+
+
+def ref_point(s, c):
+    order = np.argsort(s, kind="stable")
+    j = max(1, _brute_rank(s.size, c)) - 1
+    while j + 1 < s.size and s[order[j + 1]] == s[order[j]]:
+        j += 1
+    return _dense(s, order[j], 1.0)
+
+
+def ref_lower_mean(s, c):
+    k = max(1, _brute_rank(s.size, c))
+    return _dense(s, np.argsort(s, kind="stable")[:k], 1.0 / k)
+
+
+def ref_interval(s, k1, k2):
+    lo, hi = math.floor(s.size * k1), math.floor(s.size * k2)
+    return _dense(s, np.argsort(s, kind="stable")[lo:hi], 1.0 / (hi - lo))
+
+
+def ref_exact(s, c):
+    ranked = s[np.argsort(s, kind="stable")]
+    return float(ranked[max(1, _brute_rank(s.size, c)) - 1])
+
+
+def assert_matches_oracle(res, s, w):
+    assert res.value == float(w @ s)
+    assert np.array_equal(res.weights, w)
+    assert np.array_equal(res.support, np.flatnonzero(w))
+
+
+def oracle_cases():
+    """(scores, level) pairs: tie-heavy, constant, n=1, and levels at
+    exact k/n edges and just beside them."""
+    rng = np.random.default_rng(23)
+    cases = [(np.array([3.5]), c) for c in (0.0, 0.3, 1.0)]
+    for n in (2, 3, 7, 10, 40, 105, 333):
+        for kind in ("round", "coarse", "constant", "normal"):
+            if kind == "round":
+                s = np.round(rng.standard_normal(n))
+            elif kind == "coarse":
+                s = rng.integers(0, 3, n).astype(float)
+            elif kind == "constant":
+                s = np.full(n, -1.25)
+            else:
+                s = rng.standard_normal(n)
+            for k in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+                c = k / n
+                cases.append((s, c))
+                cases.append((s, float(np.nextafter(c, 2.0)) if c < 1 else c))
+                cases.append((s, float(np.nextafter(c, -1.0)) if c > 0 else c))
+            cases.append((s, float(rng.uniform())))
+    return cases
+
+
+def test_point_matches_the_stable_sort_oracle():
+    for s, c in oracle_cases():
+        assert_matches_oracle(estimate(POINT, s, c), s, ref_point(s, c))
+
+
+def test_lower_mean_matches_the_stable_sort_oracle():
+    for s, c in oracle_cases():
+        assert_matches_oracle(
+            estimate(LOWER_MEAN, s, c), s, ref_lower_mean(s, c)
+        )
+
+
+def test_interval_matches_the_stable_sort_oracle():
+    rng = np.random.default_rng(29)
+    for s, _ in oracle_cases():
+        n = s.size
+        windows = [(0.25, 0.75), (0.1, 0.9), (0.5, 0.51)]
+        # edges exactly at j/n select whole tied runs or split them
+        windows += [(j / n, (j + 1) / n) for j in range(1, n - 1, max(1, n // 4))]
+        windows += [tuple(sorted(rng.uniform(0.01, 0.99, 2))) for _ in range(3)]
+        for k1, k2 in windows:
+            if not 0.0 < k1 < k2 < 1.0:
+                continue
+            spec = QuantileEstimatorSpec(kind="interval", k1=k1, k2=k2)
+            if math.floor(n * k2) <= math.floor(n * k1):
+                with pytest.raises(DegenerateInterval):
+                    estimate(spec, s, 0.5)
+                continue
+            assert_matches_oracle(estimate(spec, s, 0.5), s, ref_interval(s, k1, k2))
+
+
+def test_exact_quantile_matches_the_stable_sort_oracle():
+    for s, c in oracle_cases():
+        assert exact_quantile(s, c) == ref_exact(s, c)
+
+
+ALL_SPECS = (
+    POINT,
+    LOWER_MEAN,
+    INTERVAL,
+    kernel_spec(0.05),
+    kernel_spec(0.3),
+    kernel_spec(0.2, normalize=False, paper_exact=True),
+    kernel_spec(1e-12),
+)
+
+
+def score_matrices():
+    rng = np.random.default_rng(31)
+    yield rng.standard_normal((60, 5))
+    yield np.round(rng.standard_normal((105, 4)))
+    yield rng.integers(0, 3, (40, 3)).astype(float)
+    yield np.full((9, 2), 2.5)
+    yield rng.standard_normal((4, 1))
+    yield np.round(rng.standard_normal((77, 1)), 1)
+    yield np.asfortranarray(rng.standard_normal((30, 6)) * 4.0 + 1.0)
+    yield rng.standard_normal((50, 8))[::2, 1::2]  # strided view
+
+
+def test_every_kind_on_a_matrix_agrees_with_its_columns():
+    # column j of an (n, K) call is the 1-d call on column j: identical
+    # support and weights, values within 1e-12 of the column's scale
+    # (lower_mean and interval may add the same terms in another order;
+    # point picks the same score and kernel takes the same dot product)
+    for spec in ALL_SPECS:
+        exact = spec.kind.value in ("point", "kernel")
+        for S in score_matrices():
+            for c in (0.0, 0.3, 0.5, 2.0 / 3.0, 0.95, 1.0):
+                res = estimate(spec, S, c)
+                assert res.value.shape == (S.shape[1],)
+                assert res.weights.shape == S.shape
+                assert not res.weights.flags.writeable
+                assert len(res.support) == S.shape[1]
+                for j in range(S.shape[1]):
+                    one = estimate(spec, S[:, j].copy(), c)
+                    scale = max(abs(one.value), float(np.abs(S[:, j]).max()))
+                    assert abs(res.value[j] - one.value) <= 1e-12 * scale, (spec, c, j)
+                    assert res.value[j] == one.value or not exact
+                    assert np.array_equal(res.support[j], one.support)
+                    assert not res.support[j].flags.writeable
+                    assert np.array_equal(res.weights[:, j], one.weights)
+
+
+def test_estimate_leaves_its_input_unmodified():
+    rng = np.random.default_rng(41)
+    for spec in ALL_SPECS:
+        for S in (rng.standard_normal((33, 4)), np.round(rng.standard_normal(33))):
+            before = S.copy()
+            res = estimate(spec, S, 0.6)
+            res.weights, res.support  # build the lazy parts too
+            assert np.array_equal(S, before)
+
+
+def test_bad_matrices_raise_as_vectors_do():
+    for spec in ALL_SPECS:
+        with pytest.raises(EmptyInput):
+            estimate(spec, np.zeros((0, 3)), 0.5)
+        with pytest.raises(EmptyInput):
+            estimate(spec, np.zeros((4, 0)), 0.5)
+        for bad in (np.nan, np.inf, -np.inf):
+            S = np.ones((5, 3))
+            S[2, 1] = bad
+            with pytest.raises(InvalidSpec):
+                estimate(spec, S, 0.5)
+        with pytest.raises(InvalidSpec):
+            estimate(spec, np.ones((3, 2, 2)), 0.5)
+    with pytest.raises(DegenerateInterval):
+        estimate(QuantileEstimatorSpec(kind="interval", k1=0.41, k2=0.49),
+                 np.ones((10, 3)), 0.5)
