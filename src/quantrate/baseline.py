@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingleClass
+from .errors import Diverged, SingleClass
 from .losses import _sigmoid
 from .metrics import calibrate_threshold
 from .types import (
@@ -48,8 +48,9 @@ def logistic_train(
     Minimizes logistic_objective: sum_i log(1 + exp(-y_i w.x~_i)) plus
     (weight_decay/2) times the squared norm of the feature weights
     (bias excluded) over bias-augmented inputs x~.  Stops when the full
-    gradient norm reaches 1e-6 or after config.steps.  The returned
-    model scores augmented inputs and carries no threshold.
+    gradient norm reaches 1e-6 or after config.steps, and raises
+    Diverged when the weights overflow.  The returned model scores
+    augmented inputs and carries no threshold.
     """
     if dataset.positive_indices().size == 0 or dataset.negative_indices().size == 0:
         raise SingleClass("logistic regression needs both classes")
@@ -68,6 +69,8 @@ def logistic_train(
         w = w + velocity
         if float(np.linalg.norm(grad)) <= GRAD_TOLERANCE:
             break
+    if not np.all(np.isfinite(w)):
+        raise Diverged(f"logistic fit diverged: weights not finite after {t} steps")
     return LinearModel(w)
 
 

@@ -53,8 +53,8 @@ class BatchTooLarge(InvalidSpec):
     """Requested minibatch size exceeds the dataset size."""
 
 
-class InfeasibleOnTies(QuantrateError):
-    """No candidate threshold satisfies the constraint (defensive guard)."""
+class Diverged(QuantrateError):
+    """Training drove the weights or the scores to inf or nan."""
 
 
 class ParseError(QuantrateError):

@@ -15,12 +15,11 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
-    InfeasibleOnTies,
     InvalidSpec,
     NoConstraintSubset,
     UncalibratedError,
 )
-from .estimators import exact_quantile, order_rank
+from .estimators import order_rank
 from .types import Dataset, Direction, EvalReport, LinearModel, RateConstraint
 
 
@@ -63,15 +62,16 @@ def below_min(scores) -> float:
 def calibrate_threshold(scores, constraint: RateConstraint) -> float:
     """Threshold satisfying a rate constraint on the given subset scores.
 
-    Starts from the quantile value at level 1 - target and verifies the
-    realized rate, because ties can make the raw quantile overshoot or
-    undershoot.  For an at_least constraint the scan moves downward
-    through distinct score values (ending at the below-minimum
-    threshold, which realizes rate 1), returning the largest threshold
-    whose rate still meets the target.  For an at_most constraint the
-    scan moves upward (ending at the maximum score, which realizes rate
-    0), returning the starting value itself whenever it already
-    satisfies the bound.
+    The candidates are the distinct score values, plus the below-minimum
+    threshold (rate 1) for at_least.  A value is feasible when its count
+    of scores strictly above it is >= target * n (at_least) or
+    <= target * n (at_most).  That count only falls as the value grows,
+    so the feasible values form a prefix (at_least) or a suffix
+    (at_most) of the distinct values.  at_least returns the last value
+    of the prefix, or the below-minimum threshold when the prefix is
+    empty.  at_most returns the first value of the suffix, but never
+    one below the exact quantile at level 1 - target.  Either way the
+    result is the value np.unique keeps for its tied run.
 
     Parameters
     ----------
@@ -88,36 +88,19 @@ def calibrate_threshold(scores, constraint: RateConstraint) -> float:
     s = _scores_1d(scores)
     c = constraint.target
     n = s.size
-    distinct = np.unique(s)
-    start = exact_quantile(s, 1.0 - c)
-    pos = int(np.searchsorted(distinct, start))
+    distinct, counts = np.unique(s, return_counts=True)
+    below = np.cumsum(counts)
+    above = n - below
     if constraint.direction is Direction.AT_LEAST:
-        # 1 - c can round just below a rank boundary, landing the start
-        # one order statistic low; feasibility only shrinks as theta
-        # grows, so first walk up to the largest feasible value
-        while (
-            pos + 1 < distinct.size
-            and np.count_nonzero(s > distinct[pos + 1]) >= c * n
-        ):
-            pos += 1
-        for j in range(pos, -1, -1):
-            theta = float(distinct[j])
-            if np.count_nonzero(s > theta) >= c * n:
-                return theta
-        theta = float(np.nextafter(distinct[0], -np.inf))
-        if np.count_nonzero(s > theta) >= c * n:
-            return theta
+        j = int(np.count_nonzero(above >= c * n)) - 1
+        if j < 0:
+            return float(np.nextafter(distinct[0], -np.inf))
     else:
-        for j in range(pos, distinct.size):
-            theta = float(distinct[j])
-            if np.count_nonzero(s > theta) <= c * n:
-                return theta
-    # Both scan endpoints realize rates 1 and 0, so targets in [0, 1]
-    # always terminate above; this guard documents the contract.
-    raise InfeasibleOnTies(
-        f"no threshold satisfies {constraint.direction.value} {c} on "
-        f"{n} scores"
-    )
+        # the maximum always qualifies: nothing lies above it
+        first = int(np.argmax(above <= c * n))
+        start = int(np.searchsorted(below, max(1, order_rank(n, 1.0 - c))))
+        j = max(first, start)
+    return float(distinct[j])
 
 
 def evaluate(model: LinearModel, dataset: Dataset) -> EvalReport:
@@ -182,15 +165,7 @@ def precision_at_recall(scores, labels, c: float) -> float:
     """Precision at the threshold calibrated for recall at least c."""
     if not 0.0 < c <= 1.0:
         raise InvalidSpec(f"recall level must lie in (0, 1], got {c}")
-    s = _scores_1d(scores)
-    y = np.asarray(labels)
-    if y.shape != s.shape:
-        raise InvalidSpec("labels must be one per score")
-    positive = y == 1
-    if not np.any(positive):
-        raise NoConstraintSubset("no positive samples to constrain recall on")
-    point = _pr_point(s, y, positive, c)
-    return point.precision
+    return pr_points(scores, labels, [c])[0].precision
 
 
 def _pr_point(s, y, positive, c: float) -> PRPoint:

@@ -18,8 +18,8 @@ import dataclasses
 
 import numpy as np
 
-from .errors import BatchTooLarge, ConstraintBatchEmpty
-from .losses import _resolved, core_eval
+from .errors import BatchTooLarge, ConstraintBatchEmpty, Diverged, InvalidSpec
+from .losses import _resolved, core_eval, surrogate_loss
 from .types import (
     Dataset,
     LinearModel,
@@ -27,19 +27,6 @@ from .types import (
     TrainConfig,
     TrainResult,
 )
-
-
-def _full_loss(w, features, pen, sub, sign, level, spec: SurrogateLossSpec) -> float:
-    value, _, _ = core_eval(
-        w,
-        features[pen],
-        features[sub],
-        sign,
-        level,
-        spec.estimator,
-        spec.logloss_base,
-    )
-    return value
 
 
 def sgd_train(
@@ -57,6 +44,7 @@ def sgd_train(
 
     The loss trace records the full-dataset surrogate loss (no decay
     term) after every eval_every-th step and after the final step.
+    Weights or scores that overflow to inf or nan raise Diverged.
     """
     config.check_against(dataset.n)
     sub, pen, sign, level = _resolved(loss_spec, dataset)
@@ -81,55 +69,63 @@ def sgd_train(
     queue = np.empty(0, dtype=np.int64)
     cursor = 0
     trace = []
-    for t in range(1, config.steps + 1):
-        if full_batch:
-            pen_batch = pen
-        else:
-            if cursor + config.batch_size > queue.size:
-                queue = rng.permutation(n)
-                cursor = 0
-            batch = queue[cursor : cursor + config.batch_size]
-            cursor += config.batch_size
-            pen_batch = batch[pen_mask[batch]]
-        if independent:
-            drawn = rng.choice(
-                sub.size, size=config.constraint_batch_size, replace=False
-            )
-            sub_batch = sub[drawn]
-        elif full_batch:
-            sub_batch = sub
-        else:
-            sub_batch = batch[sub_mask[batch]]
-            if sub_batch.size == 0:
-                raise ConstraintBatchEmpty(
-                    f"step {t}: minibatch of {config.batch_size} missed the "
-                    f"constraint subset; set constraint_batch_size to sample "
-                    "it independently"
+    try:
+        for t in range(1, config.steps + 1):
+            if full_batch:
+                pen_batch = pen
+            else:
+                if cursor + config.batch_size > queue.size:
+                    queue = rng.permutation(n)
+                    cursor = 0
+                batch = queue[cursor : cursor + config.batch_size]
+                cursor += config.batch_size
+                pen_batch = batch[pen_mask[batch]]
+            if independent:
+                drawn = rng.choice(
+                    sub.size, size=config.constraint_batch_size, replace=False
                 )
-        if pen_batch.size > 0:
-            _, _, grad = core_eval(
-                w,
-                X[pen_batch],
-                X[sub_batch],
-                sign,
-                level,
-                loss_spec.estimator,
-                loss_spec.logloss_base,
-                want_grad=True,
-            )
-            grad = (n_pen_total / pen_batch.size) * grad
-        else:
-            grad = np.zeros_like(w)
-        if config.weight_decay:
-            grad = grad + config.weight_decay * w
-        velocity = config.momentum * velocity - config.lr_at(t) * grad
-        w = w + velocity
-        if t % config.eval_every == 0:
-            trace.append(_full_loss(w, X, pen, sub, sign, level, loss_spec))
-    if config.steps % config.eval_every != 0:
-        trace.append(_full_loss(w, X, pen, sub, sign, level, loss_spec))
+                sub_batch = sub[drawn]
+            elif full_batch:
+                sub_batch = sub
+            else:
+                sub_batch = batch[sub_mask[batch]]
+                if sub_batch.size == 0:
+                    raise ConstraintBatchEmpty(
+                        f"step {t}: minibatch of {config.batch_size} missed "
+                        "the constraint subset; set constraint_batch_size to "
+                        "sample it independently"
+                    )
+            if pen_batch.size > 0:
+                _, _, grad = core_eval(
+                    w,
+                    X[pen_batch],
+                    X[sub_batch],
+                    sign,
+                    level,
+                    loss_spec.estimator,
+                    loss_spec.logloss_base,
+                    want_grad=True,
+                )
+                grad = (n_pen_total / pen_batch.size) * grad
+            else:
+                grad = np.zeros_like(w)
+            if config.weight_decay:
+                grad = grad + config.weight_decay * w
+            velocity = config.momentum * velocity - config.lr_at(t) * grad
+            w = w + velocity
+            if t % config.eval_every == 0 or t == config.steps:
+                model = LinearModel(w)
+                trace.append(surrogate_loss(model, dataset, loss_spec).value)
+    except InvalidSpec as exc:
+        # the estimator and LinearModel raise InvalidSpec on inf or nan;
+        # it means divergence unless the scores under w are all finite
+        if np.all(np.isfinite(X @ w)):
+            raise
+        raise Diverged(
+            f"training diverged by step {t}: weights or scores are not finite"
+        ) from exc
     return TrainResult(
-        model=LinearModel(w),
+        model=model,
         final_train_loss=trace[-1],
         loss_trace=tuple(trace),
         restart_index=0,

@@ -133,14 +133,6 @@ class LinearModel:
         if self.threshold is not None:
             object.__setattr__(self, "threshold", float(self.threshold))
 
-    def score(self, features) -> float:
-        x = np.asarray(features, dtype=np.float64)
-        if x.shape != self.weights.shape:
-            raise DimensionError(
-                f"feature dim {x.shape} != weight dim {self.weights.shape}"
-            )
-        return float(x @ self.weights)
-
     def scores(self, dataset_or_matrix) -> np.ndarray:
         X = getattr(dataset_or_matrix, "features", dataset_or_matrix)
         X = np.asarray(X, dtype=np.float64)

@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from quantrate import (
     Dataset,
+    Diverged,
     LinearModel,
     RateConstraint,
     SingleClass,
@@ -62,6 +63,13 @@ def test_strong_decay_leaves_only_the_prior_bias():
     logit = np.log(prior / (1.0 - prior))
     assert np.abs(model.weights[:-1]).max() < 0.01
     assert model.weights[-1] == pytest.approx(logit, abs=2e-3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_fit_raises_diverged():
+    d = separable_free_dataset(7)
+    with pytest.raises(Diverged):
+        logistic_train(d, 0.7, fit_config(steps=50, lr=1e308))
 
 
 def test_single_class_raises():

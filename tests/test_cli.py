@@ -168,6 +168,27 @@ def test_error_kinds(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "config"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_training_is_a_runtime_error(tmp_path, capsys):
+    csv_path = write_csv(tmp_path)
+    _, config = write_train_config(tmp_path, csv_path)
+    config_path = tmp_path / "overflow.json"
+    model_path = tmp_path / "model.json"
+    config["train"]["learning_rate"] = 1e308
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(config_path), "--out",
+                 str(model_path), "--quiet"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "runtime"
+    assert "diverged" in err["message"]
+    assert not model_path.exists()
+    # growth that stays finite is not an error
+    config["train"]["learning_rate"] = 1e6
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(config_path), "--out",
+                 str(model_path), "--quiet"]) == 0
+
+
 def test_invalid_invocations_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["flip"])

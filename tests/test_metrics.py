@@ -224,3 +224,115 @@ def test_pr_grid_validation():
         pr_points(s, y, [0.5, 1.2])
     with pytest.raises(NoConstraintSubset):
         pr_points(s, [-1, -1, -1], [0.5])
+
+
+# Signed zeros compare equal, so a tied run of scores may mix -0.0 and
+# 0.0.  The calibrated threshold is the value np.unique keeps for its
+# run (or one float below the minimum), and its sign reaches the output
+# files; "==" cannot see it, so these cases compare bytes.  Each entry
+# holds the (at_least, at_most) thresholds recorded for a case as
+# indices into np.unique(s), -1 meaning the below-minimum threshold; the
+# zero's sign is read from np.unique, whose sort may order signed zeros
+# differently on another numpy build or CPU.
+ZERO_HAND_SCORES = (
+    (0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -1.0),
+    (-0.0, 0.0, 0.0, -0.0, -0.0),
+    (0.5, -0.0, 0.0, -0.0, 0.5, 0.0, -0.5, -0.5),
+    (0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 1.0, -1.0, 1.0),
+    (-0.0, 3.0, 0.0, 3.0, -0.0, 0.0, -2.0, 0.0, -0.0, 3.0, -0.0),
+)
+ZERO_HAND_LEVELS = (0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0)
+
+
+def zero_hand_cases():
+    for s in ZERO_HAND_SCORES:
+        s = np.array(s)
+        for c in ZERO_HAND_LEVELS + (2 / s.size, 1 - 1 / s.size):
+            yield s, c
+
+
+def tie_heavy_cases():
+    rng = np.random.default_rng(83)
+    sizes = [1, 2, 3, 7, 16, 17, 64, 129, 500, 2000]
+    sizes += [int(n) for n in rng.integers(1, 2001, size=14)]
+    for n in sizes:
+        digits = int(rng.integers(0, 2))
+        s = np.round(rng.standard_normal(n) * 1.5, digits)
+        k = int(rng.integers(1, n + 1))
+        # the edges of the zero run: its exceedance counts
+        above = np.count_nonzero(s > 0.0)
+        upto = np.count_nonzero(s >= 0.0)
+        for c in (0.0, 1.0, 1 / n, k / n, (n - 1) / n, above / n, upto / n,
+                  0.07, 0.3, 0.5, 0.9):
+            yield s, c
+
+
+def threshold_bytes(s, run):
+    distinct = np.unique(s)
+    if run < 0:
+        return np.nextafter(distinct[0], -np.inf).tobytes()
+    return distinct[run].tobytes()
+
+
+def check_recorded_bits(cases, recorded):
+    for (s, c), (least, most) in zip(cases, recorded, strict=True):
+        theta = calibrate_threshold(s, RateConstraint("all", "at_least", c))
+        assert np.float64(theta).tobytes() == threshold_bytes(s, least), (s, c)
+        theta = calibrate_threshold(s, RateConstraint("all", "at_most", c))
+        assert np.float64(theta).tobytes() == threshold_bytes(s, most), (s, c)
+
+
+ZERO_HAND_RUNS = (
+    (3, 3), (2, 3), (1, 2), (0, 1), (0, 1), (0, 1), (0, 1), (-1, 0), (-1, 0),
+    (1, 1), (0, 0), (0, 0), (-1, 0), (-1, 0), (-1, 0), (-1, 0), (-1, 0),
+    (-1, 0), (-1, 0), (-1, 0), (-1, 0), (-1, 0), (2, 2), (1, 2), (1, 1),
+    (0, 1), (0, 1), (0, 1), (0, 0), (-1, 0), (-1, 0), (1, 1), (-1, 0), (2, 2),
+    (1, 2), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (-1, 0), (-1, 0), (1, 1),
+    (0, 0), (2, 2), (1, 2), (1, 2), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
+    (-1, 0), (1, 2), (0, 0),
+)
+TIE_HEAVY_RUNS = (
+    (0, 0), (-1, 0), (-1, 0), (-1, 0), (0, 0), (0, 0), (0, 0), (-1, 0),
+    (-1, 0), (-1, 0), (-1, 0), (1, 1), (-1, 0), (0, 0), (-1, 0), (0, 0),
+    (0, 0), (0, 0), (0, 1), (0, 1), (0, 0), (-1, 0), (2, 2), (-1, 0), (1, 1),
+    (-1, 0), (0, 0), (0, 0), (0, 0), (1, 2), (1, 2), (0, 1), (-1, 0), (3, 3),
+    (-1, 0), (2, 2), (0, 1), (0, 0), (1, 1), (0, 0), (2, 3), (0, 1), (0, 1),
+    (-1, 0), (4, 4), (-1, 0), (3, 4), (1, 2), (0, 0), (2, 2), (1, 1), (3, 4),
+    (2, 3), (1, 2), (0, 1), (13, 13), (-1, 0), (12, 12), (12, 12), (0, 0),
+    (7, 7), (7, 7), (11, 12), (10, 11), (7, 8), (0, 1), (39, 39), (-1, 0),
+    (38, 38), (35, 35), (0, 0), (22, 22), (21, 21), (34, 35), (28, 29),
+    (21, 22), (5, 6), (53, 53), (-1, 0), (52, 52), (25, 26), (0, 0), (26, 26),
+    (26, 26), (45, 46), (33, 34), (26, 27), (7, 8), (69, 69), (-1, 0),
+    (68, 68), (20, 21), (0, 0), (36, 36), (35, 35), (56, 57), (43, 44),
+    (35, 36), (17, 18), (86, 86), (-1, 0), (85, 86), (45, 46), (0, 0),
+    (43, 43), (42, 42), (64, 64), (50, 51), (42, 43), (23, 23), (10, 10),
+    (-1, 0), (9, 10), (3, 4), (-1, 0), (5, 5), (4, 4), (6, 7), (5, 6), (4, 5),
+    (2, 3), (10, 10), (-1, 0), (9, 9), (4, 5), (0, 0), (5, 5), (3, 4), (6, 7),
+    (5, 6), (4, 5), (2, 3), (87, 87), (-1, 0), (86, 86), (55, 56), (0, 0),
+    (43, 43), (42, 42), (65, 66), (50, 51), (43, 44), (22, 23), (43, 43),
+    (-1, 0), (42, 42), (38, 39), (0, 0), (24, 24), (23, 23), (37, 38),
+    (28, 29), (22, 22), (5, 6), (9, 9), (-1, 0), (8, 8), (3, 4), (-1, 0),
+    (4, 4), (3, 3), (5, 6), (4, 5), (3, 4), (1, 2), (79, 79), (-1, 0),
+    (78, 79), (39, 40), (0, 0), (38, 38), (37, 37), (59, 60), (45, 46),
+    (37, 38), (18, 19), (9, 9), (-1, 0), (8, 9), (2, 3), (-1, 0), (4, 4),
+    (3, 3), (5, 6), (4, 5), (3, 4), (1, 2), (79, 79), (-1, 0), (78, 78),
+    (13, 14), (0, 0), (39, 39), (37, 38), (60, 61), (46, 47), (38, 39),
+    (18, 19), (10, 10), (-1, 0), (9, 10), (2, 3), (0, 0), (5, 5), (4, 5),
+    (6, 7), (5, 6), (4, 5), (2, 3), (76, 76), (-1, 0), (75, 75), (55, 55),
+    (0, 0), (37, 38), (36, 36), (58, 59), (45, 46), (37, 38), (17, 18),
+    (79, 79), (-1, 0), (78, 78), (25, 26), (0, 0), (40, 40), (39, 40),
+    (61, 62), (46, 47), (39, 40), (21, 22), (72, 72), (-1, 0), (71, 71),
+    (39, 40), (0, 0), (38, 38), (37, 37), (59, 60), (44, 45), (36, 37),
+    (17, 18), (43, 43), (-1, 0), (42, 42), (13, 14), (0, 0), (20, 21),
+    (19, 19), (38, 39), (27, 28), (21, 21), (4, 5), (93, 93), (-1, 0),
+    (92, 92), (47, 48), (0, 0), (47, 47), (45, 46), (68, 69), (54, 55),
+    (46, 47), (26, 27),
+)
+
+
+def test_calibration_bits_on_signed_zero_ties():
+    check_recorded_bits(zero_hand_cases(), ZERO_HAND_RUNS)
+
+
+def test_calibration_bits_on_tie_heavy_vectors():
+    check_recorded_bits(tie_heavy_cases(), TIE_HEAVY_RUNS)
