@@ -20,7 +20,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import BatchTooLarge, ConstraintBatchEmpty, InvalidSpec
-from .estimators import estimate
+from .estimators import estimate, row_dots
 from .losses import surrogate_loss
 from .train import sgd_train
 from .types import (
@@ -127,6 +127,16 @@ def _draw_population(score_law: str, n: int, rng) -> np.ndarray:
     raise InvalidSpec(f"score_law must be one of {SCORE_LAWS}, got {score_law!r}")
 
 
+def _subsamples(population: np.ndarray, b: int, trials: int, seed: int):
+    """(trials, b): row t draws b of the population without replacement
+    from its own stream, SeedSequence((seed, b, t))."""
+    picks = np.empty((trials, b), dtype=np.int64)
+    for t in range(trials):
+        sub_rng = np.random.default_rng(np.random.SeedSequence((seed, b, t)))
+        picks[t] = sub_rng.choice(population.size, size=b, replace=False)
+    return population[picks]
+
+
 def estimator_stability(
     n: int,
     batch_sizes: Sequence[int],
@@ -141,7 +151,10 @@ def estimator_stability(
     Draws one population of n scores from score_law, then for every
     batch size and trial subsamples without replacement and records the
     absolute difference between the population estimate and the
-    subsample estimate at level c.
+    subsample estimate at level c.  One estimate per batch size covers
+    every trial, a (b, trials) matrix with one trial per column; each
+    trial's estimate is its weights times its scores, as a call on that
+    subsample alone computes it.
     """
     if trials < 100:
         raise InvalidSpec(f"at least 100 trials required, got {trials}")
@@ -152,12 +165,9 @@ def estimator_stability(
     means = []
     q95s = []
     for b in batches:
-        devs = np.empty(trials)
-        for t in range(trials):
-            sub_rng = np.random.default_rng(np.random.SeedSequence((seed, b, t)))
-            idx = sub_rng.choice(n, size=b, replace=False)
-            q_sub = estimate(estimator_spec, population[idx], c).value
-            devs[t] = abs(q_full - q_sub)
+        subsamples = _subsamples(population, b, trials, seed)
+        q = estimate(estimator_spec, subsamples.T, c)
+        devs = np.abs(q_full - row_dots(q.weights.T, subsamples))
         means.append(float(devs.mean()))
         q95s.append(float(np.quantile(devs, 0.95)))
     return ConcentrationReport(

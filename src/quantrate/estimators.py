@@ -2,10 +2,12 @@
 
 Every estimator works along the sample axis.  It takes a vector of n
 scores, or an (n, K) matrix whose K columns (one per model, say) are
-estimated independently, each exactly as a call on that column alone.
-The estimate is a weighted average of the scores; the weights are what
-the surrogate-loss gradients differentiate through (weights themselves
-are rank-dependent and treated as locally constant).
+estimated independently, each with the weights a call on that column
+alone gives.  A matrix takes one level for all columns or a K-vector of
+levels, one per column.  The estimate is a weighted average of the
+scores; the weights are what the surrogate-loss gradients differentiate
+through (weights themselves are rank-dependent and treated as locally
+constant).
 
 The canonical exact quantile at level c of N ascending order statistics
 is the k-th one with k = max{ integer k >= 1 : k/N <= c }; when no such
@@ -17,7 +19,9 @@ input order.  The point, lower-mean and interval estimators and
 exact_quantile find their order statistics with np.partition, in O(n)
 and without sorting, and then pick exactly the positions a stable sort
 would put at the selected ranks.  The kernel estimator weights every
-rank, so it sorts, stably, along each column.
+rank, so it sorts along each column; every score of a tied run takes
+the weight of the run's last rank, so the order a sort leaves tied
+scores in does not matter and the sort need not be stable.
 """
 
 from __future__ import annotations
@@ -49,16 +53,28 @@ class QuantileResult:
     For an (n, K) score matrix, value holds the K column estimates,
     weights is the read-only (n, K) matrix whose column j is the weight
     vector of column j, and support is the tuple of the K columns'
-    supports.  The partition-based kinds build a matrix's weights and
-    support only when first read, from the scores passed in (which must
-    not have changed since), so a caller that reads only the values
-    allocates no (n, K) weight matrix.
+    supports.  weights is the transpose of a C-ordered (K, n) array, so
+    each column is contiguous and row_dots(weights.T, scores.T) gives
+    the vector calls' values bit for bit when scores.T is C-ordered too.
+    The kernel's values are those and point's equal them; lower_mean's
+    and interval's sum the selected scores and may differ in the last
+    bits.  The partition-based kinds compute a matrix's values, weights
+    and support only when first read, from the scores passed in (which
+    must not have changed since), so a caller that reads only the
+    values allocates no (n, K) weight matrix, and one that reads only
+    the weights partitions each column once.
     """
 
     def __init__(self, value, weights):
-        self.value = value
-        # an array, or a function that builds it on first read
+        # each the result itself, or a function that builds it on first read
+        self._value = value
         self._weights = weights if callable(weights) else _frozen(weights)
+
+    @property
+    def value(self):
+        if callable(self._value):
+            self._value = self._value()
+        return self._value
 
     @property
     def weights(self) -> np.ndarray:
@@ -86,11 +102,38 @@ def _checked(scores) -> np.ndarray:
     return s
 
 
-def _check_level(c) -> float:
-    c = float(c)
-    if not 0.0 <= c <= 1.0:
-        raise InvalidSpec(f"quantile level {c} outside [0, 1]")
+def _check_level(c, s=None):
+    """c as a float; for an (n, K) matrix s, also a K-vector of levels."""
+    if not isinstance(c, (list, tuple, np.ndarray)) or np.ndim(c) == 0:
+        c = float(c)
+        if not 0.0 <= c <= 1.0:
+            raise InvalidSpec(f"quantile level {c} outside [0, 1]")
+        return c
+    c = np.asarray(c, dtype=np.float64)
+    if s is None or s.ndim != 2 or c.shape != (s.shape[1],):
+        raise InvalidSpec(
+            "levels must be a scalar or one per column of a score matrix"
+        )
+    if not np.all((c >= 0.0) & (c <= 1.0)):
+        raise InvalidSpec(f"quantile levels {c} outside [0, 1]")
     return c
+
+
+def _ranks(n: int, c) -> list:
+    """max(1, order_rank(n, c)) for a checked level or each of a vector
+    of them."""
+    if isinstance(c, float):
+        return max(1, order_rank(n, c))
+    return [max(1, order_rank(n, float(v))) for v in c]
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for each row of two (K, n) arrays.
+
+    With C-ordered rows each product is the one a 1-d dot of those rows
+    takes, bit for bit; a strided row sums in another order.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def order_rank(n: int, c: float) -> int:
@@ -117,21 +160,30 @@ def exact_quantile(scores, c) -> float:
     return float(np.partition(s, k - 1)[k - 1])
 
 
-def _result(s: np.ndarray, weights_of, value_of) -> QuantileResult:
+def _result(s: np.ndarray, weights_of, value_of, param) -> QuantileResult:
     """The result of a partition-based kind, column by column.
 
-    weights_of(col) is a column's dense weight vector and value_of(col)
-    its estimate.  A vector's value is the dot product of its weights
-    with it; a matrix's values come from value_of alone, and its weights
-    wait until they are read.  Each column is partitioned on its own, so
-    no (n, K) working copy is made.
+    weights_of(col, p) is a column's dense weight vector and
+    value_of(col, p) its estimate, p being param, or its j-th entry for
+    column j when param is a list.  A vector's value is the dot product
+    of its weights with it; a matrix's values come from value_of alone,
+    and both wait until they are read.  Each column is partitioned on
+    its own, so no (n, K) working copy is made.
     """
     if s.ndim == 1:
-        w = weights_of(s)
+        w = weights_of(s, param)
         return QuantileResult(float(w @ s), w)
-    values = np.array([value_of(col) for col in s.T])
+    params = param if isinstance(param, list) else [param] * s.shape[1]
+    columns = list(zip(s.T, params))
+
+    def weights():
+        rows = np.empty(s.shape[::-1])
+        for row, (col, p) in zip(rows, columns):
+            row[:] = weights_of(col, p)
+        return rows.T
+
     return QuantileResult(
-        values, lambda: np.column_stack([weights_of(col) for col in s.T])
+        lambda: np.array([value_of(col, p) for col, p in columns]), weights
     )
 
 
@@ -155,10 +207,11 @@ def _stable_window(s: np.ndarray, lo: int, hi: int, v_lo, v_hi) -> np.ndarray:
     return inside
 
 
-def _window_mean(s: np.ndarray, lo: int, hi: int) -> QuantileResult:
-    """Weight 1/(hi - lo) on each column's stable ranks lo..hi-1."""
+def _window_mean(s: np.ndarray, windows) -> QuantileResult:
+    """Weight 1/(hi - lo) on each column's stable ranks lo..hi-1, for
+    one (lo, hi) window or a list of one per column."""
 
-    def window(col):
+    def window(col, lo, hi):
         """A copy of col holding its ranks lo..hi-1 at slots lo..hi-1,
         and the scores at ranks lo (-inf when lo is 0) and hi - 1."""
         part = np.partition(col, hi - 1)
@@ -170,14 +223,16 @@ def _window_mean(s: np.ndarray, lo: int, hi: int) -> QuantileResult:
         part[:hi].partition(lo)
         return part, part[lo], v_hi
 
-    def weights_of(col):
-        _, v_lo, v_hi = window(col)
+    def weights_of(col, lo_hi):
+        lo, hi = lo_hi
+        _, v_lo, v_hi = window(col, lo, hi)
         return _stable_window(col, lo, hi, v_lo, v_hi) * (1.0 / (hi - lo))
 
-    def value_of(col):
-        return window(col)[0][lo:hi].sum() / (hi - lo)
+    def value_of(col, lo_hi):
+        lo, hi = lo_hi
+        return window(col, lo, hi)[0][lo:hi].sum() / (hi - lo)
 
-    return _result(s, weights_of, value_of)
+    return _result(s, weights_of, value_of, windows)
 
 
 def point_estimator(scores, c) -> QuantileResult:
@@ -188,18 +243,18 @@ def point_estimator(scores, c) -> QuantileResult:
     still equals exact_quantile.
     """
     s = _checked(scores)
-    k = max(1, order_rank(s.shape[0], _check_level(c)))
+    ks = _ranks(s.shape[0], _check_level(c, s))
 
-    def weights_of(col):
+    def weights_of(col, k):
         v = np.partition(col, k - 1)[k - 1]
         w = np.zeros(col.size)
         w[np.flatnonzero(col == v)[-1]] = 1.0
         return w
 
-    def value_of(col):
+    def value_of(col, k):
         return np.partition(col, k - 1)[k - 1]
 
-    return _result(s, weights_of, value_of)
+    return _result(s, weights_of, value_of, ks)
 
 
 def _tie_broken_ranks(ranked: np.ndarray) -> np.ndarray:
@@ -233,7 +288,7 @@ def kernel_estimator(
     matrix are built with its values.
     """
     s = _checked(scores)
-    c = _check_level(c)
+    c = _check_level(c, s)
     h = float(bandwidth)
     if not h > 0:
         raise InvalidSpec(f"bandwidth must be positive, got {bandwidth}")
@@ -241,11 +296,11 @@ def kernel_estimator(
         raise InvalidSpec("paper_exact and normalize are exclusive")
     rows = s[None] if s.ndim == 1 else np.ascontiguousarray(s.T)
     n_rows, n = rows.shape
-    order = np.argsort(rows, axis=1, kind="stable")
+    order = np.argsort(rows, axis=1)  # ties share a weight: any order
     if n_rows > 1:
         order += n * np.arange(n_rows)[:, None]  # flat indices into rows
     ranked = rows.ravel()[order]
-    x = _tie_broken_ranks(ranked) / n - c
+    x = _tie_broken_ranks(ranked) / n - (c if isinstance(c, float) else c[:, None])
     expo = -0.5 * (x / h) ** 2
     if normalize:
         shifted = np.exp(expo - expo.max(axis=-1, keepdims=True))
@@ -257,9 +312,7 @@ def kernel_estimator(
     dense.ravel()[order] = w
     if s.ndim == 1:
         return QuantileResult(float(dense[0] @ s), dense[0])
-    # one dot product per row, the same one a vector call takes
-    values = (dense[:, None, :] @ rows[:, :, None])[:, 0, 0]
-    return QuantileResult(values, dense.T)
+    return QuantileResult(row_dots(dense, rows), dense.T)
 
 
 def lower_mean_estimator(scores, c) -> QuantileResult:
@@ -270,8 +323,10 @@ def lower_mean_estimator(scores, c) -> QuantileResult:
     small constraint minibatches never abort training.
     """
     s = _checked(scores)
-    k = max(1, order_rank(s.shape[0], _check_level(c)))
-    return _window_mean(s, 0, k)
+    ks = _ranks(s.shape[0], _check_level(c, s))
+    if isinstance(ks, list):
+        return _window_mean(s, [(0, k) for k in ks])
+    return _window_mean(s, (0, ks))
 
 
 def interval_estimator(scores, k1, k2) -> QuantileResult:
@@ -291,13 +346,14 @@ def interval_estimator(scores, k1, k2) -> QuantileResult:
         raise DegenerateInterval(
             f"window ({k1}, {k2}] selects no order statistics for n={n}"
         )
-    return _window_mean(s, lo, hi)
+    return _window_mean(s, (lo, hi))
 
 
 def estimate(spec: QuantileEstimatorSpec, scores, c) -> QuantileResult:
     """Dispatch on the estimator spec; c is ignored by INTERVAL.
 
-    scores is a vector, or an (n, K) matrix estimated column by column.
+    scores is a vector, or an (n, K) matrix estimated column by column;
+    for a matrix, c is one level or a K-vector of levels, one per column.
     """
     if spec.kind is EstimatorKind.POINT:
         return point_estimator(scores, c)

@@ -41,7 +41,7 @@ from .data import generate_mixture, load_delimited, load_sparse, split, standard
 from .errors import InvalidSpec
 from .metrics import precision_at_rate, precision_at_recall
 from .presets import published_rows
-from .train import multi_restart_train
+from .train import best_restart, lockstep_train
 from .types import Dataset, RateConstraint, SurrogateLossSpec
 
 METHOD_QUANTILE = "quantile"
@@ -175,6 +175,9 @@ def _run(
     models with (seed, rep), (seed, rep, wi) and (seed, rep, li, wi);
     recall_point draws its mixture with (seed, rep) and tags the rest
     (seed, rep, 0), (seed, rep, 1, wi) and (seed, rep, 2, li, wi).
+    The quantile models of a repetition, every (level, decay, restart),
+    train in one lockstep_train call; each (level, decay) cell keeps its
+    best restart, as multi_restart_train picks it.
     """
     if spec.kind == "rate_table":
         metric, objective, subset = precision_at_rate, "p_at_ppr_fp", "all"
@@ -183,6 +186,7 @@ def _run(
         metric, objective, subset = precision_at_recall, "p_at_r", "positives"
         split_tag, logistic_tag, quantile_tag = (0,), (1,), (2,)
     levels, decays, grid = spec.levels, spec.weight_decays, spec.curve_grid
+    restarts = spec.train.restarts
     methods = (METHOD_QUANTILE, METHOD_LOGISTIC)
     # values[rep, method, side, level, decay] with sides (test, train);
     # curves[rep, method, decay, grid point] follow the first level
@@ -202,6 +206,27 @@ def _run(
         sides = (test_set, train_set)
         rep_values = np.empty(values.shape[1:])
         rep_curves = np.empty(curves.shape[1:])
+        # every (level, decay, restart) model of the repetition in one
+        # call, restarts innermost; restart r of a cell adds r to its seed
+        models = [
+            (
+                SurrogateLossSpec(
+                    objective=objective,
+                    constraint=RateConstraint(subset, "at_least", level),
+                    estimator=spec.estimator,
+                ),
+                replace(
+                    spec.train,
+                    seed=_seed_from(seed, rep, *quantile_tag, li, wi) + r,
+                    weight_decay=wd,
+                    restarts=1,
+                ),
+            )
+            for li, level in enumerate(levels)
+            for wi, wd in enumerate(decays)
+            for r in range(restarts)
+        ]
+        trained = lockstep_train(train_set, models)
         for wi, wd in enumerate(decays):
             lconfig = replace(
                 spec.logistic, seed=_seed_from(seed, rep, *logistic_tag, wi)
@@ -209,17 +234,8 @@ def _run(
             lmodel = logistic_train(train_set, wd, lconfig)
             logistic_scores = [with_bias(s.features) @ lmodel.weights for s in sides]
             for li, level in enumerate(levels):
-                loss_spec = SurrogateLossSpec(
-                    objective=objective,
-                    constraint=RateConstraint(subset, "at_least", level),
-                    estimator=spec.estimator,
-                )
-                cfg = replace(
-                    spec.train,
-                    seed=_seed_from(seed, rep, *quantile_tag, li, wi),
-                    weight_decay=wd,
-                )
-                fitted = multi_restart_train(train_set, loss_spec, cfg)
+                cell = (li * len(decays) + wi) * restarts
+                fitted = best_restart(trained[cell : cell + restarts])
                 quantile_scores = [fitted.model.scores(s) for s in sides]
                 for m, scores in enumerate((quantile_scores, logistic_scores)):
                     for si, side in enumerate(sides):

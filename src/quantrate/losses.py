@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, EmptyObjective, InvalidSpec
-from .estimators import estimate
+from .estimators import estimate, row_dots
 from .types import (
     Dataset,
     LinearModel,
@@ -52,12 +52,10 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so that no
+    exponent overflows; e = e^-|z| serves both sides."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _side(spec: SurrogateLossSpec) -> Tuple[int, float]:
@@ -74,41 +72,64 @@ def _side(spec: SurrogateLossSpec) -> Tuple[int, float]:
     return -1, 1.0
 
 
+def _times(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X @ w for a vector w, and the (K, n) rows X @ w[k] for a (K, d)
+    matrix; each row is the 1-d product bit for bit."""
+    if w.ndim == 1:
+        return X @ w
+    return np.matmul(X, w[:, :, None])[:, :, 0]
+
+
 def core_eval(
     w: np.ndarray,
     X_pen: np.ndarray,
     X_sub: np.ndarray,
     sign: float,
-    level: float,
+    level,
     est_spec: QuantileEstimatorSpec,
     base: float,
     want_grad: bool = False,
 ):
     """Loss (and optionally gradient) of one penalized/subset matrix pair.
 
+    w is one model's weight vector, or a (K, d) matrix of K models, one
+    per row, with level a scalar or a K-vector of levels.  Row k of a
+    matrix call equals the call on w[k] at its level bit for bit: the
+    stacked products, row sums and estimator weights are those of the
+    1-d call, and the threshold is the dot product of the weights with
+    the scores, as the vector estimate computes it.
     Accepts an empty penalized matrix (contributes zero); the subset
     must be nonempty because the estimator needs scores.
-    Returns (value, per_sample, grad_or_None).
+    Returns (value, per_sample, grad_or_None); for a matrix, the K
+    values, the (K, p) summands and the (K, d) gradients.
     """
     ln_base = math.log(base)
-    if X_sub.shape[1] != w.shape[0]:
+    if X_sub.shape[1] != w.shape[-1]:
         raise DimensionError(
-            f"feature dim {X_sub.shape[1]} != weight dim {w.shape[0]}"
+            f"feature dim {X_sub.shape[1]} != weight dim {w.shape[-1]}"
         )
-    sub_scores = X_sub @ w
-    q = estimate(est_spec, sub_scores, level)
+    sub_scores = _times(X_sub, w)
+    q = estimate(est_spec, sub_scores.T, level)
     if X_pen.shape[0] == 0:
         grad = np.zeros_like(w) if want_grad else None
-        return 0.0, np.zeros(0), grad
-    z = sign * (X_pen @ w - q.value)
+        value = 0.0 if w.ndim == 1 else np.zeros(w.shape[0])
+        return value, np.zeros(w.shape[:-1] + (0,)), grad
+    if w.ndim == 1:
+        q_weights, theta = q.weights, q.value
+    else:
+        q_weights = q.weights.T  # (K, m), C-ordered rows
+        theta = row_dots(q_weights, sub_scores)[:, None]
+    z = sign * (_times(X_pen, w) - theta)
     per_sample = _softplus(z) / ln_base
-    value = float(per_sample.sum())
+    value = per_sample.sum(axis=-1)
     grad = None
     if want_grad:
         a = _sigmoid(z)
-        anchor = q.weights @ X_sub
-        grad = (sign / ln_base) * (X_pen.T @ a - a.sum() * anchor)
-    return value, per_sample, grad
+        anchor = _times(X_sub.T, q_weights)
+        grad = (sign / ln_base) * (
+            _times(X_pen.T, a) - a.sum(axis=-1, keepdims=True) * anchor
+        )
+    return (float(value) if w.ndim == 1 else value), per_sample, grad
 
 
 def _check_c(c: float, *, open_top: bool) -> float:

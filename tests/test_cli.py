@@ -189,6 +189,34 @@ def test_overflowing_training_is_a_runtime_error(tmp_path, capsys):
                  str(model_path), "--quiet"]) == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_experiment_writes_no_results(tmp_path, capsys):
+    csv_path = write_csv(tmp_path)
+    config = {
+        "kind": "rate_table",
+        "name": "overflow",
+        "seed": 3,
+        "reps": 2,
+        "taus": [0.2, 0.5],
+        "weight_decays": [0.01, 0.1],
+        "data": {"path": str(csv_path), "label_column": -1,
+                 "positive_label_value": "g"},
+        "split": {"train_fraction": 0.6},
+        "estimator": {"kind": "kernel", "bandwidth": 0.1},
+        "train": {"learning_rate": 1e308, "steps": 10, "restarts": 2},
+        "logistic": {"learning_rate": 0.05, "steps": 20},
+    }
+    config_path = tmp_path / "overflow.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "results"
+    assert main(["experiment", "--config", str(config_path), "--out",
+                 str(out_dir), "--quiet"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "runtime"
+    assert "diverged" in err["message"]
+    assert not out_dir.exists()
+
+
 def test_invalid_invocations_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["flip"])

@@ -15,6 +15,7 @@ from quantrate import (
     exact_quantile,
     order_rank,
 )
+from quantrate.estimators import row_dots
 
 POINT = QuantileEstimatorSpec(kind="point")
 LOWER_MEAN = QuantileEstimatorSpec(kind="lower_mean")
@@ -458,3 +459,47 @@ def test_bad_matrices_raise_as_vectors_do():
     with pytest.raises(DegenerateInterval):
         estimate(QuantileEstimatorSpec(kind="interval", k1=0.41, k2=0.49),
                  np.ones((10, 3)), 0.5)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_vector_levels_match_the_scalar_call_on_each_column():
+    # one level per column: column j's weights are those of the 1-d call
+    # at level c[j], bit for bit; its value is that of the scalar-level
+    # call on the same column, and for point and kernel that of the 1-d
+    # call; row_dots of the weights gives the 1-d call's value for every
+    # kind (lower_mean and interval sum their window on a matrix)
+    rng = np.random.default_rng(43)
+    for spec in ALL_SPECS:
+        exact = spec.kind.value in ("point", "kernel")
+        for S in score_matrices():
+            K = S.shape[1]
+            for c in (rng.random(K), np.linspace(0.0, 1.0, K), np.full(K, 0.5)):
+                res = estimate(spec, S, c)
+                assert res.value.shape == (K,)
+                dots = row_dots(res.weights.T, np.ascontiguousarray(S.T))
+                for j in range(K):
+                    one = estimate(spec, S[:, j].copy(), c[j])
+                    alone = estimate(spec, S[:, [j]], c[j])
+                    assert res.weights[:, j].tobytes() == one.weights.tobytes()
+                    assert np.array_equal(res.support[j], one.support)
+                    assert bits(res.value[j]) == bits(alone.value[0])
+                    assert bits(dots[j]) == bits(one.value), (spec, j)
+                    assert not exact or res.value[j] == one.value
+
+
+def test_bad_vector_levels_raise():
+    S = np.random.default_rng(47).standard_normal((20, 3))
+    for spec in ALL_SPECS:
+        if spec.kind.value == "interval":
+            continue  # interval ignores its level
+        for bad in ([0.5, 0.5], [0.5] * 4, [[0.5] * 3], [0.2, 1.5, 0.3],
+                    [0.2, -0.1, 0.3], [0.2, np.nan, 0.3]):
+            with pytest.raises(InvalidSpec):
+                estimate(spec, S, np.array(bad))
+        with pytest.raises(InvalidSpec):
+            estimate(spec, S[:, 0], np.array([0.5]))  # a vector has no columns
+    interval = estimate(INTERVAL, S, np.array([0.1, 0.5, 0.9]))
+    assert np.array_equal(interval.value, estimate(INTERVAL, S, 0.5).value)

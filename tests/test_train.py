@@ -1,6 +1,7 @@
 """Trainer tests: exact update replication, batching, restarts."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from quantrate import (
     BatchTooLarge,
     ConstraintBatchEmpty,
     Dataset,
+    Diverged,
     InvalidSpec,
     LinearModel,
     NonpositiveScale,
@@ -17,6 +19,7 @@ from quantrate import (
     RateConstraint,
     SurrogateLossSpec,
     TrainConfig,
+    lockstep_train,
     loss_gradient,
     multi_restart_train,
     sgd_train,
@@ -243,3 +246,94 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.1, steps=1, seed=0, batch_size=0)
     with pytest.raises(InvalidSpec):
         TrainConfig(learning_rate=0.1, steps=1, seed=-1)
+
+
+def lockstep_models(estimator, K=12, seed=53, **shared):
+    rng = np.random.default_rng(seed)
+    base = TrainConfig(learning_rate=0.2, steps=11, seed=0, momentum=0.6,
+                       eval_every=4, **shared)
+    models = []
+    for k in range(K):
+        spec = SurrogateLossSpec(
+            objective="p_at_ppr_fp",
+            constraint=RateConstraint("all", "at_least",
+                                      float(rng.choice([0.1, 0.3, 0.5, 0.8]))),
+            estimator=estimator,
+        )
+        config = replace(base, seed=int(rng.integers(2**32)),
+                         weight_decay=float(rng.choice([0.0, 0.01, 0.5])))
+        models.append((spec, config))
+    return models
+
+
+@pytest.mark.parametrize("estimator", [
+    QuantileEstimatorSpec(kind="kernel", bandwidth=0.1),
+    QuantileEstimatorSpec(kind="lower_mean"),
+])
+def test_lockstep_rows_equal_their_single_model_runs(estimator):
+    # 12 rows with mixed levels, decays and seeds in one call; each row
+    # is bit for bit what sgd_train gives that model alone
+    d = small_dataset(seed=59, n=40, dim=4)
+    models = lockstep_models(estimator)
+    assert len({m[0].constraint.target for m in models}) > 1
+    assert len({m[1].weight_decay for m in models}) > 1
+    results = lockstep_train(d, models)
+    assert len(results) == 12
+    for (spec, config), got in zip(models, results):
+        alone = sgd_train(d, spec, config)
+        assert np.array_equal(got.model.weights, alone.model.weights)
+        assert got.model.weights.tobytes() == alone.model.weights.tobytes()
+        assert len(got.loss_trace) == 3  # t = 4, 8 and the final 11
+        assert got.loss_trace == alone.loss_trace
+        assert got.final_train_loss == alone.final_train_loss
+        assert got.seed_used == config.seed
+
+
+def test_lockstep_minibatch_models_train_one_by_one():
+    d = small_dataset(seed=61, n=30, dim=3)
+    models = lockstep_models(POINT, K=3, batch_size=7,
+                             constraint_batch_size=5)
+    for (spec, config), got in zip(models, lockstep_train(d, models)):
+        alone = sgd_train(d, spec, config)
+        assert np.array_equal(got.model.weights, alone.model.weights)
+        assert got.loss_trace == alone.loss_trace
+
+
+def test_lockstep_models_must_share_all_but_level_decay_and_seed():
+    d = small_dataset(seed=67)
+    models = lockstep_models(POINT, K=3)
+    with pytest.raises(InvalidSpec):
+        lockstep_train(d, models[:2] + [(models[2][0],
+                                         replace(models[2][1], steps=12))])
+    other = replace(models[2][0], estimator=QuantileEstimatorSpec(kind="lower_mean"))
+    with pytest.raises(InvalidSpec):
+        lockstep_train(d, models[:2] + [(other, models[2][1])])
+    with pytest.raises(InvalidSpec):
+        lockstep_train(d, [])
+
+
+def diverged_step(call):
+    with pytest.raises(Diverged) as info:
+        call()
+    return int(re.search(r"step (\d+)", str(info.value)).group(1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lockstep_divergence_reports_the_first_row_to_overflow():
+    # w <- (1 - decay) * w - g: a decay of 1e100 overflows within a few
+    # steps, 1e40 later, 0.01 never; the call raises at the earliest
+    d = small_dataset(seed=71, n=20, dim=3)
+    spec = fp_spec()
+    base = TrainConfig(learning_rate=1.0, steps=20, seed=0, eval_every=20)
+    decays = (0.01, 1e40, 1e100, 0.01)
+    models = [(spec, replace(base, seed=s, weight_decay=wd))
+              for s, wd in enumerate(decays)]
+    alone = []
+    for spec_k, config in models:
+        if config.weight_decay == 0.01:
+            sgd_train(d, spec_k, config)  # converges: no error
+        else:
+            alone.append(diverged_step(lambda: sgd_train(d, spec_k, config)))
+    assert alone[0] > alone[1]  # the 1e100 row overflows first
+    assert diverged_step(lambda: lockstep_train(d, models)) == min(alone)
+    assert diverged_step(lambda: lockstep_train(d, models[:2])) == alone[0]
