@@ -20,7 +20,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import BatchTooLarge, ConstraintBatchEmpty, InvalidSpec
-from .estimators import estimate, row_dots
+from .estimators import estimate, estimate_values
 from .losses import surrogate_loss
 from .train import sgd_train
 from .types import (
@@ -40,6 +40,10 @@ _REF_STREAM = 104729
 _MODEL_STREAM = 15485863
 
 _REDRAW_CAP = 100
+
+# scores per estimate in estimator_stability: bounds the (n, K) arrays
+# of one estimate at the largest batch sizes
+_CHUNK_SCORES = 2**18
 
 _LN2 = float(np.log(2.0))
 
@@ -127,13 +131,13 @@ def _draw_population(score_law: str, n: int, rng) -> np.ndarray:
     raise InvalidSpec(f"score_law must be one of {SCORE_LAWS}, got {score_law!r}")
 
 
-def _subsamples(population: np.ndarray, b: int, trials: int, seed: int):
-    """(trials, b): row t draws b of the population without replacement
-    from its own stream, SeedSequence((seed, b, t))."""
-    picks = np.empty((trials, b), dtype=np.int64)
-    for t in range(trials):
+def _subsamples(population: np.ndarray, b: int, trials: range, seed: int):
+    """(len(trials), b): the row of trial t draws b of the population
+    without replacement from its own stream, SeedSequence((seed, b, t))."""
+    picks = np.empty((len(trials), b), dtype=np.int64)
+    for row, t in zip(picks, trials):
         sub_rng = np.random.default_rng(np.random.SeedSequence((seed, b, t)))
-        picks[t] = sub_rng.choice(population.size, size=b, replace=False)
+        row[:] = sub_rng.choice(population.size, size=b, replace=False)
     return population[picks]
 
 
@@ -151,10 +155,10 @@ def estimator_stability(
     Draws one population of n scores from score_law, then for every
     batch size and trial subsamples without replacement and records the
     absolute difference between the population estimate and the
-    subsample estimate at level c.  One estimate per batch size covers
-    every trial, a (b, trials) matrix with one trial per column; each
-    trial's estimate is its weights times its scores, as a call on that
-    subsample alone computes it.
+    subsample estimate at level c.  Each estimate covers a chunk of t
+    trials, a (b, t) matrix of about _CHUNK_SCORES scores with one trial
+    per column, whose values are those of a call on each subsample
+    alone.
     """
     if trials < 100:
         raise InvalidSpec(f"at least 100 trials required, got {trials}")
@@ -165,9 +169,15 @@ def estimator_stability(
     means = []
     q95s = []
     for b in batches:
-        subsamples = _subsamples(population, b, trials, seed)
-        q = estimate(estimator_spec, subsamples.T, c)
-        devs = np.abs(q_full - row_dots(q.weights.T, subsamples))
+        devs = np.empty(trials)
+        step = max(1, _CHUNK_SCORES // b)
+        for t0 in range(0, trials, step):
+            chunk = range(t0, min(t0 + step, trials))
+            subsamples = _subsamples(population, b, chunk, seed)
+            devs[t0:chunk.stop] = estimate(
+                estimator_spec, subsamples.T, c
+            ).value
+        devs = np.abs(q_full - devs)
         means.append(float(devs.mean()))
         q95s.append(float(np.quantile(devs, 0.95)))
     return ConcentrationReport(
@@ -190,11 +200,12 @@ def _mean_losses(
     """Per-model mean logloss of the penalized rows over the subset quantile.
 
     scores_by_model is the (n_samples, n_models) score matrix; rows are
-    selected by position.  One estimate covers every model.  The
-    gathered subset is freed before the penalized rows are gathered, and
-    the loss is taken in place, so one gathered copy is alive at a time.
+    selected by position.  One estimate_values call covers every model
+    and builds no weights.  The gathered subset is freed before the
+    penalized rows are gathered, and the loss is taken in place, so one
+    gathered copy is alive at a time.
     """
-    q = estimate(estimator_spec, scores_by_model[sub_rows], level).value
+    q = estimate_values(estimator_spec, scores_by_model[sub_rows], level)
     z = scores_by_model[pen_rows]
     z -= q
     np.logaddexp(0.0, z, out=z)

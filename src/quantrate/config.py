@@ -21,10 +21,11 @@ _DATA_KEYS = (
     "path", "format", "label_column", "positive_label_value", "delimiter",
     "header", "negative_label_value", "numeric_labels",
 )
-_TRAIN_KEYS = (
-    "momentum", "weight_decay", "batch_size", "constraint_batch_size",
-    "init_scale", "eval_every", "lr_decay", "restarts",
-)
+# optional keys of a logistic block; an experiment's train block adds
+# the batch sizes and restarts, a train command's also its weight decay
+# (an experiment sets every model's decay from its grid)
+_LOGISTIC_KEYS = ("momentum", "init_scale", "eval_every", "lr_decay")
+_TRAIN_KEYS = _LOGISTIC_KEYS + ("batch_size", "constraint_batch_size", "restarts")
 _DEFAULT_CURVE_GRID = [round(0.1 * k, 1) for k in range(1, 11)]
 
 
@@ -124,9 +125,10 @@ def rate_constraint(block) -> RateConstraint:
     )
 
 
-def train_config(block, seed: int, where: str = "train") -> TrainConfig:
-    """A train block, or a logistic block (which has no restarts)."""
-    keys = _TRAIN_KEYS[:-1] if where == "logistic" else _TRAIN_KEYS
+def train_config(
+    block, seed: int, where: str = "train", keys=_TRAIN_KEYS + ("weight_decay",)
+) -> TrainConfig:
+    """A train block whose optional keys are keys."""
     return _record(
         TrainConfig, block, where, ("learning_rate", "steps"), keys, seed=seed
     )
@@ -153,7 +155,8 @@ def train_spec(
         ("objective", "constraint", "estimator"),
     )
     block = dict(check_keys(
-        config["train"], ("seed",) + _TRAIN_KEYS, "train", ("learning_rate", "steps")
+        config["train"], ("seed", "weight_decay") + _TRAIN_KEYS, "train",
+        ("learning_rate", "steps"),
     ))
     own_seed = block.pop("seed", None)
     if seed is None:
@@ -281,8 +284,8 @@ def experiment_spec(config: dict) -> ExperimentSpec:
                       ("train_fraction",), ("stratified",), seed=0),
         standardize=bool(config.get("standardize", kind == "rate_table")),
         estimator=estimator_spec(config["estimator"]),
-        train=train_config(config["train"], 0),
-        logistic=train_config(config["logistic"], 0, "logistic"),
+        train=train_config(config["train"], 0, "train", _TRAIN_KEYS),
+        logistic=train_config(config["logistic"], 0, "logistic", _LOGISTIC_KEYS),
         published=config.get("published") or None,
         **mixture,
     )

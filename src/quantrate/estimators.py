@@ -7,7 +7,9 @@ alone gives.  A matrix takes one level for all columns or a K-vector of
 levels, one per column.  The estimate is a weighted average of the
 scores; the weights are what the surrogate-loss gradients differentiate
 through (weights themselves are rank-dependent and treated as locally
-constant).
+constant), and estimate computes every value as that weighted sum.
+estimate_values gives a matrix's values alone, for callers that need no
+weights; it sums the lower-mean and interval windows directly.
 
 The canonical exact quantile at level c of N ascending order statistics
 is the k-th one with k = max{ integer k >= 1 : k/N <= c }; when no such
@@ -27,7 +29,6 @@ scores in does not matter and the sort need not be stable.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -45,45 +46,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class QuantileResult:
     """Estimate plus the weights that produced it.
 
-    For a vector of n scores, value is a float, weights a read-only
-    n-vector aligned with the *input* score order (not sorted order),
-    support the input indices carrying nonzero weight, and value equals
-    float(weights @ scores).
+    For a vector of n scores, value is a float and weights a read-only
+    n-vector aligned with the *input* score order (not sorted order);
+    value equals float(weights @ scores).
 
-    For an (n, K) score matrix, value holds the K column estimates,
+    For an (n, K) score matrix, value holds the K column estimates and
     weights is the read-only (n, K) matrix whose column j is the weight
-    vector of column j, and support is the tuple of the K columns'
-    supports.  weights is the transpose of a C-ordered (K, n) array, so
-    each column is contiguous and row_dots(weights.T, scores.T) gives
-    the vector calls' values bit for bit when scores.T is C-ordered too.
-    The kernel's values are those and point's equal them; lower_mean's
-    and interval's sum the selected scores and may differ in the last
-    bits.  The partition-based kinds compute a matrix's values, weights
-    and support only when first read, from the scores passed in (which
-    must not have changed since), so a caller that reads only the
-    values allocates no (n, K) weight matrix, and one that reads only
-    the weights partitions each column once.
+    vector of column j.  Each column's value is its weights times its
+    scores, bit for bit the value of the vector call on a contiguous
+    copy of that column.  weights is the transpose of a C-ordered
+    (K, n) array, so each column is contiguous.
     """
 
-    def __init__(self, value, weights):
-        # each the result itself, or a function that builds it on first read
-        self._value = value
-        self._weights = weights if callable(weights) else _frozen(weights)
+    def __init__(self, value, weights: np.ndarray):
+        self.value = value
+        self.weights = _frozen(weights)
 
     @property
-    def value(self):
-        if callable(self._value):
-            self._value = self._value()
-        return self._value
-
-    @property
-    def weights(self) -> np.ndarray:
-        if callable(self._weights):
-            self._weights = _frozen(self._weights())
-        return self._weights
-
-    @cached_property
     def support(self):
+        """The input indices carrying nonzero weight; for a matrix, the
+        tuple of the K columns' supports."""
         w = self.weights
         if w.ndim == 1:
             return _frozen(np.flatnonzero(w))
@@ -119,14 +101,6 @@ def _check_level(c, s=None):
     return c
 
 
-def _ranks(n: int, c) -> list:
-    """max(1, order_rank(n, c)) for a checked level or each of a vector
-    of them."""
-    if isinstance(c, float):
-        return max(1, order_rank(n, c))
-    return [max(1, order_rank(n, float(v))) for v in c]
-
-
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[k] @ b[k] for each row of two (K, n) arrays.
 
@@ -160,33 +134,6 @@ def exact_quantile(scores, c) -> float:
     return float(np.partition(s, k - 1)[k - 1])
 
 
-def _result(s: np.ndarray, weights_of, value_of, param) -> QuantileResult:
-    """The result of a partition-based kind, column by column.
-
-    weights_of(col, p) is a column's dense weight vector and
-    value_of(col, p) its estimate, p being param, or its j-th entry for
-    column j when param is a list.  A vector's value is the dot product
-    of its weights with it; a matrix's values come from value_of alone,
-    and both wait until they are read.  Each column is partitioned on
-    its own, so no (n, K) working copy is made.
-    """
-    if s.ndim == 1:
-        w = weights_of(s, param)
-        return QuantileResult(float(w @ s), w)
-    params = param if isinstance(param, list) else [param] * s.shape[1]
-    columns = list(zip(s.T, params))
-
-    def weights():
-        rows = np.empty(s.shape[::-1])
-        for row, (col, p) in zip(rows, columns):
-            row[:] = weights_of(col, p)
-        return rows.T
-
-    return QuantileResult(
-        lambda: np.array([value_of(col, p) for col, p in columns]), weights
-    )
-
-
 def _stable_window(s: np.ndarray, lo: int, hi: int, v_lo, v_hi) -> np.ndarray:
     """Mask of the positions a stable sort of s puts at ranks lo..hi-1.
 
@@ -207,54 +154,66 @@ def _stable_window(s: np.ndarray, lo: int, hi: int, v_lo, v_hi) -> np.ndarray:
     return inside
 
 
-def _window_mean(s: np.ndarray, windows) -> QuantileResult:
-    """Weight 1/(hi - lo) on each column's stable ranks lo..hi-1, for
-    one (lo, hi) window or a list of one per column."""
-
-    def window(col, lo, hi):
-        """A copy of col holding its ranks lo..hi-1 at slots lo..hi-1,
-        and the scores at ranks lo (-inf when lo is 0) and hi - 1."""
-        part = np.partition(col, hi - 1)
-        v_hi = part[hi - 1]
-        if lo == 0:
-            return part, -np.inf, v_hi
-        # two single-rank passes: np.partition with two ranks took 6x
-        # as long at n = 20 000
-        part[:hi].partition(lo)
-        return part, part[lo], v_hi
-
-    def weights_of(col, lo_hi):
-        lo, hi = lo_hi
-        _, v_lo, v_hi = window(col, lo, hi)
-        return _stable_window(col, lo, hi, v_lo, v_hi) * (1.0 / (hi - lo))
-
-    def value_of(col, lo_hi):
-        lo, hi = lo_hi
-        return window(col, lo, hi)[0][lo:hi].sum() / (hi - lo)
-
-    return _result(s, weights_of, value_of, windows)
+def _window(col: np.ndarray, lo: int, hi: int):
+    """A copy of col holding its ranks lo..hi-1 at slots lo..hi-1, and
+    the scores at ranks lo (-inf when lo is 0) and hi - 1."""
+    part = np.partition(col, hi - 1)
+    v_hi = part[hi - 1]
+    if lo == 0:
+        return part, -np.inf, v_hi
+    # two single-rank passes: np.partition with two ranks took 6x as
+    # long at n = 20 000
+    part[:hi].partition(lo)
+    return part, part[lo], v_hi
 
 
-def point_estimator(scores, c) -> QuantileResult:
-    """One-hot weight on the exact-quantile order statistic.
+def _window_weights(col: np.ndarray, lo_hi, out: np.ndarray) -> None:
+    """Weight 1/(hi - lo) on the stable ranks lo..hi-1 of col, into out."""
+    lo, hi = lo_hi
+    _, v_lo, v_hi = _window(col, lo, hi)
+    np.multiply(_stable_window(col, lo, hi, v_lo, v_hi), 1.0 / (hi - lo), out=out)
+
+
+def _point_weights(col: np.ndarray, k: int, out: np.ndarray) -> None:
+    """One-hot weight on the k-th order statistic of col, into out.
 
     With ties, the weight sits on the last input position holding that
     value (the last of its tied run in a stable sort), so the value
     still equals exact_quantile.
     """
-    s = _checked(scores)
-    ks = _ranks(s.shape[0], _check_level(c, s))
+    v = np.partition(col, k - 1)[k - 1]
+    out[:] = 0.0
+    out[np.flatnonzero(col == v)[-1]] = 1.0
 
-    def weights_of(col, k):
-        v = np.partition(col, k - 1)[k - 1]
-        w = np.zeros(col.size)
-        w[np.flatnonzero(col == v)[-1]] = 1.0
-        return w
 
-    def value_of(col, k):
-        return np.partition(col, k - 1)[k - 1]
+def _plan(spec: QuantileEstimatorSpec, s: np.ndarray, c):
+    """(weights_of, params) of a partition-based kind:
+    weights_of(col, params[j], out) writes column j's dense weights.
 
-    return _result(s, weights_of, value_of, ks)
+    point puts a one-hot on rank k = max(1, max{k : k/N <= c});
+    lower_mean averages ranks 0..k-1, so it lower-bounds the point
+    estimate and makes the downstream loss convex for linear models
+    (c < 1/N falls back to k=1, the minimum, so small constraint
+    minibatches never abort training); interval averages the ascending
+    order statistics at 1-based indices floor(N*k1)+1 through
+    floor(N*k2) inclusive and ignores c.
+    """
+    n = s.shape[0]
+    columns = 1 if s.ndim == 1 else s.shape[1]
+    if spec.kind is EstimatorKind.INTERVAL:
+        lo, hi = int(math.floor(n * spec.k1)), int(math.floor(n * spec.k2))
+        if hi <= lo:
+            raise DegenerateInterval(
+                f"window ({spec.k1}, {spec.k2}] selects no order statistics "
+                f"for n={n}"
+            )
+        return _window_weights, [(lo, hi)] * columns
+    c = _check_level(c, s)
+    levels = [c] * columns if isinstance(c, float) else c.tolist()
+    ks = [max(1, order_rank(n, v)) for v in levels]
+    if spec.kind is EstimatorKind.POINT:
+        return _point_weights, ks
+    return _window_weights, [(0, k) for k in ks]
 
 
 def _tie_broken_ranks(ranked: np.ndarray) -> np.ndarray:
@@ -270,10 +229,8 @@ def _tie_broken_ranks(ranked: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1] + 1
 
 
-def kernel_estimator(
-    scores, c, bandwidth, normalize: bool = True, paper_exact: bool = False
-) -> QuantileResult:
-    """Gaussian-kernel weighted average of order statistics.
+def _kernel_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndarray:
+    """Gaussian-kernel weights of each row of (K, n) scores at its level.
 
     Raw weights are u_i = phi_h(i*/N - c), with i* the tie-broken rank
     and phi_h the Gaussian density of scale h.  normalize=True divides
@@ -282,19 +239,8 @@ def kernel_estimator(
     are computed with a shifted exponent so that the h -> 0 limit
     degrades gradually to a one-hot at the rank nearest c instead of
     underflowing to 0/0.
-
-    Works on the models as rows, (K, n), so that each model's scores
-    are contiguous; every rank carries weight, so the weights of a
-    matrix are built with its values.
     """
-    s = _checked(scores)
-    c = _check_level(c, s)
-    h = float(bandwidth)
-    if not h > 0:
-        raise InvalidSpec(f"bandwidth must be positive, got {bandwidth}")
-    if paper_exact and normalize:
-        raise InvalidSpec("paper_exact and normalize are exclusive")
-    rows = s[None] if s.ndim == 1 else np.ascontiguousarray(s.T)
+    h = float(spec.bandwidth)
     n_rows, n = rows.shape
     order = np.argsort(rows, axis=1)  # ties share a weight: any order
     if n_rows > 1:
@@ -302,7 +248,7 @@ def kernel_estimator(
     ranked = rows.ravel()[order]
     x = _tie_broken_ranks(ranked) / n - (c if isinstance(c, float) else c[:, None])
     expo = -0.5 * (x / h) ** 2
-    if normalize:
+    if spec.normalize:
         shifted = np.exp(expo - expo.max(axis=-1, keepdims=True))
         w = shifted / shifted.sum(axis=-1, keepdims=True)
     else:
@@ -310,57 +256,48 @@ def kernel_estimator(
         w = u / n
     dense = np.empty(rows.shape)
     dense.ravel()[order] = w
-    if s.ndim == 1:
-        return QuantileResult(float(dense[0] @ s), dense[0])
-    return QuantileResult(row_dots(dense, rows), dense.T)
-
-
-def lower_mean_estimator(scores, c) -> QuantileResult:
-    """Mean of the k smallest scores, k = max(1, max{k : k/N <= c}).
-
-    Lower-bounds the point estimate and makes the downstream loss convex
-    for linear models.  c < 1/N falls back to k=1 (the minimum), so
-    small constraint minibatches never abort training.
-    """
-    s = _checked(scores)
-    ks = _ranks(s.shape[0], _check_level(c, s))
-    if isinstance(ks, list):
-        return _window_mean(s, [(0, k) for k in ks])
-    return _window_mean(s, (0, ks))
-
-
-def interval_estimator(scores, k1, k2) -> QuantileResult:
-    """Average of the ascending order statistics at 1-based indices
-    floor(N*k1)+1 through floor(N*k2) inclusive."""
-    s = _checked(scores)
-    k1 = float(k1)
-    k2 = float(k2)
-    if not (0.0 < k1 < k2 < 1.0):
-        raise InvalidSpec(
-            f"interval levels must satisfy 0 < k1 < k2 < 1, got {k1}, {k2}"
-        )
-    n = s.shape[0]
-    lo = int(math.floor(n * k1))
-    hi = int(math.floor(n * k2))
-    if hi <= lo:
-        raise DegenerateInterval(
-            f"window ({k1}, {k2}] selects no order statistics for n={n}"
-        )
-    return _window_mean(s, (lo, hi))
+    return dense
 
 
 def estimate(spec: QuantileEstimatorSpec, scores, c) -> QuantileResult:
-    """Dispatch on the estimator spec; c is ignored by INTERVAL.
+    """The spec's estimate of a score vector or matrix; c is ignored by
+    INTERVAL.
 
     scores is a vector, or an (n, K) matrix estimated column by column;
     for a matrix, c is one level or a K-vector of levels, one per column.
+    Every kind weights each column on its own, as rows of a C-ordered
+    (K, n) array, and takes each value as the dot product of a row of
+    weights with its scores.
     """
-    if spec.kind is EstimatorKind.POINT:
-        return point_estimator(scores, c)
+    s = _checked(scores)
+    rows = s[None] if s.ndim == 1 else np.ascontiguousarray(s.T)
     if spec.kind is EstimatorKind.KERNEL:
-        return kernel_estimator(
-            scores, c, spec.bandwidth, spec.normalize, spec.paper_exact
-        )
-    if spec.kind is EstimatorKind.LOWER_MEAN:
-        return lower_mean_estimator(scores, c)
-    return interval_estimator(scores, spec.k1, spec.k2)
+        w = _kernel_weights(spec, rows, _check_level(c, s))
+    else:
+        weights_of, params = _plan(spec, s, c)
+        w = np.empty(rows.shape)
+        for j, p in enumerate(params):
+            weights_of(rows[j], p, w[j])
+    if s.ndim == 1:
+        return QuantileResult(float(w[0] @ s), w[0])
+    return QuantileResult(row_dots(w, rows), w.T)
+
+
+def estimate_values(spec: QuantileEstimatorSpec, scores, c) -> np.ndarray:
+    """The K column estimates of an (n, K) score matrix, without weights.
+
+    point and kernel return estimate's values.  lower_mean and interval
+    sum each column's window as np.partition leaves it, which builds no
+    (n, K) weight matrix; a value can differ from estimate's dot product
+    in the last bits.
+    """
+    s = _checked(scores)
+    if s.ndim != 2:
+        raise InvalidSpec("estimate_values takes an (n, K) score matrix")
+    if spec.kind in (EstimatorKind.POINT, EstimatorKind.KERNEL):
+        return estimate(spec, s, c).value
+    _, windows = _plan(spec, s, c)
+    return np.array([
+        _window(col, lo, hi)[0][lo:hi].sum() / (hi - lo)
+        for col, (lo, hi) in zip(s.T, windows)
+    ])

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, EmptyObjective, InvalidSpec
-from .estimators import estimate, row_dots
+from .estimators import estimate
 from .types import (
     Dataset,
     LinearModel,
@@ -96,8 +96,7 @@ def core_eval(
     per row, with level a scalar or a K-vector of levels.  Row k of a
     matrix call equals the call on w[k] at its level bit for bit: the
     stacked products, row sums and estimator weights are those of the
-    1-d call, and the threshold is the dot product of the weights with
-    the scores, as the vector estimate computes it.
+    1-d call, and so is the estimate that stands in for the threshold.
     Accepts an empty penalized matrix (contributes zero); the subset
     must be nonempty because the estimator needs scores.
     Returns (value, per_sample, grad_or_None); for a matrix, the K
@@ -114,11 +113,8 @@ def core_eval(
         grad = np.zeros_like(w) if want_grad else None
         value = 0.0 if w.ndim == 1 else np.zeros(w.shape[0])
         return value, np.zeros(w.shape[:-1] + (0,)), grad
-    if w.ndim == 1:
-        q_weights, theta = q.weights, q.value
-    else:
-        q_weights = q.weights.T  # (K, m), C-ordered rows
-        theta = row_dots(q_weights, sub_scores)[:, None]
+    q_weights = q.weights.T  # (m,), or (K, m) with C-ordered rows
+    theta = q.value if w.ndim == 1 else q.value[:, None]
     z = sign * (_times(X_pen, w) - theta)
     per_sample = _softplus(z) / ln_base
     value = per_sample.sum(axis=-1)

@@ -49,16 +49,6 @@ def rate(scores, threshold: float) -> float:
     return float(np.count_nonzero(s > threshold)) / s.size
 
 
-def below_min(scores) -> float:
-    """Largest representable float strictly below min(scores).
-
-    This is the canonical "predict everything positive" threshold under
-    the strict ">" rule.
-    """
-    s = _scores_1d(scores)
-    return float(np.nextafter(np.min(s), -np.inf))
-
-
 def calibrate_threshold(scores, constraint: RateConstraint) -> float:
     """Threshold satisfying a rate constraint on the given subset scores.
 

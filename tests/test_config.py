@@ -29,10 +29,19 @@ def test_a_stray_key_in_a_preset_fails_the_parse():
     config["data"]["delimitter"] = ","
     with pytest.raises(InvalidSpec, match="unknown keys"):
         experiment_spec(config)
-    config = load_preset("synthetic")
-    config["logistic"]["restarts"] = 3  # the logistic fit has no restarts
-    with pytest.raises(InvalidSpec, match="unknown keys"):
-        experiment_spec(config)
+    # the logistic fit has no restarts or minibatches, and the runner
+    # sets every model's weight decay from the grid
+    for block, key, value in (
+        ("logistic", "restarts", 3),
+        ("logistic", "weight_decay", 0.1),
+        ("logistic", "batch_size", 32),
+        ("logistic", "constraint_batch_size", 16),
+        ("train", "weight_decay", 0.1),
+    ):
+        config = load_preset("synthetic")
+        config[block][key] = value
+        with pytest.raises(InvalidSpec, match="unknown keys"):
+            experiment_spec(config)
 
 
 def test_missing_optional_keys_take_the_record_defaults():

@@ -15,7 +15,7 @@ from quantrate import (
     exact_quantile,
     order_rank,
 )
-from quantrate.estimators import row_dots
+from quantrate.estimators import estimate_values, row_dots
 
 POINT = QuantileEstimatorSpec(kind="point")
 LOWER_MEAN = QuantileEstimatorSpec(kind="lower_mean")
@@ -397,6 +397,10 @@ ALL_SPECS = (
 )
 
 
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
 def score_matrices():
     rng = np.random.default_rng(31)
     yield rng.standard_normal((60, 5))
@@ -411,11 +415,8 @@ def score_matrices():
 
 def test_every_kind_on_a_matrix_agrees_with_its_columns():
     # column j of an (n, K) call is the 1-d call on column j: identical
-    # support and weights, values within 1e-12 of the column's scale
-    # (lower_mean and interval may add the same terms in another order;
-    # point picks the same score and kernel takes the same dot product)
+    # support, weights and value, bit for bit, for every kind
     for spec in ALL_SPECS:
-        exact = spec.kind.value in ("point", "kernel")
         for S in score_matrices():
             for c in (0.0, 0.3, 0.5, 2.0 / 3.0, 0.95, 1.0):
                 res = estimate(spec, S, c)
@@ -425,9 +426,7 @@ def test_every_kind_on_a_matrix_agrees_with_its_columns():
                 assert len(res.support) == S.shape[1]
                 for j in range(S.shape[1]):
                     one = estimate(spec, S[:, j].copy(), c)
-                    scale = max(abs(one.value), float(np.abs(S[:, j]).max()))
-                    assert abs(res.value[j] - one.value) <= 1e-12 * scale, (spec, c, j)
-                    assert res.value[j] == one.value or not exact
+                    assert bits(res.value[j]) == bits(one.value), (spec, c, j)
                     assert np.array_equal(res.support[j], one.support)
                     assert not res.support[j].flags.writeable
                     assert np.array_equal(res.weights[:, j], one.weights)
@@ -438,8 +437,7 @@ def test_estimate_leaves_its_input_unmodified():
     for spec in ALL_SPECS:
         for S in (rng.standard_normal((33, 4)), np.round(rng.standard_normal(33))):
             before = S.copy()
-            res = estimate(spec, S, 0.6)
-            res.weights, res.support  # build the lazy parts too
+            estimate(spec, S, 0.6)
             assert np.array_equal(S, before)
 
 
@@ -461,19 +459,13 @@ def test_bad_matrices_raise_as_vectors_do():
                  np.ones((10, 3)), 0.5)
 
 
-def bits(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
 def test_vector_levels_match_the_scalar_call_on_each_column():
-    # one level per column: column j's weights are those of the 1-d call
-    # at level c[j], bit for bit; its value is that of the scalar-level
-    # call on the same column, and for point and kernel that of the 1-d
-    # call; row_dots of the weights gives the 1-d call's value for every
-    # kind (lower_mean and interval sum their window on a matrix)
+    # one level per column: column j's weights and value are those of the
+    # 1-d call at level c[j] and of the scalar-level call on the same
+    # column, bit for bit, for every kind; so is row_dots of the weights,
+    # whose transpose has C-ordered rows
     rng = np.random.default_rng(43)
     for spec in ALL_SPECS:
-        exact = spec.kind.value in ("point", "kernel")
         for S in score_matrices():
             K = S.shape[1]
             for c in (rng.random(K), np.linspace(0.0, 1.0, K), np.full(K, 0.5)):
@@ -487,7 +479,24 @@ def test_vector_levels_match_the_scalar_call_on_each_column():
                     assert np.array_equal(res.support[j], one.support)
                     assert bits(res.value[j]) == bits(alone.value[0])
                     assert bits(dots[j]) == bits(one.value), (spec, j)
-                    assert not exact or res.value[j] == one.value
+                    assert bits(res.value[j]) == bits(one.value), (spec, j)
+
+
+def test_estimate_values_are_the_estimates_without_weights():
+    # point and kernel give estimate's values bit for bit; lower_mean and
+    # interval sum their windows, within 1e-12 of the column's scale
+    for spec in ALL_SPECS:
+        exact = spec.kind.value in ("point", "kernel")
+        for S in score_matrices():
+            for c in (0.0, 0.3, 2.0 / 3.0, 1.0, np.linspace(0.0, 1.0, S.shape[1])):
+                values = estimate_values(spec, S, c)
+                expected = estimate(spec, S, c).value
+                if exact:
+                    assert values.tobytes() == expected.tobytes(), spec
+                scale = np.maximum(np.abs(expected), np.abs(S).max(axis=0))
+                assert np.all(np.abs(values - expected) <= 1e-12 * scale), spec
+        with pytest.raises(InvalidSpec):
+            estimate_values(spec, np.arange(5.0), 0.5)  # a vector
 
 
 def test_bad_vector_levels_raise():

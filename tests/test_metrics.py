@@ -5,7 +5,6 @@ import pytest
 
 from quantrate import (
     Dataset,
-    EmptyInput,
     InvalidSpec,
     LinearModel,
     NoConstraintSubset,
@@ -20,7 +19,6 @@ from quantrate import (
     precision_at_recall,
     rate,
 )
-from quantrate.metrics import below_min
 
 
 def at_least(c):
@@ -45,15 +43,6 @@ def test_rate_is_strict():
     assert rate(s, 0.0) == 1.0
     assert rate(s, 3.0) == 0.0
     assert rate(s, 2.9999) == pytest.approx(1.0 / 3.0)
-
-
-def test_below_min_realizes_rate_one():
-    s = np.array([4.0, -1.5, 2.0])
-    b = below_min(s)
-    assert b < -1.5
-    assert rate(s, b) == 1.0
-    with pytest.raises(EmptyInput):
-        below_min([])
 
 
 def test_calibrate_at_least_hand_values():
@@ -84,7 +73,7 @@ def test_calibrate_at_least_is_maximal_feasible():
         theta = calibrate_threshold(s, at_least(c))
         n = s.size
         assert np.count_nonzero(s > theta) >= c * n
-        candidates = np.append(np.unique(s), below_min(s))
+        candidates = np.append(np.unique(s), np.nextafter(s.min(), -np.inf))
         feasible = [t for t in candidates
                     if np.count_nonzero(s > t) >= c * n]
         assert theta == max(feasible)
@@ -150,7 +139,7 @@ def test_precision_at_rate_slice_never_exceeds_target():
         n = s.size
         m = max(1, int(np.floor(tau * n + 1e-9)))
         if m == n:
-            theta = below_min(s)
+            theta = np.nextafter(s.min(), -np.inf)
         else:
             theta = np.sort(s)[n - m - 1]
         predicted = s > theta
