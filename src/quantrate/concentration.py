@@ -21,11 +21,10 @@ import numpy as np
 
 from .errors import BatchTooLarge, ConstraintBatchEmpty, InvalidSpec
 from .estimators import estimate, estimate_values
-from .losses import surrogate_loss
-from .train import sgd_train
+from .losses import _dataset_eval
+from .train import lockstep_train
 from .types import (
     Dataset,
-    LinearModel,
     QuantileEstimatorSpec,
     RateConstraint,
     SurrogateLossSpec,
@@ -44,6 +43,9 @@ _REDRAW_CAP = 100
 # scores per estimate in estimator_stability: bounds the (n, K) arrays
 # of one estimate at the largest batch sizes
 _CHUNK_SCORES = 2**18
+
+# reference candidates per core_eval call; all 6 401 at once doubled RSS
+_REF_CHUNK = 50
 
 _LN2 = float(np.log(2.0))
 
@@ -307,23 +309,25 @@ def _searched_reference(
 ) -> Tuple[np.ndarray, float]:
     """Best model from a dense direction-by-radius search.
 
-    256 random unit directions times a geometric radius grid; returns
-    the (weights, full loss) pair minimizing the surrogate loss.
+    The zero model, then 256 random unit directions times a geometric
+    radius grid, direction by direction; returns the (weights, full
+    loss) pair minimizing the surrogate loss, ties going to the earliest.
+    core_eval takes the candidates as rows, _REF_CHUNK at a time.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, _REF_STREAM)))
     dirs = rng.standard_normal((256, dataset.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.geomspace(radius_hint / 100.0, radius_hint * 10.0, 25)
-    best_w = np.zeros(dataset.dim)
-    best_loss = surrogate_loss(LinearModel(best_w), dataset, loss_spec).value
-    for d in dirs:
-        for r in radii:
-            w = r * d
-            value = surrogate_loss(LinearModel(w), dataset, loss_spec).value
-            if value < best_loss:
-                best_loss = value
-                best_w = w
-    return best_w, best_loss
+    candidates = np.concatenate([
+        np.zeros((1, dataset.dim)),
+        (radii[None, :, None] * dirs[:, None, :]).reshape(-1, dataset.dim),
+    ])
+    losses = np.concatenate([
+        _dataset_eval(candidates[i : i + _REF_CHUNK], dataset, loss_spec)[0]
+        for i in range(0, len(candidates), _REF_CHUNK)
+    ])
+    best = int(np.argmin(losses))  # the first of tied minima
+    return candidates[best], float(losses[best])
 
 
 def convex_sgd_convergence(
@@ -341,10 +345,14 @@ def convex_sgd_convergence(
     averaging the gap between the trained model's full-data loss and
     the best loss found by a dense direction/radius search.  Training
     uses step size 0.5/sqrt(t), no momentum, and an independent
-    constraint minibatch capped at the positive count.
+    constraint minibatch capped at the positive count.  A step budget's
+    trials train as rows of one lockstep_train call, each step on every
+    row's own fixed-shape minibatch with a 0/1 mask of its negatives.
     """
     if not 0.0 < c <= 1.0:
         raise InvalidSpec(f"recall level must lie in (0, 1], got {c}")
+    if batch_size < 1:
+        raise InvalidSpec(f"convex lab needs batch_size >= 1, got {batch_size}")
     grid = tuple(int(t) for t in t_grid)
     if not grid or any(t < 1 for t in grid):
         raise InvalidSpec("t_grid must hold positive step counts")
@@ -361,23 +369,23 @@ def convex_sgd_convergence(
     _, ref_loss = _searched_reference(dataset, loss_spec, 5.0, seed)
     mean_excess = []
     for t_steps in grid:
-        gaps = np.empty(trials)
-        for trial in range(trials):
-            run_seed = int(
-                np.random.SeedSequence((seed, t_steps, trial)).generate_state(1)[0]
-            )
-            config = TrainConfig(
+        models = [
+            (loss_spec, TrainConfig(
                 learning_rate=0.5,
                 steps=t_steps,
-                seed=run_seed,
+                seed=int(
+                    np.random.SeedSequence((seed, t_steps, trial)).generate_state(1)[0]
+                ),
                 momentum=0.0,
                 batch_size=min(batch_size, dataset.n),
                 constraint_batch_size=min(batch_size, n_pos),
                 eval_every=t_steps,
                 lr_decay="inv_sqrt",
-            )
-            result = sgd_train(dataset, loss_spec, config)
-            gaps[trial] = result.final_train_loss - ref_loss
+            ))
+            for trial in range(trials)
+        ]
+        results = lockstep_train(dataset, models)
+        gaps = np.array([r.final_train_loss for r in results]) - ref_loss
         mean_excess.append(float(gaps.mean()))
     return ConvexConvergenceReport(
         t_grid=grid,

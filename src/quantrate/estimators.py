@@ -134,61 +134,65 @@ def exact_quantile(scores, c) -> float:
     return float(np.partition(s, k - 1)[k - 1])
 
 
-def _stable_window(s: np.ndarray, lo: int, hi: int, v_lo, v_hi) -> np.ndarray:
-    """Mask of the positions a stable sort of s puts at ranks lo..hi-1.
+def _stable_window(rows: np.ndarray, lo: int, hi: int, v_lo, v_hi) -> np.ndarray:
+    """Mask of the positions a stable sort of each row puts at ranks
+    lo..hi-1.
 
-    v_lo and v_hi are the scores at ranks lo and hi - 1 (v_lo may be
-    -inf when lo is 0).  Every score strictly between them is in.  A
+    v_lo and v_hi hold each row's scores at ranks lo (-inf when lo is 0)
+    and hi - 1.  Every score strictly between them is in.  A
     stable sort ranks the scores tied with an edge value in input order,
     starting from the count of smaller scores; those whose rank falls in
     the window are in.
     """
-    inside = s <= v_hi if lo == 0 else (s >= v_lo) & (s <= v_hi)
-    if np.count_nonzero(inside) == hi - lo:
-        return inside  # no tied run crosses an edge of the window
-    inside = (s > v_lo) & (s < v_hi)
-    for v in {v_lo, v_hi}:
-        tied = np.flatnonzero(s == v)
-        first = np.count_nonzero(s < v)
-        inside[tied[max(lo - first, 0):hi - first]] = True
+    inside = (rows >= v_lo[:, None]) & (rows <= v_hi[:, None])
+    # the rows where a tied run crosses an edge of the window
+    for i in np.flatnonzero(np.count_nonzero(inside, axis=1) != hi - lo):
+        s = rows[i]
+        inside[i] = (s > v_lo[i]) & (s < v_hi[i])
+        for v in {v_lo[i], v_hi[i]}:
+            tied = np.flatnonzero(s == v)
+            first = np.count_nonzero(s < v)
+            inside[i, tied[max(lo - first, 0):hi - first]] = True
     return inside
 
 
-def _window(col: np.ndarray, lo: int, hi: int):
-    """A copy of col holding its ranks lo..hi-1 at slots lo..hi-1, and
-    the scores at ranks lo (-inf when lo is 0) and hi - 1."""
-    part = np.partition(col, hi - 1)
-    v_hi = part[hi - 1]
+def _window(scores: np.ndarray, lo: int, hi: int):
+    """A copy of scores holding, along the last axis, its ranks lo..hi-1
+    at slots lo..hi-1, and the scores at ranks lo (-inf when lo is 0)
+    and hi - 1."""
+    part = np.partition(scores, hi - 1, axis=-1)
     if lo == 0:
-        return part, -np.inf, v_hi
+        return part, -np.inf, part[..., hi - 1]
+    v_hi = part[..., hi - 1].copy()  # the second pass moves rank hi - 1
     # two single-rank passes: np.partition with two ranks took 6x as
     # long at n = 20 000
-    part[:hi].partition(lo)
-    return part, part[lo], v_hi
+    part[..., :hi].partition(lo, axis=-1)
+    return part, part[..., lo], v_hi
 
 
-def _window_weights(col: np.ndarray, lo_hi, out: np.ndarray) -> None:
-    """Weight 1/(hi - lo) on the stable ranks lo..hi-1 of col, into out."""
+def _window_weights(rows: np.ndarray, lo_hi) -> np.ndarray:
+    """Weight 1/(hi - lo) on the stable ranks lo..hi-1 of each row."""
     lo, hi = lo_hi
-    _, v_lo, v_hi = _window(col, lo, hi)
-    np.multiply(_stable_window(col, lo, hi, v_lo, v_hi), 1.0 / (hi - lo), out=out)
+    _, v_lo, v_hi = _window(rows, lo, hi)
+    v_lo = np.broadcast_to(v_lo, v_hi.shape)
+    return _stable_window(rows, lo, hi, v_lo, v_hi) * (1.0 / (hi - lo))
 
 
-def _point_weights(col: np.ndarray, k: int, out: np.ndarray) -> None:
-    """One-hot weight on the k-th order statistic of col, into out.
+def _point_weights(rows: np.ndarray, k: int) -> np.ndarray:
+    """One-hot weight on the k-th order statistic of each row.
 
     With ties, the weight sits on the last input position holding that
     value (the last of its tied run in a stable sort), so the value
     still equals exact_quantile.
     """
-    v = np.partition(col, k - 1)[k - 1]
-    out[:] = 0.0
-    out[np.flatnonzero(col == v)[-1]] = 1.0
+    v = np.partition(rows, k - 1, axis=1)[:, k - 1 : k]
+    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] == v, axis=1)
+    return (np.arange(rows.shape[1]) == last[:, None]) * 1.0
 
 
 def _plan(spec: QuantileEstimatorSpec, s: np.ndarray, c):
-    """(weights_of, params) of a partition-based kind:
-    weights_of(col, params[j], out) writes column j's dense weights.
+    """(weights_of, params) of a partition-based kind: weights_of(rows,
+    params[j]) weighs each of a block of score rows by column j's params.
 
     point puts a one-hot on rank k = max(1, max{k : k/N <= c});
     lower_mean averages ranks 0..k-1, so it lower-bounds the point
@@ -276,8 +280,9 @@ def estimate(spec: QuantileEstimatorSpec, scores, c) -> QuantileResult:
     else:
         weights_of, params = _plan(spec, s, c)
         w = np.empty(rows.shape)
-        for j, p in enumerate(params):
-            weights_of(rows[j], p, w[j])
+        for p in set(params):  # the columns sharing a rank window at once
+            idx = [j for j, q in enumerate(params) if q == p]
+            w[idx] = weights_of(rows[idx], p)
     if s.ndim == 1:
         return QuantileResult(float(w[0] @ s), w[0])
     return QuantileResult(row_dots(w, rows), w.T)

@@ -73,8 +73,9 @@ def _side(spec: SurrogateLossSpec) -> Tuple[int, float]:
 
 
 def _times(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X @ w for a vector w, and the (K, n) rows X @ w[k] for a (K, d)
-    matrix; each row is the 1-d product bit for bit."""
+    """X @ w for a vector w, and the (K, n) rows X @ w[k] (X[k] @ w[k]
+    for a stack X) for a (K, d) matrix; each row is the 1-d product bit
+    for bit."""
     if w.ndim == 1:
         return X @ w
     return np.matmul(X, w[:, :, None])[:, :, 0]
@@ -89,41 +90,45 @@ def core_eval(
     est_spec: QuantileEstimatorSpec,
     base: float,
     want_grad: bool = False,
+    pen_mask: Optional[np.ndarray] = None,
 ):
     """Loss (and optionally gradient) of one penalized/subset matrix pair.
 
     w is one model's weight vector, or a (K, d) matrix of K models, one
-    per row, with level a scalar or a K-vector of levels.  Row k of a
-    matrix call equals the call on w[k] at its level bit for bit: the
-    stacked products, row sums and estimator weights are those of the
-    1-d call, and so is the estimate that stands in for the threshold.
-    Accepts an empty penalized matrix (contributes zero); the subset
-    must be nonempty because the estimator needs scores.
-    Returns (value, per_sample, grad_or_None); for a matrix, the K
-    values, the (K, p) summands and the (K, d) gradients.
+    per row, with level a scalar or a K-vector of levels; X_pen and
+    X_sub are then shared by every row, or (K, p, d) and (K, m, d)
+    stacks of each row's own.  Row k of a matrix call equals the 1-d
+    call on w[k] and its own matrices at its level bit for bit, the
+    estimate that stands in for the threshold included.  pen_mask, 0/1
+    per penalized row, drops the rows it zeroes, so a minibatch keeps
+    its shape whatever its penalized count.  An empty penalized matrix
+    contributes zero; the subset must be nonempty because the estimator
+    needs scores.  Returns (value, per_sample, grad_or_None); for a
+    matrix, the K values, the (K, p) summands and the (K, d) gradients.
     """
     ln_base = math.log(base)
-    if X_sub.shape[1] != w.shape[-1]:
+    if X_sub.shape[-1] != w.shape[-1]:
         raise DimensionError(
-            f"feature dim {X_sub.shape[1]} != weight dim {w.shape[-1]}"
+            f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
     sub_scores = _times(X_sub, w)
     q = estimate(est_spec, sub_scores.T, level)
-    if X_pen.shape[0] == 0:
-        grad = np.zeros_like(w) if want_grad else None
-        value = 0.0 if w.ndim == 1 else np.zeros(w.shape[0])
-        return value, np.zeros(w.shape[:-1] + (0,)), grad
     q_weights = q.weights.T  # (m,), or (K, m) with C-ordered rows
     theta = q.value if w.ndim == 1 else q.value[:, None]
     z = sign * (_times(X_pen, w) - theta)
     per_sample = _softplus(z) / ln_base
+    if pen_mask is not None:
+        per_sample = per_sample * pen_mask
     value = per_sample.sum(axis=-1)
     grad = None
     if want_grad:
         a = _sigmoid(z)
-        anchor = _times(X_sub.T, q_weights)
+        if pen_mask is not None:
+            a = a * pen_mask
+        anchor = _times(X_sub.swapaxes(-1, -2), q_weights)
         grad = (sign / ln_base) * (
-            _times(X_pen.T, a) - a.sum(axis=-1, keepdims=True) * anchor
+            _times(X_pen.swapaxes(-1, -2), a)
+            - a.sum(axis=-1, keepdims=True) * anchor
         )
     return (float(value) if w.ndim == 1 else value), per_sample, grad
 
@@ -151,6 +156,22 @@ def _resolved(spec: SurrogateLossSpec, dataset: Dataset):
     return sub, pen, sign, 1.0 - spec.constraint.target
 
 
+def _dataset_eval(
+    weights: np.ndarray,
+    dataset: Dataset,
+    loss_spec: SurrogateLossSpec,
+    want_grad: bool = False,
+):
+    """core_eval of a loss spec over a whole dataset, for one weight
+    vector or a (K, d) matrix of K models at the spec's level."""
+    sub, pen, sign, level = _resolved(loss_spec, dataset)
+    X = dataset.features
+    return core_eval(
+        weights, X[pen], X[sub], sign, level, loss_spec.estimator,
+        loss_spec.logloss_base, want_grad,
+    )
+
+
 def surrogate_loss(
     model: LinearModel, dataset: Dataset, loss_spec: SurrogateLossSpec
 ) -> LossValue:
@@ -163,16 +184,7 @@ def surrogate_loss(
     on its constraint's subset and penalizes the side it names.  The
     exact calibrator handles the at_most tie adjustment after training.
     """
-    sub, pen, sign, level = _resolved(loss_spec, dataset)
-    value, per_sample, _ = core_eval(
-        model.weights,
-        dataset.features[pen],
-        dataset.features[sub],
-        sign,
-        level,
-        loss_spec.estimator,
-        loss_spec.logloss_base,
-    )
+    value, per_sample, _ = _dataset_eval(model.weights, dataset, loss_spec)
     return LossValue(value, per_sample)
 
 
@@ -185,15 +197,4 @@ def loss_gradient(
     sum_{i in P} sigma(s*(f(x_i) - theta)) * s * (x_i - x_bar) / ln(base)
     with x_bar the estimator's weighted support point over the subset.
     """
-    sub, pen, sign, level = _resolved(loss_spec, dataset)
-    _, _, grad = core_eval(
-        model.weights,
-        dataset.features[pen],
-        dataset.features[sub],
-        sign,
-        level,
-        loss_spec.estimator,
-        loss_spec.logloss_base,
-        want_grad=True,
-    )
-    return grad
+    return _dataset_eval(model.weights, dataset, loss_spec, want_grad=True)[2]

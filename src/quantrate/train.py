@@ -6,13 +6,13 @@ minibatch.  The constraint minibatch is either drawn independently from
 the subset (when constraint_batch_size is set) or taken as the
 intersection of the sample minibatch with the subset (when it is full).
 
-Full-batch models train in lockstep: one descent loop over a (K, d)
-weight matrix, one model per row, makes one stacked core_eval call per
-step for all K.  The rows share the dataset and every setting of their
-loss specs and configs except three that each row has its own of: the
-level (constraint target), the weight decay and the seed.  A single
-model is the K=1 case of the same loop; minibatch models train one per
-loop, since each draws its own batches.
+Models train in lockstep: one descent loop over a (K, d) weight
+matrix, one model per row, makes one stacked core_eval call per step
+for all K; a single model is the case K=1.  The rows share the dataset
+and every setting of their loss specs and configs but the level
+(constraint target), the weight decay and the seed.  A minibatch step
+takes each row's own batch, a (K, batch_size, d) stack, with a 0/1
+mask of its penalized samples in place of a gather of ragged size.
 
 Determinism contract, per model: one PCG64 generator seeded from that
 model's config.seed drives, in order, its weight initialization, each
@@ -55,76 +55,71 @@ def _shared(model: Model) -> Tuple[dict, dict]:
 def _descend(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
     """The descent loop, one model per row; see sgd_train for a step.
 
-    Several models must be full batch, which lockstep_train sees to, and
-    agree on everything but the constraint target, the weight decay and
-    the seed.
+    The models agree on all but the level, the weight decay and the seed
+    (lockstep_train checks).  Minibatch models in intersection mode (no
+    constraint_batch_size) descend one per loop, in order: each one's
+    constraint batch is its minibatch's share of the subset, ragged
+    from row to row.
     """
     loss_spec, config = models[0]
-    single = len(models) == 1
-    shared = _shared(models[0])
-    if not single and any(_shared(m) != shared for m in models[1:]):
-        raise InvalidSpec(
-            "lockstep models may differ only in target, weight_decay and seed"
-        )
+    independent = config.constraint_batch_size is not None
+    if len(models) > 1 and config.batch_size is not None and not independent:
+        return [_descend(dataset, [m])[0] for m in models]
     config.check_against(dataset.n)
     resolved = [_resolved(spec, dataset) for spec, _ in models]
     sub, pen, sign, _ = resolved[0]
-    independent = config.constraint_batch_size is not None
     if independent and config.constraint_batch_size > sub.size:
         raise BatchTooLarge(
             f"constraint_batch_size {config.constraint_batch_size} exceeds "
             f"the constraint subset ({sub.size} samples)"
         )
-    X = dataset.features
-    n = dataset.n
+    X, n = dataset.features, dataset.n
     X_pen, X_sub = X[pen], X[sub]
-    pen_mask = np.zeros(n, dtype=bool)
-    pen_mask[pen] = True
-    sub_mask = np.zeros(n, dtype=bool)
-    sub_mask[sub] = True
+    pen_mask = np.isin(np.arange(n), pen).astype(float)
+    sub_mask = np.isin(np.arange(n), sub)
     n_pen_total = pen.size
 
     rngs = [np.random.default_rng(cfg.seed) for _, cfg in models]
-    inits = [
+    W = np.stack([
         cfg.init_scale * rng.standard_normal(dataset.dim)
         for (_, cfg), rng in zip(models, rngs)
-    ]
-    rng = rngs[0]  # draws batches only when single
-    if single:
-        W, level, decay = inits[0], resolved[0][3], config.weight_decay
-    else:
-        W = np.stack(inits)
-        level = np.array([r[3] for r in resolved])
-        decay = np.array([cfg.weight_decay for _, cfg in models])[:, None]
+    ])
+    level = np.array([r[3] for r in resolved])
+    decay = np.array([cfg.weight_decay for _, cfg in models])[:, None]
     # a zero-decay row beside decayed ones adds 0 * w to its gradient,
     # which can only turn a -0.0 entry into +0.0, and the velocity and
     # weight updates treat both zeros alike
     decayed = any(cfg.weight_decay for _, cfg in models)
     velocity = np.zeros_like(W)
     full_batch = config.batch_size is None
-    queue = np.empty(0, dtype=np.int64)
+    queues = np.empty((len(models), 0), dtype=np.int64)
     cursor = 0
     trace = []
     try:
         for t in range(1, config.steps + 1):
             if full_batch:
-                pen_rows = X_pen
+                pen_rows, mask = X_pen, None
             else:
-                if cursor + config.batch_size > queue.size:
-                    queue = rng.permutation(n)
+                if cursor + config.batch_size > queues.shape[1]:
+                    queues = np.array([rng.permutation(n) for rng in rngs])
                     cursor = 0
-                batch = queue[cursor : cursor + config.batch_size]
+                batch = queues[:, cursor : cursor + config.batch_size]
                 cursor += config.batch_size
-                pen_rows = X[batch[pen_mask[batch]]]
+                # take gathers the (K, b) indices 5x faster than X[batch]
+                pen_rows, mask = X.take(batch, axis=0), pen_mask[batch]
             if independent:
-                drawn = rng.choice(
-                    sub.size, size=config.constraint_batch_size, replace=False
-                )
-                sub_rows = X[sub[drawn]]
+                drawn = np.array([
+                    rng.choice(
+                        sub.size, size=config.constraint_batch_size,
+                        replace=False,
+                    )
+                    for rng in rngs
+                ])
+                sub_rows = X_sub.take(drawn, axis=0)
             elif full_batch:
                 sub_rows = X_sub
-            else:
-                sub_batch = batch[sub_mask[batch]]
+            else:  # one model: its minibatch's share of the subset
+                sub_batch = batch[0][sub_mask[batch[0]]]
                 if sub_batch.size == 0:
                     raise ConstraintBatchEmpty(
                         f"step {t}: minibatch of {config.batch_size} missed "
@@ -132,36 +127,23 @@ def _descend(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
                         "sample it independently"
                     )
                 sub_rows = X[sub_batch]
-            if pen_rows.shape[0] > 0:
-                _, _, grad = core_eval(
-                    W,
-                    pen_rows,
-                    sub_rows,
-                    sign,
-                    level,
-                    loss_spec.estimator,
-                    loss_spec.logloss_base,
-                    want_grad=True,
-                )
-                grad = (n_pen_total / pen_rows.shape[0]) * grad
-            else:
-                grad = np.zeros_like(W)
+            _, _, grad = core_eval(
+                W, pen_rows, sub_rows, sign, level, loss_spec.estimator,
+                loss_spec.logloss_base, want_grad=True, pen_mask=mask,
+            )
+            if not full_batch:
+                # a batch with no penalized sample has a zero gradient
+                in_batch = np.maximum(mask.sum(axis=1), 1.0)
+                grad = (n_pen_total / in_batch)[:, None] * grad
             if decayed:
                 grad = grad + decay * W
             velocity = config.momentum * velocity - config.lr_at(t) * grad
             W = W + velocity
             if t % config.eval_every == 0 or t == config.steps:
-                trace.append(
-                    core_eval(
-                        W,
-                        X_pen,
-                        X_sub,
-                        sign,
-                        level,
-                        loss_spec.estimator,
-                        loss_spec.logloss_base,
-                    )[0]
-                )
+                trace.append(core_eval(
+                    W, X_pen, X_sub, sign, level, loss_spec.estimator,
+                    loss_spec.logloss_base,
+                )[0])
     except InvalidSpec as exc:
         # the estimator raises InvalidSpec on inf or nan scores; it
         # means divergence unless the scores under every row are finite
@@ -170,10 +152,10 @@ def _descend(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
         raise Diverged(
             f"training diverged by step {t}: weights or scores are not finite"
         ) from exc
-    traces = np.array(trace).reshape(len(trace), len(models))
+    traces = np.array(trace)
     return [
         TrainResult(
-            model=LinearModel(W if single else W[k]),
+            model=LinearModel(W[k]),
             final_train_loss=float(traces[-1, k]),
             loss_trace=tuple(traces[:, k].tolist()),
             restart_index=0,
@@ -190,7 +172,8 @@ def sgd_train(
 
     Per step: draw the next batch_size samples of an epoch shuffle (a
     tail shorter than the batch is discarded and a new epoch begins);
-    build the constraint minibatch; scale the batch loss gradient by
+    build the constraint minibatch; take the loss gradient over the
+    whole batch with a 0/1 mask of its penalized samples, scaled by
     total-penalized over penalized-in-batch so magnitudes match the
     full objective; add weight_decay * w; apply the momentum update
     v <- momentum * v - lr_t * g, w <- w + v.  A batch with no
@@ -208,20 +191,22 @@ def lockstep_train(
 ) -> List[TrainResult]:
     """Train each (loss_spec, config) model; result k is sgd_train's.
 
-    When no model draws batches (batch_size and constraint_batch_size
-    both full), all K train in one lockstep loop and must agree on
-    everything but the constraint target, the weight decay and the
-    seed; a model that overflows raises Diverged for the whole call, at
-    the first step any row overflowed.  Otherwise each trains alone.
+    The models must agree on everything but the constraint target, the
+    weight decay and the seed.  They train in one lockstep loop, and a
+    model that overflows raises Diverged for the whole call, at the
+    first step any row overflowed.  Minibatch models with no
+    constraint_batch_size train one per loop, in order, since their
+    constraint batch, the minibatch's share of the subset, differs in
+    size from row to row; the first of them to overflow raises.
     """
     if not models:
         raise InvalidSpec("lockstep_train needs at least one model")
-    if all(
-        cfg.batch_size is None and cfg.constraint_batch_size is None
-        for _, cfg in models
-    ):
-        return _descend(dataset, models)
-    return [sgd_train(dataset, spec, cfg) for spec, cfg in models]
+    shared = _shared(models[0])
+    if any(_shared(m) != shared for m in models[1:]):
+        raise InvalidSpec(
+            "lockstep models may differ only in target, weight_decay and seed"
+        )
+    return _descend(dataset, models)
 
 
 def best_restart(results: Sequence[TrainResult]) -> TrainResult:
@@ -236,9 +221,9 @@ def multi_restart_train(
 ) -> TrainResult:
     """Best-of-restarts training.
 
-    Restart r trains seeded with config.seed + r, the restarts of a
-    full-batch config in lockstep; the result with the lowest
-    full-dataset loss wins, ties going to the lowest restart index.
+    Restart r trains seeded with config.seed + r, the restarts in one
+    lockstep_train call; the result with the lowest full-dataset loss
+    wins, ties going to the lowest restart index.
     """
     members = [
         (loss_spec, dataclasses.replace(config, seed=config.seed + r, restarts=1))

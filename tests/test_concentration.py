@@ -8,13 +8,17 @@ from quantrate import (
     ConcentrationReport,
     Dataset,
     InvalidSpec,
+    LinearModel,
     QuantileEstimatorSpec,
     RateConstraint,
+    SurrogateLossSpec,
+    concentration,
     convex_sgd_convergence,
     estimator_stability,
     loss_uniform_deviation,
+    surrogate_loss,
 )
-from quantrate.concentration import _fit_slope
+from quantrate.concentration import _fit_slope, _searched_reference
 
 KERNEL = QuantileEstimatorSpec(kind="kernel", bandwidth=0.05)
 
@@ -171,8 +175,17 @@ def test_convex_convergence_shapes_and_determinism():
     assert d_dict["t_grid"] == [5, 10] and d_dict["trials"] == 2
 
 
-def test_convex_convergence_validation():
+def test_convex_convergence_validation(monkeypatch):
     d = small_dataset()
+    # a batch size below 1 fails before the reference search starts
+    def no_search(*args):
+        raise AssertionError("the reference search ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(concentration, "_searched_reference", no_search)
+        with pytest.raises(InvalidSpec, match="convex lab"):
+            convex_sgd_convergence(d, c=0.5, batch_size=0, t_grid=[5],
+                                   trials=1, seed=0)
     with pytest.raises(InvalidSpec):
         convex_sgd_convergence(d, c=0.0, batch_size=10, t_grid=[5], trials=1,
                                seed=0)
@@ -189,8 +202,12 @@ def test_convex_convergence_validation():
 
 # to_dict() of tiny lab configs, recorded before the estimators selected
 # by partition and the deviation lab estimated all models in one call.
-# The stability and convex reports must match exactly; the deviation
-# lab sums its K columns in another order, so it may move by 1e-12.
+# The stability reports must match exactly; the deviation lab sums its
+# K columns in another order, so it may move by 1e-12.  The convex
+# report was recorded again when its minibatch steps took a 0/1 mask
+# of the penalized rows in place of gathering them; the masked sums
+# add in another order, and GOLDEN_CONVEX_GATHERED keeps the values
+# from before to show the move is last-bit drift.
 GOLDEN_STABILITY = {
     "interval": {
         "batch_sizes": [20, 80, 320],
@@ -220,8 +237,11 @@ GOLDEN_LOSS_DEVIATION = {
     },
 }
 GOLDEN_CONVEX = {
-    "t_grid": [5, 10], "mean_excess": [1394.578143565768, 159.11141279162885],
+    "t_grid": [5, 10], "mean_excess": [1394.5781435657675, 159.11141279162868],
     "ref_loss": 41.0, "trials": 3, "seed": 31,
+}
+GOLDEN_CONVEX_GATHERED = {
+    "mean_excess": [1394.578143565768, 159.11141279162885], "ref_loss": 41.0,
 }
 
 
@@ -262,3 +282,46 @@ def test_golden_convex_report():
     r = convex_sgd_convergence(small_dataset(seed=17, n=80), c=0.8,
                                batch_size=20, t_grid=[5, 10], trials=3, seed=31)
     assert r.to_dict() == GOLDEN_CONVEX
+    old = GOLDEN_CONVEX_GATHERED
+    assert np.allclose(r.mean_excess, old["mean_excess"], rtol=1e-12, atol=0.0)
+    assert r.ref_loss == old["ref_loss"]
+
+
+def looped_reference(dataset, loss_spec, radius_hint, seed):
+    """The reference search as one surrogate_loss call per candidate,
+    keeping the first strictly better one."""
+    stream = np.random.SeedSequence((seed, concentration._REF_STREAM))
+    rng = np.random.default_rng(stream)
+    dirs = rng.standard_normal((256, dataset.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.geomspace(radius_hint / 100.0, radius_hint * 10.0, 25)
+    best_w = np.zeros(dataset.dim)
+    best_loss = surrogate_loss(LinearModel(best_w), dataset, loss_spec).value
+    for d in dirs:
+        for r in radii:
+            w = r * d
+            value = surrogate_loss(LinearModel(w), dataset, loss_spec).value
+            if value < best_loss:
+                best_loss, best_w = value, w
+    return best_w, best_loss
+
+
+def test_reference_search_matches_the_looped_search():
+    rng = np.random.default_rng(43)
+    y = np.where(rng.random(50) < 0.5, 1, -1)
+    separated = Dataset(rng.standard_normal((50, 3)) + 1.5 * y[:, None], y)
+    all_zero = Dataset(np.zeros((20, 3)), y[:20])
+    for dataset, c, seed in ((separated, 0.8, 3), (all_zero, 0.6, 5)):
+        spec = SurrogateLossSpec(
+            objective="p_at_r",
+            constraint=RateConstraint("positives", "at_least", c),
+            estimator=QuantileEstimatorSpec(kind="lower_mean"),
+        )
+        w, loss = _searched_reference(dataset, spec, 5.0, seed)
+        want_w, want_loss = looped_reference(dataset, spec, 5.0, seed)
+        assert w.tobytes() == want_w.tobytes()
+        assert loss == want_loss
+    # every candidate ties on all-zero features, and the zero model wins
+    assert w.tobytes() == np.zeros(3).tobytes()
+    assert not np.any(want_w)
+    assert loss == surrogate_loss(LinearModel(w + 1.0), all_zero, spec).value

@@ -290,13 +290,65 @@ def test_lockstep_rows_equal_their_single_model_runs(estimator):
 
 
 def test_lockstep_minibatch_models_train_one_by_one():
+    # no constraint_batch_size: each model's constraint batch is its
+    # minibatch's share of the subset, so the models train one per loop
     d = small_dataset(seed=61, n=30, dim=3)
-    models = lockstep_models(POINT, K=3, batch_size=7,
-                             constraint_batch_size=5)
+    models = lockstep_models(POINT, K=3, batch_size=7)
     for (spec, config), got in zip(models, lockstep_train(d, models)):
         alone = sgd_train(d, spec, config)
         assert np.array_equal(got.model.weights, alone.model.weights)
         assert got.loss_trace == alone.loss_trace
+
+
+def penalized_counts(config, n, n_sub, negatives):
+    """Negatives in each minibatch of a model, replaying its generator:
+    the init draw, then each epoch shuffle and constraint draw."""
+    rng = np.random.default_rng(config.seed)
+    rng.standard_normal(3)
+    queue, cursor, counts = np.empty(0, dtype=np.int64), 0, []
+    for _ in range(config.steps):
+        if cursor + config.batch_size > queue.size:
+            queue, cursor = rng.permutation(n), 0
+        batch = queue[cursor:cursor + config.batch_size]
+        cursor += config.batch_size
+        counts.append(int(np.isin(batch, negatives).sum()))
+        rng.choice(n_sub, size=config.constraint_batch_size, replace=False)
+    return counts
+
+
+@pytest.mark.parametrize("estimator", [
+    QuantileEstimatorSpec(kind="point"),
+    QuantileEstimatorSpec(kind="lower_mean"),
+    QuantileEstimatorSpec(kind="kernel", bandwidth=0.1),
+])
+def test_minibatch_lockstep_rows_equal_their_single_model_runs(estimator):
+    # 7 rows drawing their own batches of 4 from 30 samples, 6 of them
+    # negative: 25 steps reshuffle at steps 8, 15 and 22
+    rng = np.random.default_rng(73)
+    labels = np.ones(30, dtype=int)
+    labels[rng.choice(30, size=6, replace=False)] = -1
+    d = Dataset(rng.standard_normal((30, 3)), labels)
+    base = TrainConfig(learning_rate=0.2, steps=25, seed=0, momentum=0.6,
+                       eval_every=4, batch_size=4, constraint_batch_size=5,
+                       lr_decay="inv_sqrt")
+    targets = (0.1, 0.3, 0.5, 0.8, 0.3, 0.1, 0.5)
+    decays = (0.0, 0.01, 0.5, 0.0, 0.01, 0.5, 0.0)
+    models = [
+        (replace(fp_spec(c), estimator=estimator),
+         replace(base, seed=1000 + k, weight_decay=wd))
+        for k, (c, wd) in enumerate(zip(targets, decays))
+    ]
+    counts = np.array([penalized_counts(cfg, 30, 30, d.negative_indices())
+                       for _, cfg in models])
+    # at some step one row's batch has no negative while others do
+    assert np.any((counts == 0).any(axis=0) & (counts > 0).any(axis=0))
+    results = lockstep_train(d, models)
+    for (spec, config), got in zip(models, results):
+        alone = sgd_train(d, spec, config)
+        assert got.model.weights.tobytes() == alone.model.weights.tobytes()
+        assert len(got.loss_trace) == 7  # t = 4, 8, ..., 24 and the final 25
+        assert got.loss_trace == alone.loss_trace
+        assert got.final_train_loss == alone.final_train_loss
 
 
 def test_lockstep_models_must_share_all_but_level_decay_and_seed():
@@ -310,6 +362,14 @@ def test_lockstep_models_must_share_all_but_level_decay_and_seed():
         lockstep_train(d, models[:2] + [(other, models[2][1])])
     with pytest.raises(InvalidSpec):
         lockstep_train(d, [])
+    # minibatch rows too, whether they train in one loop or one by one
+    for cbs in (4, None):
+        mb = lockstep_models(POINT, K=3, batch_size=5,
+                             constraint_batch_size=cbs)
+        for change in (dict(batch_size=6), dict(steps=12)):
+            odd = (mb[2][0], replace(mb[2][1], **change))
+            with pytest.raises(InvalidSpec):
+                lockstep_train(d, mb[:2] + [odd])
 
 
 def diverged_step(call):
@@ -322,18 +382,23 @@ def diverged_step(call):
 def test_lockstep_divergence_reports_the_first_row_to_overflow():
     # w <- (1 - decay) * w - g: a decay of 1e100 overflows within a few
     # steps, 1e40 later, 0.01 never; the call raises at the earliest
+    # at full batch and on independently drawn minibatches
     d = small_dataset(seed=71, n=20, dim=3)
     spec = fp_spec()
-    base = TrainConfig(learning_rate=1.0, steps=20, seed=0, eval_every=20)
-    decays = (0.01, 1e40, 1e100, 0.01)
-    models = [(spec, replace(base, seed=s, weight_decay=wd))
-              for s, wd in enumerate(decays)]
-    alone = []
-    for spec_k, config in models:
-        if config.weight_decay == 0.01:
-            sgd_train(d, spec_k, config)  # converges: no error
-        else:
-            alone.append(diverged_step(lambda: sgd_train(d, spec_k, config)))
-    assert alone[0] > alone[1]  # the 1e100 row overflows first
-    assert diverged_step(lambda: lockstep_train(d, models)) == min(alone)
-    assert diverged_step(lambda: lockstep_train(d, models[:2])) == alone[0]
+    for batches in ({}, dict(batch_size=5, constraint_batch_size=4)):
+        base = TrainConfig(learning_rate=1.0, steps=20, seed=0,
+                           eval_every=20, **batches)
+        decays = (0.01, 1e40, 1e100, 0.01)
+        models = [(spec, replace(base, seed=s, weight_decay=wd))
+                  for s, wd in enumerate(decays)]
+        alone = []
+        for spec_k, config in models:
+            if config.weight_decay == 0.01:
+                sgd_train(d, spec_k, config)  # converges: no error
+            else:
+                alone.append(
+                    diverged_step(lambda: sgd_train(d, spec_k, config)))
+        assert alone[0] > alone[1]  # the 1e100 row overflows first
+        assert diverged_step(lambda: lockstep_train(d, models)) == min(alone)
+        assert diverged_step(
+            lambda: lockstep_train(d, models[:2])) == alone[0]
