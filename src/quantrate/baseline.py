@@ -5,14 +5,18 @@ regularized logistic model, then move its decision threshold until the
 rate constraint holds.  The bias enters as an appended constant-1
 feature; weight decay applies to the feature weights only, so in the
 strong-decay limit the bias still carries the class prior.
+
+Fits run as the rows of one (K, d+1) weight matrix, each bit for bit
+its fit alone.  Row k freezes after the first step with 1-d norm
+float(np.linalg.norm(grad_k)) <= 1e-6; batched norms only pre-filter.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import Diverged, SingleClass
-from .losses import _sigmoid
+from .errors import Diverged, InvalidSpec, SingleClass
+from .losses import _sigmoid, _times
 from .metrics import calibrate_threshold
 from .types import (
     Dataset,
@@ -52,26 +56,47 @@ def logistic_train(
     Diverged when the weights overflow.  The returned model scores
     augmented inputs and carries no threshold.
     """
+    return lockstep_logistic_train(dataset, [(weight_decay, config)])[0]
+
+
+def lockstep_logistic_train(
+    dataset: Dataset, fits: list[tuple[float, TrainConfig]]
+) -> list[LinearModel]:
+    """logistic_train of each (weight_decay, config) pair, configs alike
+    but in seed; the first fit in order to overflow raises Diverged."""
+    shared = [dict(vars(config), seed=None) for _, config in fits]
+    if not fits or shared.count(shared[0]) < len(fits):
+        raise InvalidSpec("lockstep logistic fits must differ only in decay and seed")
     if dataset.positive_indices().size == 0 or dataset.negative_indices().size == 0:
         raise SingleClass("logistic regression needs both classes")
-    X_aug = with_bias(dataset.features)
-    y = dataset.labels.astype(np.float64)
-    rng = np.random.default_rng(config.seed)
-    w = config.init_scale * rng.standard_normal(X_aug.shape[1])
-    velocity = np.zeros_like(w)
+    config, X_aug = fits[0][1], with_bias(dataset.features)
+    neg_y = -dataset.labels.astype(np.float64)
+    dim, decay = X_aug.shape[1], np.array([wd for wd, _ in fits])[:, None]
+    W = np.stack([c.init_scale * np.random.default_rng(c.seed).standard_normal(dim)
+                  for _, c in fits])
+    velocity, fitted = np.zeros_like(W), np.empty_like(W)
+    live, last_step = np.arange(len(fits)), np.full(len(fits), config.steps)
     for t in range(1, config.steps + 1):
-        margins = y * (X_aug @ w)
-        # d/ds log(1+e^(-s)) = -sigmoid(-s), s the per-sample margin
-        coeffs = -y * _sigmoid(-margins)
-        grad = X_aug.T @ coeffs
-        grad[:-1] += weight_decay * w[:-1]
+        # d/ds log(1+e^(-s)) = -sigmoid(-s) at margin s; -s = -y w.x~ exactly
+        grad = _times(X_aug.T, neg_y * _sigmoid(neg_y * _times(X_aug, W)))
+        grad[:, :-1] += decay * W[:, :-1]
         velocity = config.momentum * velocity - config.lr_at(t) * grad
-        w = w + velocity
-        if float(np.linalg.norm(grad)) <= GRAD_TOLERANCE:
-            break
-    if not np.all(np.isfinite(w)):
-        raise Diverged(f"logistic fit diverged: weights not finite after {t} steps")
-    return LinearModel(w)
+        W = W + velocity
+        # from 2 rows on, one einsum picks the rows to check; 4x covers its rounding
+        sq = np.einsum("kd,kd->k", grad, grad).tolist() if live.size > 1 else [0.0]
+        stop = [k for k in range(live.size) if sq[k] <= 4 * GRAD_TOLERANCE**2
+                and float(np.linalg.norm(grad[k])) <= GRAD_TOLERANCE]
+        if stop:
+            fitted[live[stop]], last_step[live[stop]] = W[stop], t
+            keep = [k for k in range(live.size) if k not in stop]
+            live, W, velocity, decay = live[keep], W[keep], velocity[keep], decay[keep]
+            if live.size == 0:
+                break
+    fitted[live] = W
+    for w, t in zip(fitted, last_step):
+        if not np.all(np.isfinite(w)):
+            raise Diverged(f"logistic fit diverged: weights not finite after {t} steps")
+    return [LinearModel(w) for w in fitted]
 
 
 def baseline_with_threshold(

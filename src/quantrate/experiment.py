@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baseline import logistic_train, with_bias
+from .baseline import lockstep_logistic_train, with_bias
 from .config import ExperimentSpec, config_value, experiment_spec
 from .data import generate_mixture, load_delimited, load_sparse, split, standardize
 from .errors import InvalidSpec
@@ -175,9 +175,9 @@ def _run(
     models with (seed, rep), (seed, rep, wi) and (seed, rep, li, wi);
     recall_point draws its mixture with (seed, rep) and tags the rest
     (seed, rep, 0), (seed, rep, 1, wi) and (seed, rep, 2, li, wi).
-    The quantile models of a repetition, every (level, decay, restart),
-    train in one lockstep_train call; each (level, decay) cell keeps its
-    best restart, as multi_restart_train picks it.
+    A repetition's quantile models, every (level, decay, restart), and
+    its logistic fits, one per decay, train in one lockstep call each;
+    a (level, decay) cell keeps the restart multi_restart_train picks.
     """
     if spec.kind == "rate_table":
         metric, objective, subset = precision_at_rate, "p_at_ppr_fp", "all"
@@ -227,11 +227,10 @@ def _run(
             for r in range(restarts)
         ]
         trained = lockstep_train(train_set, models)
-        for wi, wd in enumerate(decays):
-            lconfig = replace(
-                spec.logistic, seed=_seed_from(seed, rep, *logistic_tag, wi)
-            )
-            lmodel = logistic_train(train_set, wd, lconfig)
+        logistic = lockstep_logistic_train(train_set, [
+            (wd, replace(spec.logistic, seed=_seed_from(seed, rep, *logistic_tag, wi)))
+            for wi, wd in enumerate(decays)])
+        for wi, lmodel in enumerate(logistic):
             logistic_scores = [with_bias(s.features) @ lmodel.weights for s in sides]
             for li, level in enumerate(levels):
                 cell = (li * len(decays) + wi) * restarts

@@ -55,7 +55,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so that no
     exponent overflows; e = e^-|z| serves both sides."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _side(spec: SurrogateLossSpec) -> Tuple[int, float]:
@@ -75,9 +75,11 @@ def _side(spec: SurrogateLossSpec) -> Tuple[int, float]:
 def _times(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """X @ w for a vector w, and the (K, n) rows X @ w[k] (X[k] @ w[k]
     for a stack X) for a (K, d) matrix; each row is the 1-d product bit
-    for bit."""
+    for bit, and a lone row over a shared X takes the 1-d product."""
     if w.ndim == 1:
         return X @ w
+    if w.shape[0] == 1 and X.ndim == 2:
+        return (X @ w[0])[None]
     return np.matmul(X, w[:, :, None])[:, :, 0]
 
 
@@ -92,7 +94,7 @@ def core_eval(
     want_grad: bool = False,
     pen_mask: Optional[np.ndarray] = None,
 ):
-    """Loss (and optionally gradient) of one penalized/subset matrix pair.
+    """Loss, or gradient, of one penalized/subset matrix pair.
 
     w is one model's weight vector, or a (K, d) matrix of K models, one
     per row, with level a scalar or a K-vector of levels; X_pen and
@@ -102,9 +104,9 @@ def core_eval(
     estimate that stands in for the threshold included.  pen_mask, 0/1
     per penalized row, drops the rows it zeroes, so a minibatch keeps
     its shape whatever its penalized count.  An empty penalized matrix
-    contributes zero; the subset must be nonempty because the estimator
-    needs scores.  Returns (value, per_sample, grad_or_None); for a
-    matrix, the K values, the (K, p) summands and the (K, d) gradients.
+    contributes zero; a nonempty subset gives the estimator its scores.
+    Returns (value, per_sample, None), or with want_grad (None, None,
+    grad); for a matrix, K values, (K, p) summands, (K, d) gradients.
     """
     ln_base = math.log(base)
     if X_sub.shape[-1] != w.shape[-1]:
@@ -116,11 +118,6 @@ def core_eval(
     q_weights = q.weights.T  # (m,), or (K, m) with C-ordered rows
     theta = q.value if w.ndim == 1 else q.value[:, None]
     z = sign * (_times(X_pen, w) - theta)
-    per_sample = _softplus(z) / ln_base
-    if pen_mask is not None:
-        per_sample = per_sample * pen_mask
-    value = per_sample.sum(axis=-1)
-    grad = None
     if want_grad:
         a = _sigmoid(z)
         if pen_mask is not None:
@@ -130,7 +127,12 @@ def core_eval(
             _times(X_pen.swapaxes(-1, -2), a)
             - a.sum(axis=-1, keepdims=True) * anchor
         )
-    return (float(value) if w.ndim == 1 else value), per_sample, grad
+        return None, None, grad
+    per_sample = _softplus(z) / ln_base
+    if pen_mask is not None:
+        per_sample = per_sample * pen_mask
+    value = per_sample.sum(axis=-1)
+    return (float(value) if w.ndim == 1 else value), per_sample, None
 
 
 def _check_c(c: float, *, open_top: bool) -> float:

@@ -1,5 +1,7 @@
 """Logistic baseline tests against an independent optimizer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -7,6 +9,7 @@ from scipy.optimize import minimize
 from quantrate import (
     Dataset,
     Diverged,
+    InvalidSpec,
     LinearModel,
     RateConstraint,
     SingleClass,
@@ -16,7 +19,7 @@ from quantrate import (
     logistic_train,
     rate,
 )
-from quantrate.baseline import with_bias
+from quantrate.baseline import lockstep_logistic_train, with_bias
 
 
 def separable_free_dataset(seed, n=80, dim=3):
@@ -109,3 +112,99 @@ def test_with_bias_appends_a_constant_column():
     assert aug.shape == (2, 3)
     assert np.array_equal(aug[:, :2], X)
     assert np.all(aug[:, 2] == 1.0)
+
+
+def hexes(weights):
+    return [float(x).hex() for x in weights]
+
+
+# (decay, seed) rows on separable_free_dataset(7) at 306 steps, and the
+# weights logistic_train gave each alone before fits ran in lockstep:
+# the decay-0, 0.7 and 5 rows reach the gradient tolerance at steps
+# 302, 299 and 303, the decay-30 row runs all 306
+STOP_FITS = [(0.0, 3), (30.0, 4), (0.7, 5), (5.0, 6)]
+STOP_WEIGHTS = [
+    ["-0x1.cc59930e3398fp-1", "0x1.1d119c0e6ecaep+0",
+     "0x1.b3fbefdb2a77ep-1", "0x1.8ef65523ea11fp-2"],
+    ["-0x1.cac506b6289acp-3", "0x1.e8bdb14e0be63p-3",
+     "0x1.02cfde964f9c8p-3", "0x1.7869facd4a678p-2"],
+    ["-0x1.9e012cebc6804p-1", "0x1.f8ed7d0d9bc1ap-1",
+     "0x1.78b611b2070fcp-1", "0x1.8210c8dcb05abp-2"],
+    ["-0x1.190586e6ad241p-1", "0x1.44214f3fb6e59p-1",
+     "0x1.b449fcff475f3p-2", "0x1.6bb080c7e5e73p-2"],
+]
+
+
+def test_lockstep_rows_equal_their_one_by_one_fits():
+    d = separable_free_dataset(7)
+    fits = [(wd, replace(fit_config(steps=306), seed=s)) for wd, s in STOP_FITS]
+    models = lockstep_logistic_train(d, fits)
+    assert [hexes(m.weights) for m in models] == STOP_WEIGHTS
+    reversed_models = lockstep_logistic_train(d, fits[::-1])
+    assert [hexes(m.weights) for m in reversed_models] == STOP_WEIGHTS[::-1]
+    for (wd, config), want in zip(fits, STOP_WEIGHTS):
+        assert hexes(logistic_train(d, wd, config).weights) == want
+
+
+# A positive sample x and a negative one at 0: at init_scale 1e-30 the
+# first gradient is -x/2 in the features and 0 in the bias, with a norm
+# within an ulp of the 1e-6 tolerance.  Under numpy 2.4.6 and its
+# OpenBLAS the 1-d norm reads 1e-06 for the first x, so both rows stop
+# at step 1, and 1.0000000000000002e-06 for the second, so they stop at
+# step 2; an axis=1 norm rounds each the other way.  The weights are those of
+# one-by-one logistic_train fits recorded before fits ran in lockstep.
+NEAR_TOLERANCE = [
+    (
+        ["-0x1.d817b4e8e6738p-22", "-0x1.e778c09deedcep-20", "0x1.7f0004e41f665p-21"],
+        [
+            ["-0x1.79ac90ba51f60p-27", "-0x1.85fa33b18be3fp-25",
+             "0x1.32666a50191ebp-26", "-0x1.7080e82e0c21cp-101"],
+            ["-0x1.79ac90ba51f60p-27", "-0x1.85fa33b18be3fp-25",
+             "0x1.32666a50191ebp-26", "0x1.abcfb48ed53dap-101"],
+        ],
+    ),
+    (
+        ["0x1.8fbfa90e70af7p-20", "0x1.79a8d301375d1p-21", "0x1.3096e33c95258p-20"],
+        [
+            ["0x1.cbb6026a34c10p-24", "0x1.b24ef2a7cc6f8p-25",
+             "0x1.5e471eec11e47p-24", "-0x1.68cccccccccd0p-50"],
+            ["0x1.cfb55db497292p-24", "0x1.b615c190c54f2p-25",
+             "0x1.6152dea26f8b4p-24", "-0x1.68ccccccccccap-50"],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("point, want", NEAR_TOLERANCE)
+def test_the_stop_rule_is_each_rows_1d_norm(point, want):
+    X = np.array([[float.fromhex(h) for h in point], [0.0, 0.0, 0.0]])
+    base = TrainConfig(learning_rate=0.05, steps=40, seed=0, momentum=0.9,
+                       init_scale=1e-30)
+    fits = [(0.5, replace(base, seed=3)), (0.0, replace(base, seed=4))]
+    models = lockstep_logistic_train(Dataset(X, [1, -1]), fits)
+    assert [hexes(m.weights) for m in models] == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lockstep_overflow_raises_diverged_as_a_fit_alone_does():
+    d = separable_free_dataset(7)
+    message = "logistic fit diverged: weights not finite after 50 steps"
+    huge_lr = fit_config(steps=50, lr=1e308)
+    with pytest.raises(Diverged, match=message):
+        lockstep_logistic_train(d, [(0.7, huge_lr), (0.0, replace(huge_lr, seed=4))])
+    # a decay of 1e308 overflows alone; the decay-0.1 row stays finite
+    config = fit_config(steps=50)
+    with pytest.raises(Diverged, match=message):
+        logistic_train(d, 1e308, config)
+    with pytest.raises(Diverged, match=message):
+        lockstep_logistic_train(d, [(0.1, replace(config, seed=4)), (1e308, config)])
+
+
+def test_lockstep_fits_may_differ_only_in_decay_and_seed():
+    d = separable_free_dataset(7)
+    config = fit_config(steps=10)
+    for change in (dict(steps=11), dict(momentum=0.5)):
+        with pytest.raises(InvalidSpec):
+            lockstep_logistic_train(d, [(0.1, config), (0.2, replace(config, **change))])
+    with pytest.raises(InvalidSpec):
+        lockstep_logistic_train(d, [])

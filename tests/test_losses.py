@@ -21,6 +21,7 @@ from quantrate import (
     order_rank,
     surrogate_loss,
 )
+from quantrate.losses import _sigmoid, _times, core_eval
 
 LN2 = math.log(2.0)
 POINT = QuantileEstimatorSpec(kind="point")
@@ -287,3 +288,108 @@ def test_loss_dominates_violation_count_spot():
         q = estimate(POINT, s[d.labels == 1], 1.0 - c).value
         count = int(np.count_nonzero(s[d.labels == -1] > q))
         assert v >= count * logloss(0.0) - 1e-9
+
+
+# Gradient bytes recorded when the gradient call still computed the
+# loss; inputs drawn in this order from default_rng(2024)
+GOLDEN_K1 = [
+    "0x1.ba3ebb82178cfp+2", "0x1.25b1826498c58p+0",
+    "0x1.c3f38ae6035ebp-3", "-0x1.56c3275f73ca9p+0",
+]
+GOLDEN_K3_MIXED_LEVELS = [
+    "0x1.0ae3888cfb2d0p-2", "-0x1.ed3f8c342eefbp-1",
+    "-0x1.84263858d65ecp-1", "-0x1.3a2fc0e543050p-2",
+    "0x1.f09f1a31fcb0cp-4", "-0x1.bda3d1478d26cp-2",
+    "-0x1.783874aa67174p-3", "-0x1.ad9524e360661p-2",
+    "0x1.60c2f73e5d8fbp+0", "0x1.65f7238d69459p+2",
+    "0x1.996fd1c3fd256p+1", "0x1.768a8e217574cp-2",
+]
+GOLDEN_MASKED_MINIBATCH = [
+    "0x1.085cbd475e074p+2", "-0x1.7b91721a0eaafp+1",
+    "-0x1.85b7fc9a9df01p-3", "-0x1.702c6668bb6d3p+2",
+    "0x0.0p+0", "0x0.0p+0",
+    "0x0.0p+0", "0x0.0p+0",
+    "0x1.16dcf9de8512ap-2", "-0x1.25e53afe9869bp-2",
+    "-0x1.72d2ceb89aebep-2", "0x1.46d190ab1e99ap-6",
+]
+GOLDEN_LOSS_GRADIENT = [
+    "-0x1.7060f8d9b46dcp+1", "0x1.5c6f5b97b22efp+1",
+    "-0x1.58d8fb6837847p+2", "-0x1.50b338805769dp+2",
+]
+
+
+def hexes(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def test_gradient_calls_return_golden_bytes_and_no_loss():
+    rng = np.random.default_rng(2024)
+    X_pen, X_sub = rng.standard_normal((9, 4)), rng.standard_normal((13, 4))
+    W = rng.standard_normal((3, 4))
+    kernel = QuantileEstimatorSpec(kind="kernel", bandwidth=0.2)
+    calls = [
+        (core_eval(W[0], X_pen, X_sub, 1.0, 0.3, kernel, 2.0, want_grad=True),
+         GOLDEN_K1),
+        (core_eval(W, X_pen, X_sub, -1.0, np.array([0.1, 0.5, 0.85]), kernel,
+                   np.e, want_grad=True),
+         GOLDEN_K3_MIXED_LEVELS),
+    ]
+    # (K, b, d) minibatch stacks, the second row without a penalized sample
+    P, S = rng.standard_normal((3, 6, 4)), rng.standard_normal((3, 5, 4))
+    mask = np.array([[1, 0, 1, 1, 0, 1], [0] * 6, [1, 1, 0, 0, 0, 1]], dtype=float)
+    calls.append((core_eval(W, P, S, 1.0, np.array([0.4, 0.4, 0.7]), POINT, 2.0,
+                            want_grad=True, pen_mask=mask),
+                  GOLDEN_MASKED_MINIBATCH))
+    for (value, per_sample, grad), want in calls:
+        assert value is None and per_sample is None
+        assert hexes(grad) == want
+    X = rng.standard_normal((20, 4))
+    y = np.where(rng.random(20) < 0.5, 1, -1)
+    y[0], y[1] = 1, -1
+    spec = SurrogateLossSpec(
+        objective="p_at_r",
+        constraint=RateConstraint("positives", "at_least", 0.6),
+        estimator=QuantileEstimatorSpec(kind="lower_mean"),
+    )
+    grad = loss_gradient(LinearModel(W[1]), Dataset(X, y), spec)
+    assert hexes(grad) == GOLDEN_LOSS_GRADIENT
+
+
+def test_sigmoid_is_the_two_division_form_bit_for_bit():
+    # where(z >= 0, 1, e) / (1 + e) divides the same operands as
+    # where(z >= 0, 1 / (1 + e), e / (1 + e)), signed zeros, infinities,
+    # nan and subnormals included
+    rng = np.random.default_rng(5)
+    z = np.concatenate(
+        [rng.standard_normal(2000) * s for s in (1e-300, 1e-8, 1.0, 40.0, 800.0)]
+        + [[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]]
+    )
+    e = np.exp(-np.abs(z))
+    want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert _sigmoid(z).tobytes() == want.tobytes()
+
+
+def test_value_calls_drop_masked_rows():
+    rng = np.random.default_rng(11)
+    W = rng.standard_normal((2, 4))
+    P, S = rng.standard_normal((2, 6, 4)), rng.standard_normal((2, 5, 4))
+    mask = np.array([[1, 0, 1, 1, 0, 1], [0] * 6], dtype=float)
+    value, per_sample, grad = core_eval(W, P, S, 1.0, 0.4, POINT, 2.0, pen_mask=mask)
+    _, full, _ = core_eval(W, P, S, 1.0, 0.4, POINT, 2.0)
+    assert grad is None
+    assert per_sample.tobytes() == (full * mask).tobytes()
+    assert value.tobytes() == (full * mask).sum(axis=-1).tobytes()
+
+
+def test_times_rows_are_the_one_dimensional_product():
+    # a lone row takes the 1-d product; more rows take one stacked
+    # matmul, each row still the 1-d product bit for bit
+    rng = np.random.default_rng(12)
+    X, W = rng.standard_normal((105, 35)), rng.standard_normal((3, 35))
+    C = rng.standard_normal((3, 105))
+    for K in (1, 3):
+        rows, back = _times(X, W[:K]), _times(X.T, C[:K])
+        assert rows.shape == (K, 105) and back.shape == (K, 35)
+        for k in range(K):
+            assert rows[k].tobytes() == (X @ W[k]).tobytes()
+            assert back[k].tobytes() == (X.T @ C[k]).tobytes()

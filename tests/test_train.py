@@ -25,6 +25,7 @@ from quantrate import (
     sgd_train,
     surrogate_loss,
 )
+from quantrate import losses
 from quantrate.losses import core_eval
 
 POINT = QuantileEstimatorSpec(kind="point")
@@ -402,3 +403,18 @@ def test_lockstep_divergence_reports_the_first_row_to_overflow():
         assert diverged_step(lambda: lockstep_train(d, models)) == min(alone)
         assert diverged_step(
             lambda: lockstep_train(d, models[:2])) == alone[0]
+
+
+def test_descent_steps_compute_no_loss(monkeypatch):
+    # only the loss-trace evaluations, after steps 4, 8 and the final
+    # 11, take the softplus; the 11 gradient steps do not
+    softplus, calls = losses._softplus, []
+    monkeypatch.setattr(losses, "_softplus",
+                        lambda z: calls.append(z.shape) or softplus(z))
+    d = small_dataset(seed=59, n=40, dim=4)
+    for batches in ({}, dict(batch_size=5, constraint_batch_size=4)):
+        calls.clear()
+        models = lockstep_models(POINT, K=3, **batches)
+        lockstep_train(d, models)
+        config = models[0][1]
+        assert len(calls) == config.steps // config.eval_every + 1
