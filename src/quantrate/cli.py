@@ -248,7 +248,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output file or directory")
     sub.add_argument("--seed", type=_seed_value, help="seed override (u64)")
     sub.add_argument(
-        "--jobs", type=int, default=1, help="max concurrent repetitions"
+        "--jobs", type=int, default=1,
+        help="worker processes for experiment repetitions (at most reps)",
     )
     sub.add_argument("--quiet", action="store_true", help="suppress progress notes")
 

@@ -65,8 +65,14 @@ class ParseError(QuantrateError):
 
     def __init__(self, message, row, col):
         super().__init__(f"row {row}, col {col}: {message}")
+        self.message = message
         self.row = row
         self.col = col
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, not the formatted
+        # text, so the error survives pickling across processes
+        return type(self), (self.message, self.row, self.col)
 
 
 class RaggedRows(QuantrateError):

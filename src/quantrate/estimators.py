@@ -214,7 +214,8 @@ def _plan(spec: QuantileEstimatorSpec, s: np.ndarray, c):
         return _window_weights, [(lo, hi)] * columns
     c = _check_level(c, s)
     levels = [c] * columns if isinstance(c, float) else c.tolist()
-    ks = [max(1, order_rank(n, v)) for v in levels]
+    ranks = {v: max(1, order_rank(n, v)) for v in set(levels)}
+    ks = [ranks[v] for v in levels]
     if spec.kind is EstimatorKind.POINT:
         return _point_weights, ks
     return _window_weights, [(0, k) for k in ks]

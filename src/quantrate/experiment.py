@@ -19,16 +19,17 @@ mean train metric.  Aggregates are mean and sample standard deviation
 selected decay.
 
 Every repetition derives its seeds from the experiment seed through
-named SeedSequence tuples, so repetitions can run concurrently (--jobs)
-without affecting any output byte.  Wall-clock timing is returned to
-the caller for console display and never written to result files.
+named SeedSequence tuples, so repetitions can run in worker processes
+(--jobs) without affecting any output byte.  Wall-clock timing is
+returned to the caller for console display and never written to result
+files.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -161,14 +162,9 @@ def _select_and_aggregate(
     return out
 
 
-def _run(
-    spec: ExperimentSpec,
-    config: dict,
-    dataset: Optional[Dataset],
-    seed: int,
-    jobs: int,
-) -> ExperimentResult:
-    """The experiment loop shared by both kinds.
+def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: int):
+    """One repetition's metric values and curves; a module-level function
+    of picklable arguments, so a worker process can run it.
 
     Per kind: the objective and its constraint subset, the metric, and
     the seed tags.  rate_table seeds the split, logistic and quantile
@@ -178,6 +174,9 @@ def _run(
     A repetition's quantile models, every (level, decay, restart), and
     its logistic fits, one per decay, train in one lockstep call each;
     a (level, decay) cell keeps the restart multi_restart_train picks.
+
+    Returns values[method, side, level, decay] with sides (test, train)
+    and curves[method, decay, grid point], which follow the first level.
     """
     if spec.kind == "rate_table":
         metric, objective, subset = precision_at_rate, "p_at_ppr_fp", "all"
@@ -187,68 +186,105 @@ def _run(
         split_tag, logistic_tag, quantile_tag = (0,), (1,), (2,)
     levels, decays, grid = spec.levels, spec.weight_decays, spec.curve_grid
     restarts = spec.train.restarts
+    if dataset is None:
+        dataset = generate_mixture(
+            spec.components, spec.n_samples, _seed_from(seed, rep)
+        )
+    split_spec = replace(spec.split, seed=_seed_from(seed, rep, *split_tag))
+    train_set, test_set = split(dataset, split_spec)
+    if spec.standardize:
+        train_set, test_set, _ = standardize(train_set, test_set)
+    sides = (test_set, train_set)
+    values = np.empty((2, 2, len(levels), len(decays)))
+    curves = np.empty((2, len(decays), len(grid)))
+    # every (level, decay, restart) model of the repetition in one
+    # call, restarts innermost; restart r of a cell adds r to its seed
+    models = [
+        (
+            SurrogateLossSpec(
+                objective=objective,
+                constraint=RateConstraint(subset, "at_least", level),
+                estimator=spec.estimator,
+            ),
+            replace(
+                spec.train,
+                seed=_seed_from(seed, rep, *quantile_tag, li, wi) + r,
+                weight_decay=wd,
+                restarts=1,
+            ),
+        )
+        for li, level in enumerate(levels)
+        for wi, wd in enumerate(decays)
+        for r in range(restarts)
+    ]
+    trained = lockstep_train(train_set, models)
+    logistic = lockstep_logistic_train(train_set, [
+        (wd, replace(spec.logistic, seed=_seed_from(seed, rep, *logistic_tag, wi)))
+        for wi, wd in enumerate(decays)])
+    for wi, lmodel in enumerate(logistic):
+        logistic_scores = [with_bias(s.features) @ lmodel.weights for s in sides]
+        for li, level in enumerate(levels):
+            cell = (li * len(decays) + wi) * restarts
+            fitted = best_restart(trained[cell : cell + restarts])
+            quantile_scores = [fitted.model.scores(s) for s in sides]
+            for m, scores in enumerate((quantile_scores, logistic_scores)):
+                for si, side in enumerate(sides):
+                    values[m, si, li, wi] = metric(scores[si], side.labels, level)
+                if li == 0:
+                    curves[m, wi] = [
+                        metric(scores[0], test_set.labels, g) for g in grid
+                    ]
+    return values, curves
+
+
+def _map_reps(fn, calls: List[tuple], jobs: int) -> list:
+    """[fn(*args) for args in calls], on min(jobs, len(calls)) worker
+    processes when that is more than one.
+
+    Results, and the first exception, come back in call order.  Linux
+    workers fork; elsewhere they start the platform's default way, so
+    fn must be a module-level function of picklable arguments.  Every
+    worker has exited when this returns or raises; calls not yet
+    started when one raises are cancelled.
+    """
+    workers = min(jobs, len(calls))
+    if workers <= 1:
+        return [fn(*args) for args in calls]
+    # loaded only here: a serial run never imports the pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a forked worker starts with numpy and quantrate loaded; spawned
+    # ones import them again, which took recall_point's 3-rep preset
+    # from about 0.37 to 0.88 s a call on a 2-core host
+    method = "fork" if sys.platform.startswith("linux") else None
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context(method)
+    )
+    try:
+        futures = [pool.submit(fn, *args) for args in calls]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _run(
+    spec: ExperimentSpec,
+    config: dict,
+    dataset: Optional[Dataset],
+    seed: int,
+    jobs: int,
+) -> ExperimentResult:
+    """The experiment loop shared by both kinds: the repetitions (see
+    _one_rep), then selection and aggregation."""
+    levels, decays, grid = spec.levels, spec.weight_decays, spec.curve_grid
     methods = (METHOD_QUANTILE, METHOD_LOGISTIC)
-    # values[rep, method, side, level, decay] with sides (test, train);
-    # curves[rep, method, decay, grid point] follow the first level
-    values = np.empty((spec.reps, 2, 2, len(levels), len(decays)))
-    curves = np.empty((spec.reps, 2, len(decays), len(grid)))
-
-    def one_rep(rep: int):
-        data = dataset
-        if data is None:
-            data = generate_mixture(
-                spec.components, spec.n_samples, _seed_from(seed, rep)
-            )
-        split_spec = replace(spec.split, seed=_seed_from(seed, rep, *split_tag))
-        train_set, test_set = split(data, split_spec)
-        if spec.standardize:
-            train_set, test_set, _ = standardize(train_set, test_set)
-        sides = (test_set, train_set)
-        rep_values = np.empty(values.shape[1:])
-        rep_curves = np.empty(curves.shape[1:])
-        # every (level, decay, restart) model of the repetition in one
-        # call, restarts innermost; restart r of a cell adds r to its seed
-        models = [
-            (
-                SurrogateLossSpec(
-                    objective=objective,
-                    constraint=RateConstraint(subset, "at_least", level),
-                    estimator=spec.estimator,
-                ),
-                replace(
-                    spec.train,
-                    seed=_seed_from(seed, rep, *quantile_tag, li, wi) + r,
-                    weight_decay=wd,
-                    restarts=1,
-                ),
-            )
-            for li, level in enumerate(levels)
-            for wi, wd in enumerate(decays)
-            for r in range(restarts)
-        ]
-        trained = lockstep_train(train_set, models)
-        logistic = lockstep_logistic_train(train_set, [
-            (wd, replace(spec.logistic, seed=_seed_from(seed, rep, *logistic_tag, wi)))
-            for wi, wd in enumerate(decays)])
-        for wi, lmodel in enumerate(logistic):
-            logistic_scores = [with_bias(s.features) @ lmodel.weights for s in sides]
-            for li, level in enumerate(levels):
-                cell = (li * len(decays) + wi) * restarts
-                fitted = best_restart(trained[cell : cell + restarts])
-                quantile_scores = [fitted.model.scores(s) for s in sides]
-                for m, scores in enumerate((quantile_scores, logistic_scores)):
-                    for si, side in enumerate(sides):
-                        rep_values[m, si, li, wi] = metric(
-                            scores[si], side.labels, level
-                        )
-                    if li == 0:
-                        rep_curves[m, wi] = [
-                            metric(scores[0], test_set.labels, g) for g in grid
-                        ]
-        return rep, rep_values, rep_curves
-
-    for rep, rep_values, rep_curves in _map_reps(one_rep, spec.reps, jobs):
-        values[rep], curves[rep] = rep_values, rep_curves
+    reps = _map_reps(
+        _one_rep, [(spec, dataset, seed, rep) for rep in range(spec.reps)], jobs
+    )
+    # values[rep, method, side, level, decay]; curves[rep, method, decay, point]
+    values = np.stack([v for v, _ in reps])
+    curves = np.stack([c for _, c in reps])
 
     aggregates = []
     for m, method in enumerate(methods):
@@ -279,15 +315,6 @@ def _run(
         curve=tuple(curve),
         published=tuple(published_rows(spec.published)) if spec.published else (),
     )
-
-
-def _map_reps(fn, reps: int, jobs: int):
-    if jobs <= 1:
-        for rep in range(reps):
-            yield fn(rep)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, range(reps))
 
 
 def run_experiment(

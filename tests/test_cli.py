@@ -217,6 +217,43 @@ def test_overflowing_experiment_writes_no_results(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_worker_error_reports_as_at_one_job(tmp_path, capsys):
+    config = {
+        "kind": "recall_point",
+        "name": "diverging",
+        "seed": 77,
+        "reps": 2,
+        "recall_levels": [0.8],
+        "weight_decays": [0.0, 0.1],
+        "synthetic": {
+            "n": 200,
+            "components": [
+                {"label": -1, "weight": 0.8, "mean": [0.0, 0.0], "sigma": 1.0},
+                {"label": 1, "weight": 0.2, "mean": [2.5, 0.0], "sigma": 0.6},
+            ],
+        },
+        "split": {"train_fraction": 0.5},
+        "estimator": {"kind": "point"},
+        # the decay term overflows the weights at step 2 of every rep
+        "train": {"learning_rate": 1e300, "steps": 5},
+        "logistic": {"learning_rate": 0.05, "steps": 5},
+    }
+    config_path = tmp_path / "diverging.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    reports = []
+    for jobs in (1, 2):
+        out_dir = tmp_path / f"jobs{jobs}"
+        code = main(["experiment", "--config", str(config_path), "--out",
+                     str(out_dir), "--jobs", str(jobs), "--quiet"])
+        reports.append((code, json.loads(capsys.readouterr().out)["error"]))
+        assert not out_dir.exists()
+    assert reports[0][0] == 1
+    assert reports[0][1]["kind"] == "runtime"
+    assert "diverged" in reports[0][1]["message"]
+    assert reports[1] == reports[0]
+
+
 def test_invalid_invocations_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["flip"])

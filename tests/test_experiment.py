@@ -1,11 +1,15 @@
 """Experiment runner tests on deliberately tiny configurations."""
 
 import json
+import multiprocessing
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from quantrate import (
+    Diverged,
     InvalidSpec,
     load_preset,
     preset_names,
@@ -115,8 +119,52 @@ def test_run_is_deterministic_and_seed_overridable():
 
 def test_jobs_do_not_change_results():
     r1, _ = run_experiment(tiny_recall_config(), jobs=1)
-    r4, _ = run_experiment(tiny_recall_config(), jobs=4)
-    assert r1.to_dict() == r4.to_dict()
+    r2, _ = run_experiment(tiny_recall_config(), jobs=2)
+    assert r1.to_dict() == r2.to_dict()
+    assert multiprocessing.active_children() == []
+
+
+def test_more_jobs_than_reps_runs_one_worker_per_rep():
+    r1, _ = run_experiment(tiny_recall_config(reps=3), jobs=1)
+    r8, _ = run_experiment(tiny_recall_config(reps=3), jobs=8)
+    assert r1.to_dict() == r8.to_dict()
+    assert multiprocessing.active_children() == []
+
+
+def diverging_config():
+    # the decay term (0.1 times the weights) overflows them at step 2
+    config = tiny_recall_config()
+    config["train"] = dict(config["train"], learning_rate=1e300)
+    return config
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_worker_error_matches_the_serial_error():
+    messages = []
+    for jobs in (1, 2):
+        with pytest.raises(Diverged) as info:
+            run_experiment(diverging_config(), jobs=jobs)
+        assert type(info.value) is Diverged
+        messages.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert "diverged" in messages[0]
+    assert messages[0] == messages[1]
+
+
+def test_a_serial_run_never_loads_the_process_pool():
+    script = "\n".join([
+        "import json, sys",
+        "from quantrate import run_experiment",
+        f"config = json.loads({json.dumps(tiny_recall_config())!r})",
+        "run_experiment(config, jobs=1)",
+        "run_experiment(dict(config, reps=1), jobs=2)",
+        "print(sorted(m for m in sys.modules",
+        "             if m.startswith(('concurrent.futures.', 'multiprocessing'))))",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_config_validation():
