@@ -21,14 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .concentration import (
-    convex_sgd_convergence,
-    estimator_stability,
-    loss_uniform_deviation,
-)
+from . import __version__, concentration
 from .config import concentration_spec, train_spec
-from .data import GENERATOR_NAME, generate_synthetic, standardize
+from .data import GENERATOR_NAME, StandardizeTransform, generate_synthetic, standardize
 from .errors import (
     DegenerateSplit,
     InvalidSpec,
@@ -39,9 +34,11 @@ from .errors import (
     UnknownLabel,
 )
 from .experiment import (
-    format_number,
+    csv_text,
+    json_text,
     load_experiment_dataset,
     run_experiment,
+    write_files,
     write_results,
 )
 from .metrics import (
@@ -71,13 +68,6 @@ def _load_config(path_or_name: str) -> dict:
         return load_preset(path_or_name)
     with open(path_or_name, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _dump_json(payload: dict, out_path) -> str:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    return text
 
 
 def cmd_train(args) -> int:
@@ -113,7 +103,7 @@ def cmd_train(args) -> int:
         "config": config,
     }
     out = args.out or "model.json"
-    _dump_json(payload, out)
+    Path(out).write_text(json_text(payload), encoding="utf-8")
     _note(args, f"wrote {out} ({elapsed:.2f}s)")
     return 0
 
@@ -130,16 +120,20 @@ def _load_model(path: str):
 
 def _model_scores(payload: dict, dataset: Dataset) -> np.ndarray:
     features = dataset.features
-    if payload.get("transform"):
-        mean = np.asarray(payload["transform"]["mean"], dtype=np.float64)
-        std = np.asarray(payload["transform"]["std"], dtype=np.float64)
-        features = (features - mean) / std
-    weights = np.asarray(payload["weights"], dtype=np.float64)
-    model = LinearModel(weights)
-    return model.scores(features)
+    transform = payload.get("transform")
+    if transform:
+        features = StandardizeTransform(
+            np.asarray(transform["mean"], dtype=np.float64),
+            np.asarray(transform["std"], dtype=np.float64),
+        ).apply(features)
+    return LinearModel(payload["weights"]).scores(features)
 
 
 def cmd_eval(args) -> int:
+    if args.level is not None and args.metric not in ("p_at_rate", "p_at_recall"):
+        raise InvalidSpec(f"metric {args.metric} takes no --level")
+    if args.grid is not None and args.metric != "pr_auc":
+        raise InvalidSpec(f"metric {args.metric} takes no --grid")
     payload = _load_model(args.config)
     dataset = load_experiment_dataset(payload["config"], args.data)
     scores = _model_scores(payload, dataset)
@@ -171,7 +165,9 @@ def cmd_eval(args) -> int:
             "grid": grid,
             "value": pr_auc(scores, dataset.labels, grid),
         }
-    text = _dump_json(result, args.out)
+    text = json_text(result)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -191,66 +187,37 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _evaluate_concentration(config: dict, seed_override):
-    kind, kwargs = concentration_spec(config, seed_override)
-    if "dataset" in kwargs:
-        kwargs["dataset"] = generate_synthetic(kwargs["dataset"])
-    harness = {
-        "estimator_stability": estimator_stability,
-        "loss_uniform_deviation": loss_uniform_deviation,
-        "convex_sgd_convergence": convex_sgd_convergence,
-    }[kind]
-    report = harness(**kwargs)
-    if kind == "convex_sgd_convergence":
-        rows = [["t", "mean_excess"]] + [
-            [t, e] for t, e in zip(report.t_grid, report.mean_excess)
-        ]
-    else:
-        rows = _deviation_rows(report)
-    return kind, report, rows
-
-
-def _deviation_rows(report):
-    header = [["b", "mean_abs_dev", "q95_abs_dev"]]
-    return header + [
-        [b, m, q]
-        for b, m, q in zip(
-            report.batch_sizes, report.mean_abs_dev, report.q95_abs_dev
-        )
-    ]
-
-
 def cmd_concentration(args) -> int:
     config = _load_config(args.config)
     started = time.perf_counter()
-    kind, report, rows = _evaluate_concentration(config, args.seed)
+    kind, kwargs = concentration_spec(config, args.seed)
+    if "dataset" in kwargs:
+        kwargs["dataset"] = generate_synthetic(kwargs["dataset"])
+    report = getattr(concentration, kind)(**kwargs)
     elapsed = time.perf_counter() - started
-    out_dir = Path(args.out or "concentration_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": CONCENTRATION_SCHEMA,
         "kind": kind,
         "config": config,
         "report": report.to_dict(),
     }
-    json_path = out_dir / "report.json"
-    _dump_json(payload, json_path)
-    csv_path = out_dir / "report.csv"
-    csv_lines = [",".join(map(format_number, row)) for row in rows]
-    csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    json_path, csv_path = write_files(args.out or "concentration_out", {
+        "report.json": json_text(payload),
+        "report.csv": csv_text(report.rows()),
+    })
     _note(args, f"{kind}: wrote {json_path} and {csv_path} ({elapsed:.2f}s)")
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, data: bool, seed: bool) -> None:
+    """--config, --out and --quiet, plus --data and --seed where the
+    command reads them."""
     sub.add_argument("--config", required=True, help="config file or preset name")
-    sub.add_argument("--data", help="dataset path override")
+    if data:
+        sub.add_argument("--data", help="dataset path override")
     sub.add_argument("--out", help="output file or directory")
-    sub.add_argument("--seed", type=_seed_value, help="seed override (u64)")
-    sub.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for experiment repetitions (at most reps)",
-    )
+    if seed:
+        sub.add_argument("--seed", type=_seed_value, help="seed override (u64)")
     sub.add_argument("--quiet", action="store_true", help="suppress progress notes")
 
 
@@ -273,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     train_p = commands.add_parser("train", help="train one model from a config")
-    _add_common(train_p)
+    _add_common(train_p, data=True, seed=True)
     train_p.set_defaults(fn=cmd_train)
 
     eval_p = commands.add_parser("eval", help="evaluate a trained model file")
-    _add_common(eval_p)
+    _add_common(eval_p, data=True, seed=False)
     eval_p.add_argument(
         "--metric",
         choices=["report", "p_at_rate", "p_at_recall", "pr_auc"],
@@ -290,19 +257,23 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p = commands.add_parser(
         "experiment", help="run a preset or custom experiment"
     )
-    _add_common(exp_p)
+    _add_common(exp_p, data=True, seed=True)
+    exp_p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the repetitions (at most reps)",
+    )
     exp_p.set_defaults(fn=cmd_experiment)
 
     conc_p = commands.add_parser(
         "concentration", help="run a concentration-scaling harness"
     )
-    _add_common(conc_p)
+    _add_common(conc_p, data=False, seed=True)
     conc_p.set_defaults(fn=cmd_concentration)
     return parser
 
 
 def _error_kind(exc: BaseException) -> str:
-    if isinstance(exc, (FileNotFoundError, PermissionError, IsADirectoryError, OSError)):
+    if isinstance(exc, OSError):
         return "io"
     if isinstance(exc, _DATA_ERRORS):
         return "data"

@@ -81,6 +81,12 @@ class ConcentrationReport:
     def to_dict(self) -> dict:
         return _plain(self)
 
+    def rows(self) -> list:
+        """The CSV table: a header, then one row per batch size."""
+        return [("b", "mean_abs_dev", "q95_abs_dev")] + list(
+            zip(self.batch_sizes, self.mean_abs_dev, self.q95_abs_dev)
+        )
+
 
 @dataclass(frozen=True)
 class ConvexConvergenceReport:
@@ -94,6 +100,10 @@ class ConvexConvergenceReport:
 
     def to_dict(self) -> dict:
         return _plain(self)
+
+    def rows(self) -> list:
+        """The CSV table: a header, then one row per step budget."""
+        return [("t", "mean_excess")] + list(zip(self.t_grid, self.mean_excess))
 
 
 def _fit_slope(batch_sizes, mean_devs) -> float:
@@ -111,12 +121,34 @@ def _fit_slope(batch_sizes, mean_devs) -> float:
     return float(coeffs[0])
 
 
+def _increasing(values, not_positive: str, not_increasing: str) -> Tuple[int, ...]:
+    """The values as positive, strictly increasing integers; otherwise
+    InvalidSpec with the message of the first rule they break."""
+    out = tuple(int(v) for v in values)
+    if not out or any(v < 1 for v in out):
+        raise InvalidSpec(not_positive)
+    if any(y <= x for x, y in zip(out, out[1:])):
+        raise InvalidSpec(not_increasing)
+    return out
+
+
+def _report(batches, devs, trials: int, seed: int) -> ConcentrationReport:
+    """The report of one array of trial deviations per batch size: its
+    mean and 95th percentile, and the slope fitted to the means."""
+    means = [float(d.mean()) for d in devs]
+    return ConcentrationReport(
+        batch_sizes=batches,
+        mean_abs_dev=tuple(means),
+        q95_abs_dev=tuple(float(np.quantile(d, 0.95)) for d in devs),
+        fitted_slope=_fit_slope(batches, means),
+        trials=trials,
+        seed=seed,
+    )
+
+
 def _check_batches(batch_sizes, n: int) -> Tuple[int, ...]:
-    b = tuple(int(v) for v in batch_sizes)
-    if not b or any(v < 1 for v in b):
-        raise InvalidSpec("batch sizes must be positive integers")
-    if len(b) > 1 and any(y <= x for x, y in zip(b, b[1:])):
-        raise InvalidSpec("batch sizes must be strictly increasing")
+    b = _increasing(batch_sizes, "batch sizes must be positive integers",
+                    "batch sizes must be strictly increasing")
     if b[-1] > n:
         raise BatchTooLarge(f"batch size {b[-1]} exceeds population {n}")
     return b
@@ -168,28 +200,18 @@ def estimator_stability(
     rng = np.random.default_rng(seed)
     population = _draw_population(score_law, n, rng)
     q_full = estimate(estimator_spec, population, c).value
-    means = []
-    q95s = []
+    devs = []
     for b in batches:
-        devs = np.empty(trials)
+        estimates = np.empty(trials)
         step = max(1, _CHUNK_SCORES // b)
         for t0 in range(0, trials, step):
             chunk = range(t0, min(t0 + step, trials))
             subsamples = _subsamples(population, b, chunk, seed)
-            devs[t0:chunk.stop] = estimate(
+            estimates[t0:chunk.stop] = estimate(
                 estimator_spec, subsamples.T, c
             ).value
-        devs = np.abs(q_full - devs)
-        means.append(float(devs.mean()))
-        q95s.append(float(np.quantile(devs, 0.95)))
-    return ConcentrationReport(
-        batch_sizes=batches,
-        mean_abs_dev=tuple(means),
-        q95_abs_dev=tuple(q95s),
-        fitted_slope=_fit_slope(batches, means),
-        trials=trials,
-        seed=seed,
-    )
+        devs.append(np.abs(q_full - estimates))
+    return _report(batches, devs, trials, seed)
 
 
 def _mean_losses(
@@ -268,10 +290,9 @@ def loss_uniform_deviation(
     pen_mask[pen] = True
     full_losses = _mean_losses(scores_by_model, pen, sub, estimator_spec, level)
 
-    means = []
-    q95s = []
+    devs = []
     for b in batches:
-        devs = np.empty(trials)
+        dev = np.empty(trials)
         for t in range(trials):
             sub_rng = np.random.default_rng(np.random.SeedSequence((seed, b, t)))
             for _ in range(_REDRAW_CAP):
@@ -288,17 +309,9 @@ def loss_uniform_deviation(
             batch_losses = _mean_losses(
                 scores_by_model, batch_pen, batch_sub, estimator_spec, level
             )
-            devs[t] = float(np.max(np.abs(full_losses - batch_losses)))
-        means.append(float(devs.mean()))
-        q95s.append(float(np.quantile(devs, 0.95)))
-    return ConcentrationReport(
-        batch_sizes=batches,
-        mean_abs_dev=tuple(means),
-        q95_abs_dev=tuple(q95s),
-        fitted_slope=_fit_slope(batches, means),
-        trials=trials,
-        seed=seed,
-    )
+            dev[t] = float(np.max(np.abs(full_losses - batch_losses)))
+        devs.append(dev)
+    return _report(batches, devs, trials, seed)
 
 
 def _searched_reference(
@@ -353,11 +366,8 @@ def convex_sgd_convergence(
         raise InvalidSpec(f"recall level must lie in (0, 1], got {c}")
     if batch_size < 1:
         raise InvalidSpec(f"convex lab needs batch_size >= 1, got {batch_size}")
-    grid = tuple(int(t) for t in t_grid)
-    if not grid or any(t < 1 for t in grid):
-        raise InvalidSpec("t_grid must hold positive step counts")
-    if len(grid) > 1 and any(y <= x for x, y in zip(grid, grid[1:])):
-        raise InvalidSpec("t_grid must be strictly increasing")
+    grid = _increasing(t_grid, "t_grid must hold positive step counts",
+                       "t_grid must be strictly increasing")
     if trials < 1:
         raise InvalidSpec("trials must be positive")
     loss_spec = SurrogateLossSpec(

@@ -54,7 +54,7 @@ _CONVERT = {
     "weight_decay": float, "restarts": _integer, "init_scale": float,
     "eval_every": _integer, "lr_decay": str, "normalize": bool,
     "batch_size": _integer_or_full, "constraint_batch_size": _integer_or_full,
-    "paper_exact": bool, "label": _integer, "weight": float, "sigma": float,
+    "label": _integer, "weight": float, "sigma": float,
     "train_fraction": float, "stratified": bool, "n": _integer,
     "trials": _integer, "c": float, "score_law": str, "w_norm_bound": float,
     "n_models": _integer, "seed": _integer, "dim": _integer, "reps": _integer,
@@ -114,7 +114,7 @@ def _record(record, block, where: str, required, optional=(), **fixed):
 def estimator_spec(block) -> QuantileEstimatorSpec:
     return _record(
         QuantileEstimatorSpec, block, "estimator", ("kind",),
-        ("bandwidth", "normalize", "paper_exact", "k1", "k2"),
+        ("bandwidth", "normalize", "k1", "k2"),
     )
 
 

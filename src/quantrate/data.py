@@ -179,41 +179,29 @@ def load_delimited(
         raise InvalidSpec(
             f"label_column {label_column} outside a {width}-column file"
         )
-    pos_value = positive_label_value.strip()
+    read = float if numeric_labels else str
+    pos_value = read(positive_label_value.strip())
     neg_value = (
-        negative_label_value.strip() if negative_label_value is not None else None
+        read(negative_label_value.strip()) if negative_label_value is not None else None
     )
-    if numeric_labels:
-        pos_number = float(pos_value)
-        neg_number = float(neg_value) if neg_value is not None else None
     features = np.empty((len(rows), width - 1), dtype=np.float64)
     labels = np.empty(len(rows), dtype=np.int64)
     for i, (lineno, cells) in enumerate(rows):
         raw = cells[col]
-        if numeric_labels:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(
-                    f"label cell {raw!r} is not numeric", lineno, col + 1
-                ) from None
-            if value == pos_number:
-                labels[i] = 1
-            elif neg_number is not None and value != neg_number:
-                raise UnknownLabel(
-                    f"row {lineno}: label {raw!r} matches neither class value"
-                )
-            else:
-                labels[i] = -1
+        try:
+            value = read(raw)
+        except ValueError:
+            raise ParseError(
+                f"label cell {raw!r} is not numeric", lineno, col + 1
+            ) from None
+        if value == pos_value:
+            labels[i] = 1
+        elif neg_value is not None and value != neg_value:
+            raise UnknownLabel(
+                f"row {lineno}: label {raw!r} matches neither class value"
+            )
         else:
-            if raw == pos_value:
-                labels[i] = 1
-            elif neg_value is not None and raw != neg_value:
-                raise UnknownLabel(
-                    f"row {lineno}: label {raw!r} matches neither class value"
-                )
-            else:
-                labels[i] = -1
+            labels[i] = -1
         k = 0
         for j, cell in enumerate(cells):
             if j == col:
@@ -353,23 +341,22 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Sample a two-class isotropic Gaussian dataset.
 
     Positives center at +mean_separation/2 along the first axis and
-    negatives at the mirror image; both classes share sigma times their
-    per-class scale.  Label draws precede the single noise draw, so the
-    output is bitwise reproducible from the seed.
+    negatives at the mirror image; each class has sigma times its own
+    scale.  This is generate_mixture with the positive component first,
+    so a sample is positive when its uniform draw is below the prior.
     """
-    rng = np.random.default_rng(spec.seed)
-    labels = np.where(rng.random(spec.n) < spec.positive_prior, 1, -1)
-    noise = rng.standard_normal((spec.n, spec.dim))
     half = spec.mean_separation / 2.0
-    centers = np.zeros((spec.n, spec.dim))
-    centers[:, 0] = np.where(labels == 1, half, -half)
-    scales = np.where(
-        labels == 1,
-        spec.sigma * spec.positive_scale,
-        spec.sigma * spec.negative_scale,
+    rest = (0.0,) * (spec.dim - 1)
+    return generate_mixture(
+        (
+            MixtureComponent(1, spec.positive_prior, (half, *rest),
+                             spec.sigma * spec.positive_scale),
+            MixtureComponent(-1, 1.0 - spec.positive_prior, (-half, *rest),
+                             spec.sigma * spec.negative_scale),
+        ),
+        spec.n,
+        spec.seed,
     )
-    features = centers + scales[:, None] * noise
-    return Dataset(features, labels)
 
 
 def generate_mixture(

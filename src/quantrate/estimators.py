@@ -240,10 +240,10 @@ def _kernel_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndar
     Raw weights are u_i = phi_h(i*/N - c), with i* the tie-broken rank
     and phi_h the Gaussian density of scale h.  normalize=True divides
     by sum(u) (the default: value stays inside [min, max] of the
-    scores); paper_exact divides by N verbatim.  The normalized weights
-    are computed with a shifted exponent so that the h -> 0 limit
-    degrades gradually to a one-hot at the rank nearest c instead of
-    underflowing to 0/0.
+    scores); normalize=False divides by N, as the paper does.  The
+    normalized weights are computed with a shifted exponent so that the
+    h -> 0 limit degrades gradually to a one-hot at the rank nearest c
+    instead of underflowing to 0/0.
     """
     h = float(spec.bandwidth)
     n_rows, n = rows.shape

@@ -352,6 +352,26 @@ def format_number(value) -> str:
     return str(value)
 
 
+def json_text(payload) -> str:
+    """A JSON output file: sorted keys, indent 2, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def csv_text(rows) -> str:
+    """A CSV output file: one line of format_number cells per row."""
+    return "".join(",".join(map(format_number, row)) + "\n" for row in rows)
+
+
+def write_files(out_dir, texts: dict) -> List[Path]:
+    """Write each named text into out_dir, made if missing; returns the
+    written paths in order."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name in texts]
+
+
 def write_results(result: ExperimentResult, out_dir) -> List[Path]:
     """Serialize an ExperimentResult to results.json, summary.csv, and
     pr_points.csv inside out_dir; returns the written paths.
@@ -359,27 +379,18 @@ def write_results(result: ExperimentResult, out_dir) -> List[Path]:
     JSON uses sorted keys and CSV floats use shortest-round-trip repr,
     so reruns of a deterministic experiment match byte-for-byte.
     """
-    summary = ["method,level,mean,std,selection,weight_decay,source"]
+    summary = ["method,level,mean,std,selection,weight_decay,source".split(",")]
     for a in result.aggregates:
         cells = [a.method, a.level, a.mean, a.std, a.selection, a.weight_decay]
-        summary.append(",".join(map(format_number, cells + ["computed"])))
+        summary.append(cells + ["computed"])
     for row in result.published:
         cells = [float(row[k]) for k in ("level", "mean", "std")]
-        cells = [str(row["method"])] + cells + ["", "", "published"]
-        summary.append(",".join(map(format_number, cells)))
-    curve = ["method,level,mean,std"] + [
-        ",".join(map(format_number, (p.method, p.level, p.mean, p.std)))
-        for p in result.curve
+        summary.append([str(row["method"])] + cells + ["", "", "published"])
+    curve = ["method,level,mean,std".split(",")] + [
+        [p.method, p.level, p.mean, p.std] for p in result.curve
     ]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, text in (
-        ("results.json", json.dumps(result.to_dict(), sort_keys=True, indent=2)),
-        ("summary.csv", "\n".join(summary)),
-        ("pr_points.csv", "\n".join(curve)),
-    ):
-        path = out / name
-        path.write_text(text + "\n", encoding="utf-8")
-        paths.append(path)
-    return paths
+    return write_files(out_dir, {
+        "results.json": json_text(result.to_dict()),
+        "summary.csv": csv_text(summary),
+        "pr_points.csv": csv_text(curve),
+    })

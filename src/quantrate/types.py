@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -206,29 +206,32 @@ class QuantileEstimatorSpec:
     kind=point      exact order statistic (one-hot weights)
     kind=kernel     Gaussian-kernel smoothed order statistics; bandwidth
                     required; normalize=True divides weights by their sum,
-                    paper_exact divides by N verbatim instead
+                    normalize=False by N (the paper's estimator)
     kind=lower_mean mean of the k smallest scores (convex relaxation)
     kind=interval   mean of the order statistics between levels k1 and k2
+
+    A parameter that the kind does not read must keep its default.
     """
 
     kind: EstimatorKind
     bandwidth: Optional[float] = None
     normalize: bool = True
-    paper_exact: bool = False
     k1: Optional[float] = None
     k2: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", EstimatorKind(self.kind))
+        reads = {EstimatorKind.KERNEL: ("bandwidth", "normalize"),
+                 EstimatorKind.INTERVAL: ("k1", "k2")}.get(self.kind, ())
+        unread = [f.name for f in fields(self)[1:]
+                  if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise InvalidSpec(f"the {self.kind.value} estimator does not read {unread}")
         if self.kind is EstimatorKind.KERNEL:
             if self.bandwidth is None or not self.bandwidth > 0:
                 raise NonpositiveScale(
                     f"kernel bandwidth must be positive, got {self.bandwidth}"
                 )
-            if self.paper_exact and self.normalize:
-                raise InvalidSpec("paper_exact and normalize are exclusive")
-        elif self.paper_exact:
-            raise InvalidSpec("paper_exact applies to the kernel estimator only")
         if self.kind is EstimatorKind.INTERVAL:
             if self.k1 is None or self.k2 is None:
                 raise InvalidSpec("interval estimator needs k1 and k2")

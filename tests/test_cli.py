@@ -140,6 +140,16 @@ def test_eval_missing_level_is_a_config_error(tmp_path, capsys):
                  "--quiet"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "config"
+    # a flag the metric ignores fails before the data loads
+    (tmp_path / "toy.csv").unlink()
+    for extra, flag in ((["--level", "0.5"], "--level"),
+                        (["--metric", "p_at_rate", "--level", "0.5",
+                          "--grid", "0.5,1.0"], "--grid")):
+        code = main(["eval", "--config", str(model_path), *extra, "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "config"
+        assert f"takes no {flag}" in err["message"]
 
 
 def test_error_kinds(tmp_path, capsys):
@@ -261,6 +271,13 @@ def test_invalid_invocations_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["train", "--config", "x", "--seed", str(2**64)])
     assert info.value.code == 2
+    # each command takes only the flags it reads
+    for argv in (["train", "--jobs", "2"], ["eval", "--seed", "1"],
+                 ["eval", "--jobs", "2"], ["concentration", "--data", "x"],
+                 ["concentration", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv[:1] + ["--config", "x"] + argv[1:])
+        assert info.value.code == 2
     capsys.readouterr()
 
 
@@ -447,6 +464,17 @@ def test_unknown_config_keys_are_config_errors(tmp_path, capsys, case):
     del block[case]
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(argv) == 0
+
+
+def test_a_parameter_the_estimator_ignores_is_a_config_error(tmp_path, capsys):
+    config = dict(STABILITY_CONFIG, estimator={"kind": "point", "bandwidth": 0.1})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["concentration", "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "config" and "bandwidth" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def run_train(tmp_path, capsys, **train):

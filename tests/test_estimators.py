@@ -21,10 +21,8 @@ POINT = QuantileEstimatorSpec(kind="point")
 LOWER_MEAN = QuantileEstimatorSpec(kind="lower_mean")
 
 
-def kernel_spec(h, normalize=True, paper_exact=False):
-    return QuantileEstimatorSpec(
-        kind="kernel", bandwidth=h, normalize=normalize, paper_exact=paper_exact
-    )
+def kernel_spec(h, normalize=True):
+    return QuantileEstimatorSpec(kind="kernel", bandwidth=h, normalize=normalize)
 
 
 def test_order_rank_hand_values():
@@ -147,7 +145,7 @@ def test_kernel_ties_share_the_tie_broken_rank():
 
 def test_kernel_paper_exact_frozen_value():
     res = estimate(
-        kernel_spec(0.25, normalize=False, paper_exact=True),
+        kernel_spec(0.25, normalize=False),
         [1.0, 2.0, 3.0, 4.0],
         0.5,
     )
@@ -171,12 +169,15 @@ def test_kernel_spec_validation():
         QuantileEstimatorSpec(kind="kernel", bandwidth=-1.0)
     with pytest.raises(NonpositiveScale):
         QuantileEstimatorSpec(kind="kernel")
-    with pytest.raises(InvalidSpec):
-        QuantileEstimatorSpec(
-            kind="kernel", bandwidth=0.1, normalize=True, paper_exact=True
-        )
-    with pytest.raises(InvalidSpec):
-        QuantileEstimatorSpec(kind="point", paper_exact=True)
+    # a parameter the kind does not read is an error, not ignored
+    for params, unread in (
+        ({"kind": "point", "bandwidth": 0.1}, "bandwidth"),
+        ({"kind": "lower_mean", "normalize": False}, "normalize"),
+        ({"kind": "kernel", "bandwidth": 0.1, "k1": 0.25}, "k1"),
+        ({"kind": "point", "k2": 0.75}, "k2"),
+    ):
+        with pytest.raises(InvalidSpec, match=rf"does not read \['{unread}'\]"):
+            QuantileEstimatorSpec(**params)
 
 
 def test_lower_mean_hand_values():
@@ -392,7 +393,7 @@ ALL_SPECS = (
     INTERVAL,
     kernel_spec(0.05),
     kernel_spec(0.3),
-    kernel_spec(0.2, normalize=False, paper_exact=True),
+    kernel_spec(0.2, normalize=False),
     kernel_spec(1e-12),
 )
 
