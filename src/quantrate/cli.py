@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, concentration
-from .config import concentration_spec, train_spec
+from .config import concentration_spec, read_seed, train_spec
 from .data import GENERATOR_NAME, StandardizeTransform, generate_synthetic, standardize
 from .errors import (
     DegenerateSplit,
@@ -72,10 +72,10 @@ def _load_config(path_or_name: str) -> dict:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    loss_spec, train_cfg = train_spec(config, args.seed)
+    loss_spec, train_cfg, standardize_data = train_spec(config, args.seed)
     dataset = load_experiment_dataset(config, args.data)
     transform = None
-    if config.get("standardize", False):
+    if standardize_data:
         # fit on the whole provided set; splits are the experiment
         # runner's business, cmd_train trains on what it is given
         dataset, _, transform = standardize(dataset, dataset)
@@ -217,15 +217,13 @@ def _add_common(sub: argparse.ArgumentParser, data: bool, seed: bool) -> None:
         sub.add_argument("--data", help="dataset path override")
     sub.add_argument("--out", help="output file or directory")
     if seed:
-        sub.add_argument("--seed", type=_seed_value, help="seed override (u64)")
+        sub.add_argument("--seed", type=u64, help="seed override (u64)")
     sub.add_argument("--quiet", action="store_true", help="suppress progress notes")
 
 
-def _seed_value(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
-    return value
+def u64(text: str) -> int:
+    """A --seed value; argparse names this function in its error."""
+    return read_seed(int(text))
 
 
 def build_parser() -> argparse.ArgumentParser:

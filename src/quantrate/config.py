@@ -1,100 +1,105 @@
 """The JSON config format: one parser per block, unknown keys rejected.
 
-Every command reads its config through these functions.  A block
-accepts exactly the keys some code path reads; any other key is a
-config error, so a typo such as "bandwith" fails loudly instead of
-being ignored.  A missing optional key takes the default of the record
-the block builds (TrainConfig, QuantileEstimatorSpec, ...), so each
-default lives in one place.  Every document may carry a "name" label.
+Only these functions read a config value.  Most blocks fill a record
+(TrainConfig, QuantileEstimatorSpec, ...) or a function's parameters
+(load_delimited, the concentration harnesses), and take their keys,
+types and defaults from its fields: a field without a default is a
+required key, one with a default an optional key, and each value is
+read as the JSON form of the field's type (see _read).  Any other key
+is a config error, so a typo such as "bandwith" fails loudly instead
+of being ignored.  Every document may carry a "name" label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+import functools
+import inspect
+import sys
+import typing
+from dataclasses import dataclass, is_dataclass
+from typing import Callable, Iterable, Optional, Tuple
 
+from . import concentration, data
 from .data import MixtureComponent, SplitSpec, SyntheticSpec
 from .errors import InvalidSpec
-from .types import QuantileEstimatorSpec, RateConstraint, SurrogateLossSpec, TrainConfig
+from .types import QuantileEstimatorSpec, SurrogateLossSpec, TrainConfig
 
-_DATA_KEYS = (
-    "path", "format", "label_column", "positive_label_value", "delimiter",
-    "header", "negative_label_value", "numeric_labels",
-)
-# optional keys of a logistic block; an experiment's train block adds
-# the batch sizes and restarts, a train command's also its weight decay
-# (an experiment sets every model's decay from its grid)
-_LOGISTIC_KEYS = ("momentum", "init_scale", "eval_every", "lr_decay")
-_TRAIN_KEYS = _LOGISTIC_KEYS + ("batch_size", "constraint_batch_size", "restarts")
 _DEFAULT_CURVE_GRID = [round(0.1 * k, 1) for k in range(1, 11)]
-
-
-def _integer(value) -> int:
-    """An integer, or a float with an integral value such as 10.0."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InvalidSpec(f"must be an integer, got {value!r}")
-
-
-def _integer_or_full(value) -> Optional[int]:
-    """A batch size: an integer, or None for the full batch."""
-    return None if value is None else _integer(value)
-
-
-def _integers(values) -> list:
-    """A list of integers, such as batch sizes or step counts."""
-    return [_integer(v) for v in values]
-
-
-# how a present value is read, by key; keys not listed pass through
-_CONVERT = {
-    "learning_rate": float, "steps": _integer, "momentum": float,
-    "weight_decay": float, "restarts": _integer, "init_scale": float,
-    "eval_every": _integer, "lr_decay": str, "normalize": bool,
-    "batch_size": _integer_or_full, "constraint_batch_size": _integer_or_full,
-    "label": _integer, "weight": float, "sigma": float,
-    "train_fraction": float, "stratified": bool, "n": _integer,
-    "trials": _integer, "c": float, "score_law": str, "w_norm_bound": float,
-    "n_models": _integer, "seed": _integer, "dim": _integer, "reps": _integer,
-    "label_column": _integer, "batch_sizes": _integers, "t_grid": _integers,
-    "indices": lambda v: tuple(v) if v else None,
+# the parameter tables of the loaders and labs, from the functions as
+# imported: a wrapper bound in their modules later, such as perfbench's
+# tracer, runs when they are called by name but has no signature to read
+_LOADERS = {"delimited": data.load_delimited, "sparse": data.load_sparse}
+_HARNESSES = {f.__name__: f for f in (
+    concentration.estimator_stability, concentration.loss_uniform_deviation,
+    concentration.convex_sgd_convergence)}
+# TrainConfig fields a logistic block may not set: the fit has no
+# restarts or minibatches, and the runner sets every decay from the grid
+_NOT_LOGISTIC = ("weight_decay", "batch_size", "constraint_batch_size", "restarts")
+# harness parameter -> (its config key, the type that key reads as)
+_HARNESS_KEYS = {"estimator_spec": ("estimator", QuantileEstimatorSpec),
+                 "dataset": ("synthetic", SyntheticSpec)}
+# a plain type -> (its JSON form, whether a value has that form); a seed
+# is an int in range, and any other type (an enum) reads from a string
+_FORMS = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) in (int, float) and v % 1 == 0),
+    float: ("a finite number",
+            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    str: ("a string", lambda v: isinstance(v, str)),
+    "seed": ("an integer in [0, 2**64)",
+             lambda v: _FORMS[int][1](v) and 0 <= v < 2**64),
 }
 
 
-def config_value(key: str, value, read=None):
-    """A present config value read by read, or the way its key is read;
-    a value of the wrong type is a config error naming the key."""
-    try:
-        return (read or _CONVERT.get(key, _same))(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"{key} {exc}") from None
+@functools.cache
+def _fields(target) -> dict:
+    """name -> (type, required) of each field of a record or parameter
+    of a function; required means it has no default."""
+    hints = typing.get_type_hints(target)
+    return {
+        name: (hints.get(name), p.default is p.empty)
+        for name, p in inspect.signature(target).parameters.items()
+    }
 
 
-# concentration kind -> its required keys, all passed to the harness
-_CONCENTRATION_KEYS = {
-    "estimator_stability": (
-        "n", "batch_sizes", "trials", "estimator", "c", "score_law"),
-    "loss_uniform_deviation": (
-        "synthetic", "constraint", "estimator", "batch_sizes", "trials",
-        "w_norm_bound", "n_models",
-    ),
-    "convex_sgd_convergence": ("synthetic", "c", "batch_size", "t_grid", "trials"),
-}
+def _read(hint, value, key: str):
+    """value read as the JSON form of the type hint, else a config error
+    naming key: see _FORMS, and Optional from null, a Tuple or Sequence
+    from a list (as a tuple), a record from an object (see _record)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else _read(args[0], value, key)
+    if is_dataclass(hint):
+        return _record(hint, value, key)
+    if origin is not None:  # Tuple or Sequence
+        if isinstance(value, list):
+            return tuple(_read(args[0], v, key) for v in value)
+        raise InvalidSpec(f"{key} must be a list, got {value!r}")
+    want, fits = _FORMS["seed" if key == "seed" else hint if hint in _FORMS else str]
+    if fits(value):
+        try:
+            return hint(value)  # an enum may reject the string
+        except ValueError:
+            want = f"one of {[m.value for m in hint]}"
+    raise InvalidSpec(f"{key} must be {want}, got {value!r}")
 
 
-def _same(value):
-    return value
+def read_seed(value) -> int:
+    """A seed, from any document or the command line: a u64."""
+    return _read(int, value, "seed")
+
+
+def _object(block, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise InvalidSpec(f"{where} must be a JSON object")
+    return block
 
 
 def check_keys(block, optional: Iterable[str], where: str, required=()) -> dict:
     """The block, once it is an object with every required key and no
     key outside required + optional."""
-    if not isinstance(block, dict):
-        raise InvalidSpec(f"{where} must be a JSON object")
     allowed = set(optional) | set(required)
-    unknown = sorted(set(block) - allowed)
+    unknown = sorted(set(_object(block, where)) - allowed)
     if unknown:
         raise InvalidSpec(
             f"{where} has unknown keys {unknown}; allowed: {sorted(allowed)}"
@@ -105,100 +110,101 @@ def check_keys(block, optional: Iterable[str], where: str, required=()) -> dict:
     return block
 
 
-def _record(record, block, where: str, required, optional=(), **fixed):
-    check_keys(block, optional, where, required)
-    values = {k: config_value(k, v) for k, v in block.items()}
-    return record(**fixed, **values)
+def _values(target, block, where: str, skip=(), extra=()) -> dict:
+    """The block's value for each field of target but skip, read as the
+    field's type.  The block may also hold the keys extra, which the
+    caller reads."""
+    fields = {k: f for k, f in _fields(target).items() if k not in skip}
+    check_keys(
+        block, [k for k, (_, req) in fields.items() if not req] + list(extra),
+        where, [k for k, (_, req) in fields.items() if req],
+    )
+    return {k: _read(fields[k][0], v, k) for k, v in block.items() if k in fields}
+
+
+def _record(target, block, where: str, omit=(), **fixed):
+    """target built from the fixed values and the block's; the block may
+    not set the fields omit names, which keep their defaults."""
+    return target(**fixed, **_values(target, block, where, tuple(fixed) + omit))
+
+
+def _document(config, where: str, required, optional=(), name: str = "") -> str:
+    """A whole config's "name" label, once its keys are checked."""
+    check_keys(config, optional + ("name",), where, required)
+    return _read(str, config.get("name", name), "name")
 
 
 def estimator_spec(block) -> QuantileEstimatorSpec:
-    return _record(
-        QuantileEstimatorSpec, block, "estimator", ("kind",),
-        ("bandwidth", "normalize", "k1", "k2"),
-    )
+    return _record(QuantileEstimatorSpec, block, "estimator")
 
 
-def rate_constraint(block) -> RateConstraint:
-    return _record(
-        RateConstraint, block, "constraint",
-        ("subset", "direction", "target"), ("indices",),
-    )
+def train_config(block, seed: int, where: str = "train", omit=()) -> TrainConfig:
+    """A train block; omit names the fields it may not set."""
+    return _record(TrainConfig, block, where, omit, seed=seed)
 
 
-def train_config(
-    block, seed: int, where: str = "train", keys=_TRAIN_KEYS + ("weight_decay",)
-) -> TrainConfig:
-    """A train block whose optional keys are keys."""
-    return _record(
-        TrainConfig, block, where, ("learning_rate", "steps"), keys, seed=seed
-    )
-
-
-def _synthetic_spec(block) -> SyntheticSpec:
-    return _record(
-        SyntheticSpec, block, "synthetic",
-        ("n", "mean_separation", "sigma", "seed"),
-        ("positive_prior", "dim", "positive_scale", "negative_scale"),
-    )
+def data_source(
+    config: dict, data_path: Optional[str] = None, need_path: bool = True
+) -> Tuple[Callable, dict]:
+    """(loader, its keyword arguments) for a config's data block: path,
+    format and the loader's parameters.  A given data_path overrides the
+    block's path; with need_path false a missing one is no error."""
+    block = _object(config.get("data", {}), "data")
+    form = _read(str, block.get("format", "delimited"), "format")
+    if form not in _LOADERS:
+        raise InvalidSpec(f"unknown data format {form!r}")
+    path = _read(Optional[str], block.get("path"), "path")
+    if need_path and not (data_path or path):
+        raise InvalidSpec("no dataset path: set data.path in the config or pass --data")
+    load = _LOADERS[form]
+    args = _values(load, block, "data", ("path",), ("path", "format"))
+    return getattr(data, load.__name__), dict(args, path=data_path or path)
 
 
 def train_spec(
     config: dict, seed: Optional[int]
-) -> Tuple[SurrogateLossSpec, TrainConfig]:
-    """Loss and trainer settings of a `train` command config; a given
-    seed overrides the train block's own."""
-    check_keys(config, ("name", "data", "standardize"), "train config",
-               ("loss", "train"))
-    check_keys(config.get("data", {}), _DATA_KEYS, "data")
-    loss = check_keys(
-        config["loss"], ("logloss_base", "penalize"), "loss",
-        ("objective", "constraint", "estimator"),
-    )
-    block = dict(check_keys(
-        config["train"], ("seed", "weight_decay") + _TRAIN_KEYS, "train",
-        ("learning_rate", "steps"),
-    ))
-    own_seed = block.pop("seed", None)
-    if seed is None:
-        seed = own_seed
+) -> Tuple[SurrogateLossSpec, TrainConfig, bool]:
+    """Loss and trainer settings of a `train` command config, and whether
+    to standardize the data; a given seed overrides the train block's."""
+    _document(config, "train config", ("loss", "train"), ("data", "standardize"))
+    if "data" in config:
+        data_source(config, need_path=False)
+    block = _object(config["train"], "train")
+    own = read_seed(block["seed"]) if "seed" in block else None
+    seed = own if seed is None else read_seed(seed)
     if seed is None:
         raise InvalidSpec("train config needs a seed (or pass --seed)")
-    loss_spec = SurrogateLossSpec(**dict(
-        loss,
-        constraint=rate_constraint(loss["constraint"]),
-        estimator=estimator_spec(loss["estimator"]),
-    ))
-    return loss_spec, train_config(block, config_value("seed", seed))
+    train = _values(TrainConfig, block, "train", ("seed",), ("seed",))
+    return (
+        _record(SurrogateLossSpec, config["loss"], "loss"),
+        TrainConfig(seed=seed, **train),
+        _read(bool, config.get("standardize", False), "standardize"),
+    )
+
+
+def run_seed(config: dict, seed: Optional[int] = None) -> int:
+    """The seed an experiment or concentration config runs with: a given
+    seed, else the config's own, else 0."""
+    own = read_seed(_object(config, "config").get("seed", 0))
+    return own if seed is None else read_seed(seed)
 
 
 def concentration_spec(config: dict, seed: Optional[int]) -> Tuple[str, dict]:
-    """(harness name, its keyword arguments) for a concentration config.
-
-    A synthetic block comes back as the SyntheticSpec under "dataset".
-    """
-    kind = config.get("kind")
-    if kind not in _CONCENTRATION_KEYS:
+    """(harness name, its keyword arguments) for a concentration config,
+    whose keys are the harness's parameters; a synthetic block comes back
+    as the SyntheticSpec under "dataset"."""
+    kind = _object(config, "config").get("kind")
+    if not (isinstance(kind, str) and kind in _HARNESSES):
         raise InvalidSpec(f"unknown concentration kind {kind!r}")
-    required = _CONCENTRATION_KEYS[kind]
-    check_keys(config, ("kind", "name", "seed"), f"{kind} config", required)
-    parse = {
-        "estimator": estimator_spec,
-        "constraint": rate_constraint,
-        "synthetic": _synthetic_spec,
-        # the convex harness's minibatch is never the full batch
-        "batch_size": lambda v: config_value("batch_size", v, _integer),
+    keys = {
+        name: _HARNESS_KEYS.get(name, (name, hint))
+        for name, (hint, _) in _fields(_HARNESSES[kind]).items()
+        if name != "seed"
     }
-    renamed = {"estimator": "estimator_spec", "synthetic": "dataset"}
-    args = {
-        renamed.get(k, k): (
-            parse[k](config[k]) if k in parse else config_value(k, config[k])
-        )
-        for k in required
-    }
-    if seed is None:
-        seed = config.get("seed", 0)
-    args["seed"] = config_value("seed", seed)
-    return kind, args
+    _document(config, f"{kind} config", tuple(k for k, _ in keys.values()),
+              ("kind", "seed"))
+    args = {name: _read(hint, config[key], key) for name, (key, hint) in keys.items()}
+    return kind, dict(args, seed=run_seed(config, seed))
 
 
 @dataclass(frozen=True)
@@ -225,67 +231,63 @@ class ExperimentSpec:
     n_samples: int = 0
 
 
-def _levels(values, hi: float, what: str) -> Tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if not out:
-        raise InvalidSpec(f"{what} list is empty")
-    if any(not (0.0 < v <= hi) for v in out):
-        raise InvalidSpec(f"every {what} must lie in (0.0, {hi}]")
-    return out
+def _levels(values: Tuple[float, ...], hi: float, key: str) -> Tuple[float, ...]:
+    if not values or any(not (0.0 < v <= hi) for v in values):
+        raise InvalidSpec(f"{key} must be a nonempty list in (0.0, {hi}]")
+    return values
 
 
 def experiment_spec(config: dict) -> ExperimentSpec:
     """Parse a rate_table or recall_point experiment config."""
-    kind = config.get("kind")
+    kind = _object(config, "config").get("kind")
     if kind == "rate_table":
-        levels_key, hi, what = "taus", 0.999999, "tau"
+        levels_key, hi = "taus", 0.999999
         own, optional = (), ("data",)
     elif kind == "recall_point":
-        levels_key, hi, what = "recall_levels", 1.0, "recall level"
+        levels_key, hi = "recall_levels", 1.0
         own, optional = ("synthetic",), ("curve_grid",)
     else:
         raise InvalidSpec(f"unknown experiment kind {kind!r}")
-    check_keys(
-        config,
-        optional + ("kind", "name", "seed", "standardize", "published"),
-        f"{kind} experiment config",
+    name = _document(
+        config, f"{kind} experiment config",
         own + (levels_key, "weight_decays", "split", "estimator", "train",
                "logistic", "reps"),
+        optional + ("kind", "seed", "standardize", "published"), kind,
     )
-    if kind == "rate_table":
-        check_keys(config.get("data", {}), _DATA_KEYS, "data")
-    levels = _levels(config[levels_key], hi, what)
-    decays = tuple(float(v) for v in config["weight_decays"])
+    fields = _fields(ExperimentSpec)
+
+    def read(field, key=None, block=config, default=None):
+        key = key or field
+        return _read(fields[field][0], block.get(key, default), key)
+
+    if "data" in config:
+        data_source(config, need_path=False)
+    decays = read("weight_decays")
     if not decays or any(v < 0 for v in decays):
         raise InvalidSpec("weight_decays must be nonnegative and nonempty")
-    reps = config_value("reps", config["reps"])
+    reps = read("reps")
     if reps < 1:
         raise InvalidSpec("reps must be positive")
     mixture = {}
     if kind == "recall_point":
-        grid = config.get("curve_grid", _DEFAULT_CURVE_GRID)
         synth = check_keys(config["synthetic"], (), "synthetic", ("components", "n"))
         mixture = dict(
-            curve_grid=_levels(grid, 1.0, "curve recall level"),
-            components=tuple(
-                _record(MixtureComponent, b, "mixture component",
-                        ("label", "weight", "mean", "sigma"))
-                for b in synth["components"]
-            ),
-            n_samples=config_value("n", synth["n"]),
+            curve_grid=_levels(read("curve_grid", default=_DEFAULT_CURVE_GRID),
+                               1.0, "curve_grid"),
+            components=read("components", block=synth),
+            n_samples=read("n_samples", "n", synth),
         )
     return ExperimentSpec(
         kind=kind,
-        name=str(config.get("name", kind)),
-        levels=levels,
+        name=name,
+        levels=_levels(read("levels", levels_key), hi, levels_key),
         weight_decays=decays,
         reps=reps,
-        split=_record(SplitSpec, config["split"], "split",
-                      ("train_fraction",), ("stratified",), seed=0),
-        standardize=bool(config.get("standardize", kind == "rate_table")),
+        split=_record(SplitSpec, config["split"], "split", seed=0),
+        standardize=read("standardize", default=kind == "rate_table"),
         estimator=estimator_spec(config["estimator"]),
-        train=train_config(config["train"], 0, "train", _TRAIN_KEYS),
-        logistic=train_config(config["logistic"], 0, "logistic", _LOGISTIC_KEYS),
-        published=config.get("published") or None,
+        train=train_config(config["train"], 0, omit=("weight_decay",)),
+        logistic=train_config(config["logistic"], 0, "logistic", _NOT_LOGISTIC),
+        published=read("published"),
         **mixture,
     )

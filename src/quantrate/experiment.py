@@ -37,8 +37,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .baseline import lockstep_logistic_train, with_bias
-from .config import ExperimentSpec, config_value, experiment_spec
-from .data import generate_mixture, load_delimited, load_sparse, split, standardize
+from .config import ExperimentSpec, data_source, experiment_spec, run_seed
+from .data import generate_mixture, split, standardize
 from .errors import InvalidSpec
 from .metrics import precision_at_rate, precision_at_recall
 from .presets import published_rows
@@ -108,27 +108,9 @@ def _std(values: np.ndarray) -> float:
 
 
 def load_experiment_dataset(config: dict, data_path: Optional[str]) -> Dataset:
-    """Load the dataset a rate_table config names, honoring a path override."""
-    block = config.get("data", {})
-    path = data_path or block.get("path")
-    if not path:
-        raise InvalidSpec(
-            "no dataset path: set data.path in the config or pass --data"
-        )
-    form = block.get("format", "delimited")
-    if form == "sparse":
-        return load_sparse(path)
-    if form != "delimited":
-        raise InvalidSpec(f"unknown data format {form!r}")
-    return load_delimited(
-        path,
-        label_column=config_value("label_column", block["label_column"]),
-        positive_label_value=str(block["positive_label_value"]),
-        delimiter=block.get("delimiter", ","),
-        header=bool(block.get("header", False)),
-        negative_label_value=block.get("negative_label_value"),
-        numeric_labels=bool(block.get("numeric_labels", False)),
-    )
+    """Load the dataset a config's data block names, honoring a path override."""
+    load, args = data_source(config, data_path)
+    return load(**args)
 
 
 def _select_and_aggregate(
@@ -329,11 +311,7 @@ def run_experiment(
     enters the result, so identical configs and seeds reproduce output
     files byte-for-byte.
     """
-    if seed is None:
-        seed = config.get("seed", 0)
-    used_seed = config_value("seed", seed)
-    if used_seed < 0:
-        raise InvalidSpec("seed must be nonnegative")
+    used_seed = run_seed(config, seed)
     if jobs < 1:
         raise InvalidSpec("jobs must be positive")
     started = time.perf_counter()

@@ -1,6 +1,7 @@
 """Command-line interface tests, driven in-process through main()."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -539,3 +540,220 @@ def test_non_integer_list_entries_and_columns_are_config_errors(tmp_path, capsys
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["kind"] == "config" and key in err["message"]
         assert not (tmp_path / "out").exists()
+
+
+def valid_config(document, tmp_path):
+    """(command, config): a small valid config of each document kind."""
+    csv_path = write_csv(tmp_path)
+    if document == "train":
+        return "train", write_train_config(tmp_path, csv_path)[1]
+    experiment = {
+        "split": {"train_fraction": 0.5}, "estimator": {"kind": "point"},
+        "train": {"learning_rate": 0.1, "steps": 1},
+        "logistic": {"learning_rate": 0.1, "steps": 1},
+        "reps": 1, "weight_decays": [0.0],
+    }
+    synthetic = {"n": 200, "mean_separation": 2.0, "sigma": 1.0, "seed": 5}
+    configs = {
+        "rate_table": dict(experiment, kind="rate_table", taus=[0.3], data={
+            "path": str(csv_path), "label_column": -1,
+            "positive_label_value": "g"}),
+        "recall_point": dict(experiment, kind="recall_point", recall_levels=[0.8],
+                             synthetic={"n": 100, "components": [
+                                 {"label": -1, "weight": 0.7, "mean": [0.0],
+                                  "sigma": 1.0},
+                                 {"label": 1, "weight": 0.3, "mean": [2.0],
+                                  "sigma": 1.0}]}),
+        "estimator_stability": json.loads(json.dumps(STABILITY_CONFIG)),
+        "loss_uniform_deviation": {
+            "kind": "loss_uniform_deviation", "synthetic": synthetic,
+            "constraint": {"subset": "positives", "direction": "at_least",
+                           "target": 0.8},
+            "estimator": {"kind": "point"}, "batch_sizes": [20, 40],
+            "trials": 100, "w_norm_bound": 1.0, "n_models": 2,
+        },
+        "convex_sgd_convergence": {
+            "kind": "convex_sgd_convergence", "c": 0.8, "batch_size": 20,
+            "t_grid": [3], "trials": 1, "synthetic": synthetic,
+        },
+    }
+    command = "experiment" if document in ("rate_table", "recall_point") else (
+        "concentration")
+    return command, configs[document]
+
+
+# (document, path to the block) -> the keys the block accepts, pinned
+# because the keys come from record fields: a new field must not widen a
+# block unseen
+ALLOWED = {
+    ("train", ()): ["data", "loss", "name", "standardize", "train"],
+    ("train", ("data",)): [
+        "delimiter", "format", "header", "label_column", "negative_label_value",
+        "numeric_labels", "path", "positive_label_value"],
+    ("train", ("loss",)): [
+        "constraint", "estimator", "logloss_base", "objective", "penalize"],
+    ("train", ("loss", "constraint")): ["direction", "indices", "subset", "target"],
+    ("train", ("loss", "estimator")): ["bandwidth", "k1", "k2", "kind", "normalize"],
+    ("train", ("train",)): [
+        "batch_size", "constraint_batch_size", "eval_every", "init_scale",
+        "learning_rate", "lr_decay", "momentum", "restarts", "seed", "steps",
+        "weight_decay"],
+    ("rate_table", ()): [
+        "data", "estimator", "kind", "logistic", "name", "published", "reps",
+        "seed", "split", "standardize", "taus", "train", "weight_decays"],
+    ("rate_table", ("split",)): ["stratified", "train_fraction"],
+    ("rate_table", ("train",)): [
+        "batch_size", "constraint_batch_size", "eval_every", "init_scale",
+        "learning_rate", "lr_decay", "momentum", "restarts", "steps"],
+    ("rate_table", ("logistic",)): [
+        "eval_every", "init_scale", "learning_rate", "lr_decay", "momentum", "steps"],
+    ("recall_point", ()): [
+        "curve_grid", "estimator", "kind", "logistic", "name", "published",
+        "recall_levels", "reps", "seed", "split", "standardize", "synthetic",
+        "train", "weight_decays"],
+    ("recall_point", ("synthetic",)): ["components", "n"],
+    ("recall_point", ("synthetic", "components", 0)): [
+        "label", "mean", "sigma", "weight"],
+    ("estimator_stability", ()): [
+        "batch_sizes", "c", "estimator", "kind", "n", "name", "score_law", "seed",
+        "trials"],
+    ("loss_uniform_deviation", ()): [
+        "batch_sizes", "constraint", "estimator", "kind", "n_models", "name", "seed",
+        "synthetic", "trials", "w_norm_bound"],
+    ("loss_uniform_deviation", ("synthetic",)): [
+        "dim", "mean_separation", "n", "negative_scale", "positive_prior",
+        "positive_scale", "seed", "sigma"],
+    ("convex_sgd_convergence", ()): [
+        "batch_size", "c", "kind", "name", "seed", "synthetic", "t_grid", "trials"],
+}
+# a valid value of each accepted key that the valid configs leave out
+SAMPLES = {
+    "name": "x", "seed": 3, "standardize": True, "published": None,
+    "curve_grid": [1.0], "format": "delimited", "delimiter": ",", "header": False,
+    "negative_label_value": "b", "numeric_labels": False, "logloss_base": 2.0,
+    "penalize": "negatives", "indices": [0, 1], "normalize": True, "k1": 0.2,
+    "k2": 0.8, "batch_size": None, "constraint_batch_size": None,
+    "eval_every": 1, "init_scale": 0.01, "lr_decay": "constant", "momentum": 0.5,
+    "weight_decay": 0.0, "stratified": True, "dim": 2, "negative_scale": 1.0,
+    "positive_prior": 0.5, "positive_scale": 1.0, "restarts": 1,
+}
+
+
+def block_at(config, path):
+    for step in path:
+        config = config[step]
+    return config
+
+
+def run_config(command, config, tmp_path, capsys):
+    """(exit code, error object or None, stderr) of command on config;
+    asserts that a failed run wrote nothing."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"  # a fresh path
+    code = main([command, "--config", str(config_path), "--out", str(out), "--quiet"])
+    captured = capsys.readouterr()
+    if code == 0:
+        return code, None, captured.err
+    assert not out.exists()
+    return code, json.loads(captured.out)["error"], captured.err
+
+
+def wrong_type(value):
+    """A JSON value of another type: a string for a bool or a number, a
+    number for a string, true for null, a string for a list and a list
+    for an object."""
+    if isinstance(value, (bool, int, float)):
+        return json.dumps(value)
+    if isinstance(value, str):
+        return 7
+    if value is None:
+        return True
+    return "x" if isinstance(value, list) else ["x"]
+
+
+@pytest.mark.parametrize("document, path", list(ALLOWED))
+def test_every_block_accepts_the_pinned_keys(tmp_path, capsys, document, path):
+    command, config = valid_config(document, tmp_path)
+    assert run_config(command, config, tmp_path, capsys)[0] == 0
+    block_at(config, path)["zzz"] = 1
+    code, err, _ = run_config(command, config, tmp_path, capsys)
+    assert code == 1 and err["kind"] == "config"
+    assert err["message"].endswith(f"allowed: {ALLOWED[document, path]}")
+
+
+@pytest.mark.parametrize("document, path, key", [
+    (document, path, key) for (document, path), keys in ALLOWED.items()
+    for key in keys
+])
+def test_a_wrongly_typed_value_is_a_config_error(
+    tmp_path, capsys, document, path, key
+):
+    command, config = valid_config(document, tmp_path)
+    block = block_at(config, path)
+    block[key] = wrong_type(block.get(key, SAMPLES.get(key)))
+    code, err, stderr = run_config(command, config, tmp_path, capsys)
+    assert code == 1 and err["kind"] == "config"
+    assert re.search(rf"\b{key}\b", err["message"]), err["message"]
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("document, path, key, value", [
+    ("train", ("loss", "estimator"), "normalize", "false"),
+    ("estimator_stability", ("estimator",), "bandwidth", "0.05"),
+    ("rate_table", ("train",), "learning_rate", True),
+    ("rate_table", ("logistic",), "momentum", True),
+    ("rate_table", ("split",), "stratified", "no"),
+    ("train", (), "standardize", "no"),
+    ("convex_sgd_convergence", (), "c", "0.9"),
+    ("train", ("train",), "lr_decay", 7),
+    ("convex_sgd_convergence", (), "c", 10**400),
+    ("convex_sgd_convergence", (), "c", float("nan")),
+])
+def test_values_of_the_wrong_form_are_config_errors(
+    tmp_path, capsys, document, path, key, value
+):
+    command, config = valid_config(document, tmp_path)
+    if key == "bandwidth":
+        config["estimator"] = {"kind": "kernel", "bandwidth": value}
+    block_at(config, path)[key] = value
+    code, err, _ = run_config(command, config, tmp_path, capsys)
+    assert code == 1 and err["kind"] == "config"
+    assert err["message"].startswith(f"{key} must be")
+
+
+@pytest.mark.parametrize("document, path", [
+    ("train", ("train",)), ("rate_table", ()), ("estimator_stability", ()),
+    ("convex_sgd_convergence", ("synthetic",)),
+])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_a_seed_outside_u64_is_a_config_error(tmp_path, capsys, document, path, seed):
+    command, config = valid_config(document, tmp_path)
+    block_at(config, path)["seed"] = seed
+    code, err, _ = run_config(command, config, tmp_path, capsys)
+    assert code == 1 and err["kind"] == "config"
+    assert err["message"] == f"seed must be an integer in [0, 2**64), got {seed!r}"
+    block_at(config, path)["seed"] = 2**64 - 1
+    assert run_config(command, config, tmp_path, capsys)[0] == 0
+
+
+def test_a_data_block_takes_only_its_formats_keys(tmp_path, capsys):
+    command, config = valid_config("rate_table", tmp_path)
+    sparse = tmp_path / "toy.svm"
+    rng = np.random.default_rng(4)
+    sparse.write_text("".join(
+        f"{1 if x[0] > 0.3 else -1} 1:{x[0]:.6f} 2:{x[1]:.6f}\n"
+        for x in rng.standard_normal((60, 2))), encoding="utf-8")
+    config["data"] = {"path": str(sparse), "format": "sparse"}
+    assert run_config(command, config, tmp_path, capsys)[0] == 0
+    for key, value in (("label_column", 7), ("header", "yes")):
+        config["data"][key] = value
+        code, err, _ = run_config(command, config, tmp_path, capsys)
+        assert code == 1 and err["kind"] == "config"
+        assert err["message"] == (
+            f"data has unknown keys ['{key}']; allowed: ['format', 'path']")
+        del config["data"][key]
+    config["data"] = {"path": config["data"]["path"].replace("svm", "csv")}
+    code, err, _ = run_config(command, config, tmp_path, capsys)
+    assert err["message"] == (
+        "data lacks keys ['label_column', 'positive_label_value']")

@@ -65,3 +65,11 @@ def test_train_spec_seed_override_and_missing_seed():
     del config["train"]["seed"]
     with pytest.raises(InvalidSpec, match="needs a seed"):
         train_spec(config, None)
+
+
+def test_a_kind_of_the_wrong_type_is_an_unknown_kind():
+    for kind in (["x"], {"x": 1}, None, 7):
+        with pytest.raises(InvalidSpec, match="unknown concentration kind"):
+            concentration_spec({"kind": kind}, None)
+        with pytest.raises(InvalidSpec, match="unknown experiment kind"):
+            experiment_spec({"kind": kind})
