@@ -2,9 +2,10 @@
 
 Three harnesses measure how quantile estimates, surrogate losses, and
 SGD solutions behave as the subsample size b grows: deviations should
-shrink like O(sqrt(1/b)), i.e. a log-log slope near -0.5.  Each trial
-owns a sub-seed derived from (seed, batch size, trial index), so trial
-order never matters and runs reproduce bitwise.
+shrink like O(sqrt(1/b)), i.e. a log-log slope near -0.5.  Trial t at
+batch size b draws from its own stream, data.stream(seed, b, t), and
+the convex lab seeds trial t at step budget T with data.seed_of(seed,
+T, t), so trial order never matters and runs reproduce bitwise.
 
 Reported q95 deviations stand in for the failure probability delta of
 the underlying bounds; the bounds' constants are never instantiated.
@@ -14,11 +15,12 @@ finite sample of weight vectors and labeled as such.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
+from .data import seed_of, stream
 from .errors import BatchTooLarge, ConstraintBatchEmpty, InvalidSpec
 from .estimators import estimate, estimate_values
 from .losses import _dataset_eval
@@ -29,7 +31,9 @@ from .types import (
     RateConstraint,
     SurrogateLossSpec,
     TrainConfig,
+    check_fraction,
     constraint_indices,
+    plain,
 )
 
 SCORE_LAWS = ("uniform", "gaussian", "constant")
@@ -48,14 +52,6 @@ _CHUNK_SCORES = 2**18
 _REF_CHUNK = 50
 
 _LN2 = float(np.log(2.0))
-
-
-def _plain(report) -> dict:
-    """A report's fields as a dict, tuples as lists."""
-    return {
-        k: list(v) if isinstance(v, tuple) else v
-        for k, v in asdict(report).items()
-    }
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class ConcentrationReport:
             raise InvalidSpec("deviations must be nonnegative")
 
     def to_dict(self) -> dict:
-        return _plain(self)
+        return plain(self)
 
     def rows(self) -> list:
         """The CSV table: a header, then one row per batch size."""
@@ -99,7 +95,7 @@ class ConvexConvergenceReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return _plain(self)
+        return plain(self)
 
     def rows(self) -> list:
         """The CSV table: a header, then one row per step budget."""
@@ -146,7 +142,9 @@ def _report(batches, devs, trials: int, seed: int) -> ConcentrationReport:
     )
 
 
-def _check_batches(batch_sizes, n: int) -> Tuple[int, ...]:
+def _check_batches(batch_sizes, n: int, trials: int) -> Tuple[int, ...]:
+    if trials < 100:
+        raise InvalidSpec(f"at least 100 trials required, got {trials}")
     b = _increasing(batch_sizes, "batch sizes must be positive integers",
                     "batch sizes must be strictly increasing")
     if b[-1] > n:
@@ -167,11 +165,10 @@ def _draw_population(score_law: str, n: int, rng) -> np.ndarray:
 
 def _subsamples(population: np.ndarray, b: int, trials: range, seed: int):
     """(len(trials), b): the row of trial t draws b of the population
-    without replacement from its own stream, SeedSequence((seed, b, t))."""
+    without replacement from its own stream, stream(seed, b, t)."""
     picks = np.empty((len(trials), b), dtype=np.int64)
     for row, t in zip(picks, trials):
-        sub_rng = np.random.default_rng(np.random.SeedSequence((seed, b, t)))
-        row[:] = sub_rng.choice(population.size, size=b, replace=False)
+        row[:] = stream(seed, b, t).choice(population.size, size=b, replace=False)
     return population[picks]
 
 
@@ -194,9 +191,7 @@ def estimator_stability(
     per column, whose values are those of a call on each subsample
     alone.
     """
-    if trials < 100:
-        raise InvalidSpec(f"at least 100 trials required, got {trials}")
-    batches = _check_batches(batch_sizes, n)
+    batches = _check_batches(batch_sizes, n, trials)
     rng = np.random.default_rng(seed)
     population = _draw_population(score_law, n, rng)
     q_full = estimate(estimator_spec, population, c).value
@@ -258,13 +253,11 @@ def loss_uniform_deviation(
     subset or the penalized side entirely are redrawn from the same
     stream (a documented cap guards against degenerate setups).
     """
-    if trials < 100:
-        raise InvalidSpec(f"at least 100 trials required, got {trials}")
+    batches = _check_batches(batch_sizes, dataset.n, trials)
     if w_norm_bound < 0:
         raise InvalidSpec("w_norm_bound must be nonnegative")
     if n_models < 1:
         raise InvalidSpec("n_models must be positive")
-    batches = _check_batches(batch_sizes, dataset.n)
     sub = constraint_indices(dataset, constraint)
     pen = dataset.negative_indices()
     if pen.size == 0:
@@ -272,9 +265,7 @@ def loss_uniform_deviation(
     level = 1.0 - constraint.target
 
     dim = dataset.dim
-    model_rng = np.random.default_rng(
-        np.random.SeedSequence((seed, _MODEL_STREAM))
-    )
+    model_rng = stream(seed, _MODEL_STREAM)
     if w_norm_bound == 0.0:
         W = np.zeros((1, dim))
     else:
@@ -294,7 +285,7 @@ def loss_uniform_deviation(
     for b in batches:
         dev = np.empty(trials)
         for t in range(trials):
-            sub_rng = np.random.default_rng(np.random.SeedSequence((seed, b, t)))
+            sub_rng = stream(seed, b, t)
             for _ in range(_REDRAW_CAP):
                 idx = sub_rng.choice(dataset.n, size=b, replace=False)
                 batch_sub = idx[sub_mask[idx]]
@@ -327,7 +318,7 @@ def _searched_reference(
     loss) pair minimizing the surrogate loss, ties going to the earliest.
     core_eval takes the candidates as rows, _REF_CHUNK at a time.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _REF_STREAM)))
+    rng = stream(seed, _REF_STREAM)
     dirs = rng.standard_normal((256, dataset.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.geomspace(radius_hint / 100.0, radius_hint * 10.0, 25)
@@ -362,8 +353,7 @@ def convex_sgd_convergence(
     trials train as rows of one lockstep_train call, each step on every
     row's own fixed-shape minibatch with a 0/1 mask of its negatives.
     """
-    if not 0.0 < c <= 1.0:
-        raise InvalidSpec(f"recall level must lie in (0, 1], got {c}")
+    check_fraction(c, "recall level")
     if batch_size < 1:
         raise InvalidSpec(f"convex lab needs batch_size >= 1, got {batch_size}")
     grid = _increasing(t_grid, "t_grid must hold positive step counts",
@@ -383,9 +373,7 @@ def convex_sgd_convergence(
             (loss_spec, TrainConfig(
                 learning_rate=0.5,
                 steps=t_steps,
-                seed=int(
-                    np.random.SeedSequence((seed, t_steps, trial)).generate_state(1)[0]
-                ),
+                seed=seed_of(seed, t_steps, trial),
                 momentum=0.0,
                 batch_size=min(batch_size, dataset.n),
                 constraint_batch_size=min(batch_size, n_pos),

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Tuple
 from . import concentration, data
 from .data import MixtureComponent, SplitSpec, SyntheticSpec
 from .errors import InvalidSpec
-from .types import QuantileEstimatorSpec, SurrogateLossSpec, TrainConfig
+from .types import QuantileEstimatorSpec, SurrogateLossSpec, TrainConfig, check_fraction
 
 _DEFAULT_CURVE_GRID = [round(0.1 * k, 1) for k in range(1, 11)]
 # the parameter tables of the loaders and labs, from the functions as
@@ -231,20 +231,20 @@ class ExperimentSpec:
     n_samples: int = 0
 
 
-def _levels(values: Tuple[float, ...], hi: float, key: str) -> Tuple[float, ...]:
-    if not values or any(not (0.0 < v <= hi) for v in values):
-        raise InvalidSpec(f"{key} must be a nonempty list in (0.0, {hi}]")
-    return values
+def _levels(values: Tuple[float, ...], key: str, open_top=False) -> Tuple[float, ...]:
+    if not values:
+        raise InvalidSpec(f"{key} must be a nonempty list")
+    return tuple(check_fraction(v, key, open_top) for v in values)
 
 
 def experiment_spec(config: dict) -> ExperimentSpec:
     """Parse a rate_table or recall_point experiment config."""
     kind = _object(config, "config").get("kind")
     if kind == "rate_table":
-        levels_key, hi = "taus", 0.999999
+        levels_key, open_top = "taus", True
         own, optional = (), ("data",)
     elif kind == "recall_point":
-        levels_key, hi = "recall_levels", 1.0
+        levels_key, open_top = "recall_levels", False
         own, optional = ("synthetic",), ("curve_grid",)
     else:
         raise InvalidSpec(f"unknown experiment kind {kind!r}")
@@ -273,14 +273,14 @@ def experiment_spec(config: dict) -> ExperimentSpec:
         synth = check_keys(config["synthetic"], (), "synthetic", ("components", "n"))
         mixture = dict(
             curve_grid=_levels(read("curve_grid", default=_DEFAULT_CURVE_GRID),
-                               1.0, "curve_grid"),
+                               "curve_grid"),
             components=read("components", block=synth),
             n_samples=read("n_samples", "n", synth),
         )
     return ExperimentSpec(
         kind=kind,
         name=name,
-        levels=_levels(read("levels", levels_key), hi, levels_key),
+        levels=_levels(read("levels", levels_key), levels_key, open_top),
         weight_decays=decays,
         reps=reps,
         split=_record(SplitSpec, config["split"], "split", seed=0),

@@ -1,17 +1,20 @@
 """Dataset ingestion, splitting, standardization, and synthetic generators.
 
-File loaders report problems by 1-based row and column.  Randomized
-operations (splits, generators) are driven by numpy's PCG64 generator
-seeded explicitly, so identical specs reproduce identical datasets
-bitwise on any platform with the same numpy generator algorithm; the
-identifier "numpy-pcg64" is recorded in trained-model outputs for that
-reason.
+File loaders read their rows through one reader and report problems
+by 1-based row and column.  Randomized operations (splits, generators)
+are driven by numpy's PCG64 generator seeded explicitly, so identical
+specs reproduce identical datasets bitwise on any platform with the
+same numpy generator algorithm; the identifier "numpy-pcg64" is
+recorded in trained-model outputs for that reason.  A named random
+stream, a tuple of integer tags, gives its generator (stream) or a seed
+(seed_of) through numpy's SeedSequence.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +28,19 @@ from .errors import (
     RaggedRows,
     UnknownLabel,
 )
-from .types import Dataset
+from .types import Dataset, check_fraction
 
 GENERATOR_NAME = "numpy-pcg64"
+
+
+def stream(*tags: int) -> np.random.Generator:
+    """The random stream the tags name: PCG64 on SeedSequence(tags)."""
+    return np.random.default_rng(np.random.SeedSequence(tags))
+
+
+def seed_of(*tags: int) -> int:
+    """A seed the tags name: SeedSequence(tags)'s first state word."""
+    return int(np.random.SeedSequence(tags).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -44,10 +57,7 @@ class SplitSpec:
     stratified: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidSpec(
-                f"train_fraction must lie in (0, 1), got {self.train_fraction}"
-            )
+        check_fraction(self.train_fraction, "train_fraction", open_top=True)
         if self.seed < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
 
@@ -73,8 +83,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpec("n must be positive")
-        if not 0.0 < self.positive_prior < 1.0:
-            raise InvalidSpec("positive_prior must lie in (0, 1)")
+        check_fraction(self.positive_prior, "positive_prior", open_top=True)
         if self.dim < 1:
             raise InvalidSpec("dim must be positive")
         if not self.mean_separation > 0:
@@ -120,9 +129,23 @@ class StandardizeTransform:
         return np.asarray(features, dtype=np.float64) * self.std + self.mean
 
 
-def _read_lines(path) -> List[str]:
+def _data_rows(path, skip: int = 0, comment: Optional[str] = None):
+    """(1-based row number, row) of each non-blank row of a UTF-8 text
+    file after its first skip rows, with the text from comment on cut;
+    EmptyInput when there is none."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidSpec(f"path must be a str or path-like, got {path!r}")
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        lines = fh.read().splitlines()[skip:]
+    rows = []
+    for lineno, line in enumerate(lines, start=1 + skip):
+        if comment:
+            line = line.split(comment, 1)[0]
+        if line.strip():
+            rows.append((lineno, line))
+    if not rows:
+        raise EmptyInput(f"no data rows in {path}")
+    return rows
 
 
 def load_delimited(
@@ -157,17 +180,10 @@ def load_delimited(
         where the label is a numeric column, e.g. a capped regression
         target).
     """
-    lines = _read_lines(path)
-    if header and lines:
-        lines = lines[1:]
     rows = []
-    for lineno, line in enumerate(lines, start=1 + int(header)):
-        if not line.strip():
-            continue
+    for lineno, line in _data_rows(path, skip=int(header)):
         cells = line.split(delimiter) if delimiter else line.split()
         rows.append((lineno, [c.strip() for c in cells]))
-    if not rows:
-        raise EmptyInput(f"no data rows in {path}")
     width = len(rows[0][1])
     for lineno, cells in rows:
         if len(cells) != width:
@@ -222,14 +238,10 @@ def load_sparse(path) -> Dataset:
     Indices are 1-based and must be strictly increasing within a line;
     entries absent from a line are zero.  Text after "#" is a comment.
     """
-    lines = _read_lines(path)
     parsed = []
     max_index = 0
-    for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tokens = body.split()
+    for lineno, line in _data_rows(path, comment="#"):
+        tokens = line.split()
         try:
             label_value = float(tokens[0])
         except ValueError:
@@ -269,8 +281,6 @@ def load_sparse(path) -> Dataset:
             entries.append((index, value))
         max_index = max(max_index, previous)
         parsed.append((int(label_value), entries))
-    if not parsed:
-        raise EmptyInput(f"no data rows in {path}")
     features = np.zeros((len(parsed), max_index), dtype=np.float64)
     labels = np.empty(len(parsed), dtype=np.int64)
     for i, (label, entries) in enumerate(parsed):

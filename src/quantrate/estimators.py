@@ -72,8 +72,11 @@ class QuantileResult:
         return tuple(_frozen(np.flatnonzero(col)) for col in w.T)
 
 
-def _checked(scores) -> np.ndarray:
+def _checked(scores, vector: bool = False) -> np.ndarray:
+    """Finite nonempty scores: a vector, or unless vector, an (n, K) matrix."""
     s = np.asarray(scores, dtype=np.float64)
+    if vector and s.ndim != 1:
+        raise InvalidSpec("scores must be a 1-d array")
     if s.ndim not in (1, 2):
         raise InvalidSpec("scores must be a vector or an (n, K) matrix")
     if s.size == 0:
@@ -127,9 +130,7 @@ def order_rank(n: int, c: float) -> int:
 def exact_quantile(scores, c) -> float:
     """The canonical order-statistic quantile of a score vector (see
     module docstring)."""
-    s = _checked(scores)
-    if s.ndim != 1:
-        raise InvalidSpec("scores must be a 1-d vector")
+    s = _checked(scores, vector=True)
     k = max(1, order_rank(s.size, _check_level(c)))
     return float(np.partition(s, k - 1)[k - 1])
 

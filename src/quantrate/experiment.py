@@ -19,10 +19,10 @@ mean train metric.  Aggregates are mean and sample standard deviation
 selected decay.
 
 Every repetition derives its seeds from the experiment seed through
-named SeedSequence tuples, so repetitions can run in worker processes
-(--jobs) without affecting any output byte.  Wall-clock timing is
-returned to the caller for console display and never written to result
-files.
+named streams (data.seed_of), so repetitions can run in worker
+processes (--jobs) without affecting any output byte.  Wall-clock
+timing is returned to the caller for console display and never
+written to result files.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,12 +38,12 @@ import numpy as np
 
 from .baseline import lockstep_logistic_train, with_bias
 from .config import ExperimentSpec, data_source, experiment_spec, run_seed
-from .data import generate_mixture, split, standardize
+from .data import generate_mixture, seed_of, split, standardize
 from .errors import InvalidSpec
 from .metrics import precision_at_rate, precision_at_recall
 from .presets import published_rows
-from .train import best_restart, lockstep_train
-from .types import Dataset, RateConstraint, SurrogateLossSpec
+from .train import best_restart, lockstep_train, restart_models
+from .types import Dataset, RateConstraint, SurrogateLossSpec, plain
 
 METHOD_QUANTILE = "quantile"
 METHOD_LOGISTIC = "logistic"
@@ -83,22 +83,7 @@ class ExperimentResult:
     published: Tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "seed": self.seed,
-            "config": self.config,
-            "aggregates": [
-                dict(asdict(a), per_rep=list(a.per_rep)) for a in self.aggregates
-            ],
-            "curve": [asdict(p) for p in self.curve],
-            "published": list(self.published),
-        }
-
-
-def _seed_from(*parts: int) -> int:
-    ss = np.random.SeedSequence(tuple(int(p) for p in parts))
-    return int(ss.generate_state(1)[0])
+        return plain(self)
 
 
 def _std(values: np.ndarray) -> float:
@@ -170,9 +155,9 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
     restarts = spec.train.restarts
     if dataset is None:
         dataset = generate_mixture(
-            spec.components, spec.n_samples, _seed_from(seed, rep)
+            spec.components, spec.n_samples, seed_of(seed, rep)
         )
-    split_spec = replace(spec.split, seed=_seed_from(seed, rep, *split_tag))
+    split_spec = replace(spec.split, seed=seed_of(seed, rep, *split_tag))
     train_set, test_set = split(dataset, split_spec)
     if spec.standardize:
         train_set, test_set, _ = standardize(train_set, test_set)
@@ -180,9 +165,12 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
     values = np.empty((2, 2, len(levels), len(decays)))
     curves = np.empty((2, len(decays), len(grid)))
     # every (level, decay, restart) model of the repetition in one
-    # call, restarts innermost; restart r of a cell adds r to its seed
+    # call, restarts innermost
     models = [
-        (
+        model
+        for li, level in enumerate(levels)
+        for wi, wd in enumerate(decays)
+        for model in restart_models(
             SurrogateLossSpec(
                 objective=objective,
                 constraint=RateConstraint(subset, "at_least", level),
@@ -190,18 +178,14 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
             ),
             replace(
                 spec.train,
-                seed=_seed_from(seed, rep, *quantile_tag, li, wi) + r,
+                seed=seed_of(seed, rep, *quantile_tag, li, wi),
                 weight_decay=wd,
-                restarts=1,
             ),
         )
-        for li, level in enumerate(levels)
-        for wi, wd in enumerate(decays)
-        for r in range(restarts)
     ]
     trained = lockstep_train(train_set, models)
     logistic = lockstep_logistic_train(train_set, [
-        (wd, replace(spec.logistic, seed=_seed_from(seed, rep, *logistic_tag, wi)))
+        (wd, replace(spec.logistic, seed=seed_of(seed, rep, *logistic_tag, wi)))
         for wi, wd in enumerate(decays)])
     for wi, lmodel in enumerate(logistic):
         logistic_scores = [with_bias(s.features) @ lmodel.weights for s in sides]

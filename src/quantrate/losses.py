@@ -135,15 +135,6 @@ def core_eval(
     return (float(value) if w.ndim == 1 else value), per_sample, None
 
 
-def _check_c(c: float, *, open_top: bool) -> float:
-    c = float(c)
-    hi_ok = c < 1.0 if open_top else c <= 1.0
-    if not (0.0 < c and hi_ok):
-        top = "1 (exclusive)" if open_top else "1"
-        raise InvalidSpec(f"target rate must lie in (0, {top}], got {c}")
-    return c
-
-
 def _resolved(spec: SurrogateLossSpec, dataset: Dataset):
     """(subset idx, penalized idx, sign, level) for a loss spec."""
     sub = constraint_indices(dataset, spec.constraint)
@@ -151,10 +142,6 @@ def _resolved(spec: SurrogateLossSpec, dataset: Dataset):
     pen = np.flatnonzero(dataset.labels == label)
     if pen.size == 0:
         raise EmptyObjective(f"no samples with label {label} to penalize")
-    if spec.objective is Objective.P_AT_R:
-        _check_c(spec.constraint.target, open_top=False)
-    elif spec.objective in (Objective.P_AT_PPR_FP, Objective.P_AT_PPR_TP):
-        _check_c(spec.constraint.target, open_top=True)
     return sub, pen, sign, 1.0 - spec.constraint.target
 
 

@@ -9,18 +9,20 @@ is deterministic and documented behaviour rather than an epsilon guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InvalidSpec,
-    NoConstraintSubset,
-    UncalibratedError,
+from .errors import InvalidSpec, NoConstraintSubset, UncalibratedError
+from .estimators import _checked, order_rank
+from .types import (
+    Dataset,
+    Direction,
+    EvalReport,
+    LinearModel,
+    RateConstraint,
+    check_fraction,
 )
-from .estimators import order_rank
-from .types import Dataset, Direction, EvalReport, LinearModel, RateConstraint
 
 
 @dataclass(frozen=True)
@@ -32,20 +34,9 @@ class PRPoint:
     threshold: float
 
 
-def _scores_1d(scores) -> np.ndarray:
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise InvalidSpec("scores must be a 1-d array")
-    if s.size == 0:
-        raise EmptyInput("no scores given")
-    if not np.all(np.isfinite(s)):
-        raise InvalidSpec("scores must be finite")
-    return s
-
-
 def rate(scores, threshold: float) -> float:
     """Fraction of scores strictly above the threshold."""
-    s = _scores_1d(scores)
+    s = _checked(scores, vector=True)
     return float(np.count_nonzero(s > threshold)) / s.size
 
 
@@ -75,7 +66,7 @@ def calibrate_threshold(scores, constraint: RateConstraint) -> float:
     float
         A threshold feasible for the constraint on these scores.
     """
-    s = _scores_1d(scores)
+    s = _checked(scores, vector=True)
     c = constraint.target
     n = s.size
     distinct, counts = np.unique(s, return_counts=True)
@@ -131,9 +122,8 @@ def precision_at_rate(scores, labels, tau: float) -> float:
     rule; if that empties the slice entirely (all scores equal), the
     precision is reported as 0.0.
     """
-    if not 0.0 < tau <= 1.0:
-        raise InvalidSpec(f"tau must lie in (0, 1], got {tau}")
-    s = _scores_1d(scores)
+    check_fraction(tau, "tau")
+    s = _checked(scores, vector=True)
     y = np.asarray(labels)
     if y.shape != s.shape:
         raise InvalidSpec("labels must be one per score")
@@ -143,31 +133,32 @@ def precision_at_rate(scores, labels, tau: float) -> float:
         theta = float(np.nextafter(np.min(s), -np.inf))
     else:
         theta = float(np.partition(s, n - m - 1)[n - m - 1])
+    precision = _precision_above(s, y == 1, theta)
+    return 0.0 if precision is None else precision
+
+
+def _precision_above(s, positive, theta: float) -> Optional[float]:
+    """Share of positives among the scores above theta; None when no
+    score is above it."""
     predicted = s > theta
     predicted_n = int(np.count_nonzero(predicted))
     if predicted_n == 0:
-        return 0.0
-    tp = int(np.count_nonzero(predicted & (y == 1)))
-    return tp / predicted_n
+        return None
+    return int(np.count_nonzero(predicted & positive)) / predicted_n
 
 
 def precision_at_recall(scores, labels, c: float) -> float:
     """Precision at the threshold calibrated for recall at least c."""
-    if not 0.0 < c <= 1.0:
-        raise InvalidSpec(f"recall level must lie in (0, 1], got {c}")
     return pr_points(scores, labels, [c])[0].precision
 
 
-def _pr_point(s, y, positive, c: float) -> PRPoint:
+def _pr_point(s, positive, c: float) -> PRPoint:
     constraint = RateConstraint("positives", "at_least", c)
     theta = calibrate_threshold(s[positive], constraint)
-    predicted = s > theta
-    tp = int(np.count_nonzero(predicted & positive))
-    predicted_n = int(np.count_nonzero(predicted))
     # recall >= c > 0 on the calibrated side, so the slice is nonempty
     return PRPoint(
         recall_level=float(c),
-        precision=tp / predicted_n,
+        precision=_precision_above(s, positive, theta),
         threshold=float(theta),
     )
 
@@ -176,8 +167,8 @@ def _check_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 1 or g.size == 0:
         raise InvalidSpec("recall grid must be a nonempty 1-d sequence")
-    if not (np.all(g > 0.0) and np.all(g <= 1.0)):
-        raise InvalidSpec("recall grid values must lie in (0, 1]")
+    for value in g:
+        check_fraction(value, "recall grid value")
     if g.size > 1 and not np.all(np.diff(g) > 0):
         raise InvalidSpec("recall grid must be strictly increasing")
     return g
@@ -186,14 +177,14 @@ def _check_grid(grid) -> np.ndarray:
 def pr_points(scores, labels, grid: Sequence[float]) -> List[PRPoint]:
     """Precision-recall samples at each recall level of the grid."""
     g = _check_grid(grid)
-    s = _scores_1d(scores)
+    s = _checked(scores, vector=True)
     y = np.asarray(labels)
     if y.shape != s.shape:
         raise InvalidSpec("labels must be one per score")
     positive = y == 1
     if not np.any(positive):
         raise NoConstraintSubset("no positive samples to constrain recall on")
-    return [_pr_point(s, y, positive, float(c)) for c in g]
+    return [_pr_point(s, positive, float(c)) for c in g]
 
 
 def pr_auc(scores, labels, grid: Sequence[float]) -> float:

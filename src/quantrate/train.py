@@ -216,17 +216,22 @@ def best_restart(results: Sequence[TrainResult]) -> TrainResult:
     return dataclasses.replace(results[r], restart_index=r)
 
 
+def restart_models(loss_spec: SurrogateLossSpec, config: TrainConfig) -> List[Model]:
+    """The config.restarts single-restart models of a spec; restart r
+    adds r to config.seed."""
+    return [
+        (loss_spec, dataclasses.replace(config, seed=config.seed + r, restarts=1))
+        for r in range(config.restarts)
+    ]
+
+
 def multi_restart_train(
     dataset: Dataset, loss_spec: SurrogateLossSpec, config: TrainConfig
 ) -> TrainResult:
     """Best-of-restarts training.
 
-    Restart r trains seeded with config.seed + r, the restarts in one
-    lockstep_train call; the result with the lowest full-dataset loss
-    wins, ties going to the lowest restart index.
+    The restart_models train in one lockstep_train call; the result
+    with the lowest full-dataset loss wins, ties going to the lowest
+    restart index.
     """
-    members = [
-        (loss_spec, dataclasses.replace(config, seed=config.seed + r, restarts=1))
-        for r in range(config.restarts)
-    ]
-    return best_restart(lockstep_train(dataset, members))
+    return best_restart(lockstep_train(dataset, restart_models(loss_spec, config)))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,24 @@ from .errors import (
     NoConstraintSubset,
     NonpositiveScale,
 )
+
+
+def check_fraction(value, name: str, open_top: bool = False) -> float:
+    """value as a float in (0, 1], or in (0, 1) when open_top is set;
+    otherwise InvalidSpec naming it."""
+    value = float(value)
+    if not (0.0 < value < 1.0 or (value == 1.0 and not open_top)):
+        top = ")" if open_top else "]"
+        raise InvalidSpec(f"{name} must lie in (0, 1{top}, got {value}")
+    return value
+
+
+def plain(record) -> dict:
+    """A record's fields as JSON holds them: nested records as dicts,
+    tuples as lists."""
+    return asdict(record, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items
+    })
 
 
 class Subset(str, enum.Enum):
@@ -272,12 +290,14 @@ class SurrogateLossSpec:
                 raise InvalidSpec(
                     "p_at_r requires an at_least constraint on positives"
                 )
+            check_fraction(self.constraint.target, "target rate")
         elif self.objective in (Objective.P_AT_PPR_FP, Objective.P_AT_PPR_TP):
             if self.constraint.subset is not Subset.ALL:
                 raise InvalidSpec(
                     f"{self.objective.value} requires the constraint subset "
                     "to be all samples"
                 )
+            check_fraction(self.constraint.target, "target rate", open_top=True)
 
 
 @dataclass(frozen=True)
@@ -362,13 +382,4 @@ class EvalReport:
     threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "rate": self.rate,
-            "threshold": self.threshold,
-        }
+        return asdict(self)

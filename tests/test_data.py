@@ -1,6 +1,7 @@
 """Loader, split, standardization, and generator tests."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -116,6 +117,19 @@ def test_load_sparse_errors(tmp_path):
         load_sparse(write(tmp_path, "e", "+1 0:2\n"))
     with pytest.raises(EmptyInput):
         load_sparse(write(tmp_path, "f", "# nothing\n\n"))
+
+
+def test_loaders_refuse_a_file_descriptor(tmp_path):
+    # open() takes an int as a descriptor to read and then close
+    fd = os.open(write(tmp_path, "a.csv", "+1 1:2\n"), os.O_RDONLY)
+    try:
+        with pytest.raises(InvalidSpec, match="path"):
+            load_sparse(fd)
+        with pytest.raises(InvalidSpec, match="path"):
+            load_delimited(fd, label_column=0, positive_label_value="+1")
+        os.fstat(fd)
+    finally:
+        os.close(fd)
 
 
 def test_load_sparse_monotonic_index(tmp_path):

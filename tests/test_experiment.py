@@ -18,6 +18,7 @@ from quantrate import (
     run_experiment,
     write_results,
 )
+from quantrate.config import experiment_spec
 from quantrate.experiment import load_experiment_dataset
 
 
@@ -201,8 +202,11 @@ def test_rate_table_runs_from_a_csv(tmp_path):
     # a tau of 1 is not a valid predicted-positive rate
     bad = tiny_rate_config(tiny_csv(tmp_path))
     bad["taus"] = [1.0]
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="taus"):
         run_experiment(bad)
+    # any rate below 1 is one, however close
+    bad["taus"] = [0.9999995]
+    assert experiment_spec(bad).levels == (0.9999995,)
 
 
 def test_load_experiment_dataset_override(tmp_path):

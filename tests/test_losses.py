@@ -152,6 +152,11 @@ def test_level_bounds_per_objective():
         loss(m, d, "p_at_ppr_fp", 1.0)
     with pytest.raises(InvalidSpec):
         loss(m, d, "p_at_ppr_tp", 1.0)
+    # a spec checks its own target when it is built, before any data
+    with pytest.raises(InvalidSpec, match="target rate"):
+        SurrogateLossSpec("p_at_r", RateConstraint("positives", "at_least", 0.0), POINT)
+    with pytest.raises(InvalidSpec, match="target rate"):
+        SurrogateLossSpec("p_at_ppr_fp", RateConstraint("all", "at_least", 1.0), POINT)
 
 
 def test_empty_side_errors():

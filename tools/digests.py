@@ -1,4 +1,4 @@
-"""Sha256 of every output file of a fixed list of CLI runs.
+"""Sha256 of every output of a fixed list of CLI runs and benchmark calls.
 
     python tools/digests.py                    # print the manifest
     python tools/digests.py --write MANIFEST   # save it
@@ -14,13 +14,16 @@ path a config echoes is the same relative one on every run:
   `concentration` of the two stability labs, `loss_deviation` and
   `convex_convergence`;
 * `experiment ionosphere` at reps 3 on the 351x34 file that
-  perfbench.workloads.write_ionosphere writes at seed 1.
+  perfbench.workloads.write_ionosphere writes at seed 1;
+* one full-size call of each perfbench workload: its setup at seed 1,
+  then one run at call seed 7, hashed as the call's Outcome.output
+  under the name `perfbench/<workload>`.
 
 The manifest is {"environment": ..., "outputs": {path: sha256}}.  The
 bytes depend on the host's numpy build and BLAS, so compare two runs
 on one host, such as a parent commit and a change: --check names each
 output whose digest differs, or that is missing on one side, and
-exits 1 if there is any.  It takes about 8 s on a 2-core x86-64 host.
+exits 1 if there is any.  It takes about 11 s on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.harness import environment  # noqa: E402
-from perfbench.workloads import write_ionosphere  # noqa: E402
+from perfbench.workloads import WORKLOADS, write_ionosphere  # noqa: E402
 from quantrate.cli import main as cli_main  # noqa: E402
 from quantrate.presets import load_preset  # noqa: E402
 from tests.test_cli import write_csv, write_train_config  # noqa: E402
@@ -104,6 +107,25 @@ def digests() -> dict:
             os.chdir(home)
 
 
+def workload_digests() -> dict:
+    """{"perfbench/<workload>": sha256} of one full-size call of each
+    benchmark workload, set up at seed 1 and run at call seed 7."""
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in WORKLOADS.items():
+            started = time.perf_counter()
+            workdir = Path(tmp) / name
+            workdir.mkdir()
+            ctx = workload.setup(1, workdir)
+            outcome = workload.run(ctx, ctx["config"], 7, workdir / "out")
+            print(f"{time.perf_counter() - started:6.2f}s  workload {name}",
+                  file=sys.stderr)
+            if outcome.problems:
+                raise SystemExit(f"digests: workload {name}: {outcome.problems}")
+            outputs[f"perfbench/{name}"] = hashlib.sha256(outcome.output).hexdigest()
+    return outputs
+
+
 def compare(saved: dict, outputs: dict) -> list:
     """Lines naming each path whose digest differs or is on one side only."""
     lines = []
@@ -123,7 +145,8 @@ def main(argv=None) -> int:
     parser.add_argument("--check", metavar="MANIFEST",
                         help="compare against this manifest; exit 1 on any change")
     args = parser.parse_args(argv)
-    manifest = {"environment": environment(), "outputs": digests()}
+    outputs = {**digests(), **workload_digests()}
+    manifest = {"environment": environment(), "outputs": outputs}
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     if args.write:
         Path(args.write).write_text(text, encoding="utf-8")
