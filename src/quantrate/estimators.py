@@ -21,13 +21,15 @@ input order.  The point, lower-mean and interval estimators and
 exact_quantile find their order statistics with np.partition, in O(n)
 and without sorting, and then pick exactly the positions a stable sort
 would put at the selected ranks.  The kernel estimator weights every
-rank, so it sorts along each column; every score of a tied run takes
-the weight of the run's last rank, so the order a sort leaves tied
-scores in does not matter and the sort need not be stable.
+rank, so it sorts along each column.  Untied columns scatter a cached
+table of the weights at ranks 1..n; in tied ones each score of a run
+takes the weight of the run's last rank, by the same formula, so the
+weights are the same either way and the sort need not be stable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -87,8 +89,11 @@ def _checked(scores, vector: bool = False) -> np.ndarray:
     return s
 
 
-def _check_level(c, s=None):
-    """c as a float; for an (n, K) matrix s, also a K-vector of levels."""
+def _check_level(c, s=None, kind=None):
+    """c as a float; for an (n, K) matrix s, also a K-vector of levels;
+    c as given for kind INTERVAL, which ignores it."""
+    if kind is EstimatorKind.INTERVAL:
+        return c
     if not isinstance(c, (list, tuple, np.ndarray)) or np.ndim(c) == 0:
         c = float(c)
         if not 0.0 <= c <= 1.0:
@@ -191,9 +196,10 @@ def _point_weights(rows: np.ndarray, k: int) -> np.ndarray:
     return (np.arange(rows.shape[1]) == last[:, None]) * 1.0
 
 
-def _plan(spec: QuantileEstimatorSpec, s: np.ndarray, c):
-    """(weights_of, params) of a partition-based kind: weights_of(rows,
-    params[j]) weighs each of a block of score rows by column j's params.
+def _plan(spec: QuantileEstimatorSpec, rows: np.ndarray, c):
+    """(weights_of, params) of a partition-based kind over (K, n) score
+    rows: weights_of(block, params[j]) weighs each of a block of rows by
+    row j's params.
 
     point puts a one-hot on rank k = max(1, max{k : k/N <= c});
     lower_mean averages ranks 0..k-1, so it lower-bounds the point
@@ -203,8 +209,7 @@ def _plan(spec: QuantileEstimatorSpec, s: np.ndarray, c):
     order statistics at 1-based indices floor(N*k1)+1 through
     floor(N*k2) inclusive and ignores c.
     """
-    n = s.shape[0]
-    columns = 1 if s.ndim == 1 else s.shape[1]
+    columns, n = rows.shape
     if spec.kind is EstimatorKind.INTERVAL:
         lo, hi = int(math.floor(n * spec.k1)), int(math.floor(n * spec.k2))
         if hi <= lo:
@@ -213,7 +218,6 @@ def _plan(spec: QuantileEstimatorSpec, s: np.ndarray, c):
                 f"for n={n}"
             )
         return _window_weights, [(lo, hi)] * columns
-    c = _check_level(c, s)
     levels = [c] * columns if isinstance(c, float) else c.tolist()
     ranks = {v: max(1, order_rank(n, v)) for v in set(levels)}
     ks = [ranks[v] for v in levels]
@@ -222,47 +226,66 @@ def _plan(spec: QuantileEstimatorSpec, s: np.ndarray, c):
     return _window_weights, [(0, k) for k in ks]
 
 
-def _tie_broken_ranks(ranked: np.ndarray) -> np.ndarray:
-    """1-based rank of the last element of each value's tied run, along
-    each row of row-sorted scores; one shared row when no row has ties."""
-    n = ranked.shape[1]
-    run_end = np.empty(ranked.shape, dtype=bool)
-    run_end[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
-    run_end[:, -1] = True
-    if run_end.all():
-        return np.arange(1, n + 1)
-    ends = np.where(run_end, np.arange(n), n)
-    return np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1] + 1
+def _kernel_at(ranks: np.ndarray, n: int, c, h: float, normalize: bool):
+    """u_i = phi_h(i/N - c) at 1-based ranks i, (n,) or (K, n), with
+    phi_h the Gaussian density of scale h and c a level or one per row.
+    normalize=True divides by sum(u) (the default: value stays inside
+    [min, max] of the scores), through a shifted exponent, so h -> 0
+    tends to a one-hot at the rank nearest c instead of 0/0;
+    normalize=False divides by N, as the paper does.
+    """
+    x = ranks / n - (c if isinstance(c, float) else c[:, None])
+    expo = -0.5 * (x / h) ** 2
+    if normalize:
+        shifted = np.exp(expo - expo.max(axis=-1, keepdims=True))
+        return shifted / shifted.sum(axis=-1, keepdims=True)
+    return np.exp(expo) / (h * _SQRT_2PI) / n
+
+
+_TABLE_MAX = 2**16  # weights in a cached table (512 KiB); 16 tables at most
+
+
+@functools.lru_cache(maxsize=16)
+def _sorted_table(n: int, level, h: float, normalize: bool) -> np.ndarray:
+    """Read-only _kernel_at ranks 1..n; level is a float or float64 bytes."""
+    c = level if isinstance(level, float) else np.frombuffer(level)
+    return _frozen(_kernel_at(np.arange(1, n + 1), n, c, h, normalize))
 
 
 def _kernel_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndarray:
-    """Gaussian-kernel weights of each row of (K, n) scores at its level.
-
-    Raw weights are u_i = phi_h(i*/N - c), with i* the tie-broken rank
-    and phi_h the Gaussian density of scale h.  normalize=True divides
-    by sum(u) (the default: value stays inside [min, max] of the
-    scores); normalize=False divides by N, as the paper does.  The
-    normalized weights are computed with a shifted exponent so that the
-    h -> 0 limit degrades gradually to a one-hot at the rank nearest c
-    instead of underflowing to 0/0.
-    """
-    h = float(spec.bandwidth)
+    """Gaussian-kernel weights of each row of (K, n) scores at its level:
+    _kernel_at each score's tie-broken rank, which is 1..n in sorted
+    order when no row has a tie, so that a cached table serves."""
+    h, normalize = float(spec.bandwidth), spec.normalize
     n_rows, n = rows.shape
     order = np.argsort(rows, axis=1)  # ties share a weight: any order
     if n_rows > 1:
         order += n * np.arange(n_rows)[:, None]  # flat indices into rows
     ranked = rows.ravel()[order]
-    x = _tie_broken_ranks(ranked) / n - (c if isinstance(c, float) else c[:, None])
-    expo = -0.5 * (x / h) ** 2
-    if spec.normalize:
-        shifted = np.exp(expo - expo.max(axis=-1, keepdims=True))
-        w = shifted / shifted.sum(axis=-1, keepdims=True)
-    else:
-        u = np.exp(expo) / (h * _SQRT_2PI)
-        w = u / n
+    run_end = np.ones(rows.shape, dtype=bool)  # last of a run of ties
+    run_end[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
+    if run_end.all() and n * np.size(c) <= _TABLE_MAX:
+        w = _sorted_table(n, c if isinstance(c, float) else c.tobytes(), h, normalize)
+    else:  # tied, or too large to keep: rank i* is that of its run's end
+        ends = np.where(run_end, np.arange(n), n)
+        ranks = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1] + 1
+        w = _kernel_at(ranks, n, c, h, normalize)
     dense = np.empty(rows.shape)
     dense.ravel()[order] = w
     return dense
+
+
+def _row_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndarray:
+    """Weights of C-ordered (K, n) finite scores, row j at level c or
+    c[j] of a float64 K-vector; unchecked (see estimate and core_eval)."""
+    if spec.kind is EstimatorKind.KERNEL:
+        return _kernel_weights(spec, rows, c)
+    weights_of, params = _plan(spec, rows, c)
+    w = np.empty(rows.shape)
+    for p in set(params):  # the rows sharing a rank window at once
+        idx = [j for j, q in enumerate(params) if q == p]
+        w[idx] = weights_of(rows[idx], p)
+    return w
 
 
 def estimate(spec: QuantileEstimatorSpec, scores, c) -> QuantileResult:
@@ -277,14 +300,7 @@ def estimate(spec: QuantileEstimatorSpec, scores, c) -> QuantileResult:
     """
     s = _checked(scores)
     rows = s[None] if s.ndim == 1 else np.ascontiguousarray(s.T)
-    if spec.kind is EstimatorKind.KERNEL:
-        w = _kernel_weights(spec, rows, _check_level(c, s))
-    else:
-        weights_of, params = _plan(spec, s, c)
-        w = np.empty(rows.shape)
-        for p in set(params):  # the columns sharing a rank window at once
-            idx = [j for j, q in enumerate(params) if q == p]
-            w[idx] = weights_of(rows[idx], p)
+    w = _row_weights(spec, rows, _check_level(c, s, spec.kind))
     if s.ndim == 1:
         return QuantileResult(float(w[0] @ s), w[0])
     return QuantileResult(row_dots(w, rows), w.T)
@@ -303,7 +319,7 @@ def estimate_values(spec: QuantileEstimatorSpec, scores, c) -> np.ndarray:
         raise InvalidSpec("estimate_values takes an (n, K) score matrix")
     if spec.kind in (EstimatorKind.POINT, EstimatorKind.KERNEL):
         return estimate(spec, s, c).value
-    _, windows = _plan(spec, s, c)
+    _, windows = _plan(spec, s.T, _check_level(c, s, spec.kind))
     return np.array([
         _window(col, lo, hi)[0][lo:hi].sum() / (hi - lo)
         for col, (lo, hi) in zip(s.T, windows)

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, EmptyObjective, InvalidSpec
-from .estimators import estimate
+from .estimators import _checked, _row_weights, row_dots
 from .types import (
     Dataset,
     LinearModel,
@@ -107,16 +107,20 @@ def core_eval(
     contributes zero; a nonempty subset gives the estimator its scores.
     Returns (value, per_sample, None), or with want_grad (None, None,
     grad); for a matrix, K values, (K, p) summands, (K, d) gradients.
+    Levels, a float or a float64 K-vector, are checked when a spec is
+    built; core_eval checks only that the subset's scores are finite,
+    and its InvalidSpec is what training reports as Diverged.
     """
     ln_base = math.log(base)
     if X_sub.shape[-1] != w.shape[-1]:
         raise DimensionError(
             f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
-    sub_scores = _times(X_sub, w)
-    q = estimate(est_spec, sub_scores.T, level)
-    q_weights = q.weights.T  # (m,), or (K, m) with C-ordered rows
-    theta = q.value if w.ndim == 1 else q.value[:, None]
+    sub_rows = _checked(_times(X_sub, w)).reshape(-1, X_sub.shape[-2])
+    q_weights = _row_weights(est_spec, sub_rows, level)  # C-ordered (K, m)
+    theta = row_dots(q_weights, sub_rows)[:, None]
+    if w.ndim == 1:
+        q_weights, theta = q_weights[0], float(theta[0, 0])
     z = sign * (_times(X_pen, w) - theta)
     if want_grad:
         a = _sigmoid(z)

@@ -145,7 +145,7 @@ def _descend(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
                     loss_spec.logloss_base,
                 )[0])
     except InvalidSpec as exc:
-        # the estimator raises InvalidSpec on inf or nan scores; it
+        # core_eval raises InvalidSpec on inf or nan subset scores; it
         # means divergence unless the scores under every row are finite
         if np.all(np.isfinite(X @ W.T)):
             raise

@@ -1,5 +1,6 @@
 """Quantile estimator tests: hand oracles, tie handling, weight invariants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -412,6 +413,10 @@ def score_matrices():
     yield np.round(rng.standard_normal((77, 1)), 1)
     yield np.asfortranarray(rng.standard_normal((30, 6)) * 4.0 + 1.0)
     yield rng.standard_normal((50, 8))[::2, 1::2]  # strided view
+    yield rng.standard_normal((105, 60))  # no ties: the kernel's table
+    mixed = rng.standard_normal((48, 6))
+    mixed[:, 1::2] = np.round(mixed[:, 1::2])  # ties in every other column
+    yield mixed
 
 
 def test_every_kind_on_a_matrix_agrees_with_its_columns():
@@ -513,3 +518,82 @@ def test_bad_vector_levels_raise():
             estimate(spec, S[:, 0], np.array([0.5]))  # a vector has no columns
     interval = estimate(INTERVAL, S, np.array([0.1, 0.5, 0.9]))
     assert np.array_equal(interval.value, estimate(INTERVAL, S, 0.5).value)
+
+
+def ref_kernel_untied(S, c, h, normalize):
+    """Kernel weights of (n, K) scores with no ties, column by column in
+    scalar arithmetic: rank r_i from a stable argsort, x_i = r_i/n - c,
+    and phi_h(x_i) / n, or normalized, exp(-(x_i^2 - min x^2) / (2h^2))
+    over its sum (phi_h(x_i) / sum phi_h, free of underflow)."""
+    n, K = S.shape
+    W = np.empty((n, K))
+    for j in range(K):
+        cj = float(c[j]) if np.ndim(c) else c
+        ranks = np.empty(n)
+        ranks[np.argsort(S[:, j], kind="stable")] = np.arange(1, n + 1)
+        x = [r / n - cj for r in ranks]
+        if normalize:
+            x2min = min(xi * xi for xi in x)
+            u = [math.exp(-(xi * xi - x2min) / (2 * h * h)) for xi in x]
+            W[:, j] = [ui / math.fsum(u) for ui in u]
+        else:
+            W[:, j] = [
+                math.exp(-xi * xi / (2 * h * h)) / (h * math.sqrt(2 * math.pi)) / n
+                for xi in x
+            ]
+    return W
+
+
+def test_untied_kernel_weights_match_the_rank_formula():
+    rng = np.random.default_rng(59)
+    for n, K in ((105, 6), (17, 3), (1, 2)):
+        S = rng.standard_normal((n, K))
+        for normalize in (True, False):
+            for h in (1e-4, 0.05):
+                for c in (0.0, 1.0, rng.random(K)):
+                    res = estimate(kernel_spec(h, normalize), S, c)
+                    ref = ref_kernel_untied(S, c, h, normalize)
+                    np.testing.assert_allclose(res.weights, ref, rtol=1e-12,
+                                               atol=1e-12)
+
+
+def kernel_calls():
+    """Seeded kernel calls that interleave two bandwidths, two sizes,
+    both normalize values and a scalar and a vector level: untied, then
+    tied, then untied again, so the last round repeats the first
+    round's table keys."""
+    rng = np.random.default_rng(61)
+    for tied in (False, True, False):
+        for n in (40, 105):
+            for h in (0.05, 0.2):
+                for normalize in (True, False):
+                    for c in (0.3, np.array([0.1, 0.5, 0.9])):
+                        S = rng.standard_normal((n, 3))
+                        yield kernel_spec(h, normalize), np.round(S) if tied else S, c
+
+
+def test_kernel_calls_frozen_bits():
+    # sha256 of every value's then weights' bytes over the calls: a
+    # table keyed or computed differently from the rank formula shows
+    digest = hashlib.sha256()
+    for spec, S, c in kernel_calls():
+        res = estimate(spec, S, c)
+        digest.update(res.value.tobytes() + res.weights.tobytes())
+    assert digest.hexdigest() == (
+        "28a3c0c634c9e6968fd8bca64268a4c11c4bbf26dd859db62c2e90607cb11721"
+    )
+
+
+def test_kernel_weights_are_read_only_and_not_shared():
+    S = np.random.default_rng(67).standard_normal((30, 4))
+    for c in (0.4, np.array([0.2, 0.4, 0.6, 0.8])):
+        first, second = (estimate(kernel_spec(0.1), S, c) for _ in range(2))
+        assert first.weights.tobytes() == second.weights.tobytes()
+        assert not np.shares_memory(first.weights, second.weights)
+        with pytest.raises(ValueError):
+            first.weights[0, 0] = 1.0
+        for j in range(4):
+            one, again = (estimate(kernel_spec(0.1), S[:, j].copy(), 0.4)
+                          for _ in range(2))
+            assert not one.weights.flags.writeable
+            assert not np.shares_memory(one.weights, again.weights)

@@ -267,14 +267,22 @@ def lockstep_models(estimator, K=12, seed=53, **shared):
     return models
 
 
-@pytest.mark.parametrize("estimator", [
-    QuantileEstimatorSpec(kind="kernel", bandwidth=0.1),
-    QuantileEstimatorSpec(kind="lower_mean"),
+@pytest.mark.parametrize("estimator, duplicated", [
+    pytest.param(QuantileEstimatorSpec(kind="kernel", bandwidth=0.1), False,
+                 id="estimator0"),
+    pytest.param(QuantileEstimatorSpec(kind="lower_mean"), False,
+                 id="estimator1"),
+    # every sample twice, so every row's subset scores tie at every step
+    # and the kernel takes its tie-broken ranks, not its sorted table
+    pytest.param(QuantileEstimatorSpec(kind="kernel", bandwidth=0.1), True,
+                 id="kernel-duplicated-rows"),
 ])
-def test_lockstep_rows_equal_their_single_model_runs(estimator):
+def test_lockstep_rows_equal_their_single_model_runs(estimator, duplicated):
     # 12 rows with mixed levels, decays and seeds in one call; each row
     # is bit for bit what sgd_train gives that model alone
     d = small_dataset(seed=59, n=40, dim=4)
+    if duplicated:
+        d = Dataset(np.repeat(d.features, 2, axis=0), np.repeat(d.labels, 2))
     models = lockstep_models(estimator)
     assert len({m[0].constraint.target for m in models}) > 1
     assert len({m[1].weight_decay for m in models}) > 1

@@ -14,8 +14,11 @@ the fastest of 7 calls:
   lockstep_logistic_train call;
 * logistic K=1: one logistic_train call per decay, summed.
 
-Each time is divided by the call's model-steps (models x steps).  The
-last line is one JSON object with the four figures in microseconds
+Each time is divided by the call's model-steps (models x steps).  It
+also times one kernel estimate call at the two quantile shapes, the
+preset's estimator on the (105, K) scores of K seeded models at their
+levels (K=4 and K=60), as the fastest of 7 runs of 100 calls.  The
+last line is one JSON object with the six figures in microseconds
 and the quantile/logistic ratio at K=4, the cost of the rate
 constraint over the unconstrained loss on the same data and K.
 """
@@ -29,18 +32,20 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import write_ionosphere  # noqa: E402
-from quantrate import RateConstraint, SurrogateLossSpec, baseline  # noqa: E402
+from quantrate import RateConstraint, SurrogateLossSpec, baseline, estimate  # noqa: E402
 from quantrate import presets  # noqa: E402
 from quantrate.config import experiment_spec  # noqa: E402
 from quantrate.data import split, standardize  # noqa: E402
 from quantrate.experiment import load_experiment_dataset  # noqa: E402
 from quantrate.train import lockstep_train  # noqa: E402
 
-SEED, REPEATS = 1, 7
+SEED, REPEATS, CALLS = 1, 7, 100
 
 
 def fastest(call) -> float:
@@ -96,6 +101,13 @@ def main() -> int:
             for wd, c in fits
         ) / (len(fits) * l_steps),
     }
+    for group in (first_level, models):
+        W = np.random.default_rng(SEED).standard_normal((len(group), train_set.dim))
+        scores = train_set.features @ W.T
+        levels = np.array([1.0 - loss.constraint.target for loss, _ in group])
+        us[f"kernel_estimate_k{len(group)}_us_per_call"] = fastest(
+            lambda: [estimate(spec.estimator, scores, levels) for _ in range(CALLS)]
+        ) / CALLS
     figures = {name: round(seconds * 1e6, 3) for name, seconds in us.items()}
     figures["quantile_over_logistic_k4"] = round(
         us["quantile_k4_us_per_model_step"] / us["logistic_k4_us_per_model_step"], 3
