@@ -7,8 +7,8 @@ feature; weight decay applies to the feature weights only, so in the
 strong-decay limit the bias still carries the class prior.
 
 Fits run as the rows of one (K, d+1) weight matrix, each bit for bit
-its fit alone.  Row k freezes after the first step with 1-d norm
-float(np.linalg.norm(grad_k)) <= 1e-6; batched norms only pre-filter.
+its fit alone.  Row k freezes after the first step whose gradient norm
+sqrt(row_dots(grad, grad)[k]), the 1-d norm bit for bit, is <= 1e-6.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Diverged, InvalidSpec, SingleClass
+from .estimators import row_dots
 from .losses import _sigmoid, _times
 from .metrics import calibrate_threshold
 from .types import (
@@ -82,13 +83,10 @@ def lockstep_logistic_train(
         grad[:, :-1] += decay * W[:, :-1]
         velocity = config.momentum * velocity - config.lr_at(t) * grad
         W = W + velocity
-        # from 2 rows on, one einsum picks the rows to check; 4x covers its rounding
-        sq = np.einsum("kd,kd->k", grad, grad).tolist() if live.size > 1 else [0.0]
-        stop = [k for k in range(live.size) if sq[k] <= 4 * GRAD_TOLERANCE**2
-                and float(np.linalg.norm(grad[k])) <= GRAD_TOLERANCE]
-        if stop:
+        stop = np.sqrt(row_dots(grad, grad)) <= GRAD_TOLERANCE
+        if stop.any():
             fitted[live[stop]], last_step[live[stop]] = W[stop], t
-            keep = [k for k in range(live.size) if k not in stop]
+            keep = ~stop
             live, W, velocity, decay = live[keep], W[keep], velocity[keep], decay[keep]
             if live.size == 0:
                 break

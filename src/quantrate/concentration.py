@@ -254,7 +254,7 @@ def loss_uniform_deviation(
     stream (a documented cap guards against degenerate setups).
     """
     batches = _check_batches(batch_sizes, dataset.n, trials)
-    if w_norm_bound < 0:
+    if not w_norm_bound >= 0:
         raise InvalidSpec("w_norm_bound must be nonnegative")
     if n_models < 1:
         raise InvalidSpec("n_models must be positive")

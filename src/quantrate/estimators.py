@@ -218,7 +218,7 @@ def _plan(spec: QuantileEstimatorSpec, rows: np.ndarray, c):
                 f"for n={n}"
             )
         return _window_weights, [(lo, hi)] * columns
-    levels = [c] * columns if isinstance(c, float) else c.tolist()
+    levels = np.full(columns, c).tolist()
     ranks = {v: max(1, order_rank(n, v)) for v in set(levels)}
     ks = [ranks[v] for v in levels]
     if spec.kind is EstimatorKind.POINT:
@@ -228,13 +228,13 @@ def _plan(spec: QuantileEstimatorSpec, rows: np.ndarray, c):
 
 def _kernel_at(ranks: np.ndarray, n: int, c, h: float, normalize: bool):
     """u_i = phi_h(i/N - c) at 1-based ranks i, (n,) or (K, n), with
-    phi_h the Gaussian density of scale h and c a level or one per row.
+    phi_h the Gaussian density of scale h and c a 1- or K-vector of levels.
     normalize=True divides by sum(u) (the default: value stays inside
     [min, max] of the scores), through a shifted exponent, so h -> 0
     tends to a one-hot at the rank nearest c instead of 0/0;
     normalize=False divides by N, as the paper does.
     """
-    x = ranks / n - (c if isinstance(c, float) else c[:, None])
+    x = ranks / n - c[:, None]
     expo = -0.5 * (x / h) ** 2
     if normalize:
         shifted = np.exp(expo - expo.max(axis=-1, keepdims=True))
@@ -247,8 +247,8 @@ _TABLE_MAX = 2**16  # weights in a cached table (512 KiB); 16 tables at most
 
 @functools.lru_cache(maxsize=16)
 def _sorted_table(n: int, level, h: float, normalize: bool) -> np.ndarray:
-    """Read-only _kernel_at ranks 1..n; level is a float or float64 bytes."""
-    c = level if isinstance(level, float) else np.frombuffer(level)
+    """Read-only (L, n) _kernel_at ranks 1..n at the L float64 levels in level."""
+    c = np.frombuffer(level)
     return _frozen(_kernel_at(np.arange(1, n + 1), n, c, h, normalize))
 
 
@@ -256,16 +256,15 @@ def _kernel_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndar
     """Gaussian-kernel weights of each row of (K, n) scores at its level:
     _kernel_at each score's tie-broken rank, which is 1..n in sorted
     order when no row has a tie, so that a cached table serves."""
-    h, normalize = float(spec.bandwidth), spec.normalize
+    h, normalize, c = float(spec.bandwidth), spec.normalize, np.atleast_1d(c)
     n_rows, n = rows.shape
     order = np.argsort(rows, axis=1)  # ties share a weight: any order
-    if n_rows > 1:
-        order += n * np.arange(n_rows)[:, None]  # flat indices into rows
+    order += n * np.arange(n_rows)[:, None]  # flat indices into rows
     ranked = rows.ravel()[order]
     run_end = np.ones(rows.shape, dtype=bool)  # last of a run of ties
     run_end[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
-    if run_end.all() and n * np.size(c) <= _TABLE_MAX:
-        w = _sorted_table(n, c if isinstance(c, float) else c.tobytes(), h, normalize)
+    if run_end.all() and n * c.size <= _TABLE_MAX:
+        w = _sorted_table(n, c.tobytes(), h, normalize)
     else:  # tied, or too large to keep: rank i* is that of its run's end
         ends = np.where(run_end, np.arange(n), n)
         ranks = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1] + 1
@@ -302,7 +301,7 @@ def estimate(spec: QuantileEstimatorSpec, scores, c) -> QuantileResult:
     rows = s[None] if s.ndim == 1 else np.ascontiguousarray(s.T)
     w = _row_weights(spec, rows, _check_level(c, s, spec.kind))
     if s.ndim == 1:
-        return QuantileResult(float(w[0] @ s), w[0])
+        return QuantileResult(float(row_dots(w, rows)[0]), w[0])
     return QuantileResult(row_dots(w, rows), w.T)
 
 

@@ -73,11 +73,9 @@ def _side(spec: SurrogateLossSpec) -> Tuple[int, float]:
 
 
 def _times(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X @ w for a vector w, and the (K, n) rows X @ w[k] (X[k] @ w[k]
-    for a stack X) for a (K, d) matrix; each row is the 1-d product bit
-    for bit, and a lone row over a shared X takes the 1-d product."""
-    if w.ndim == 1:
-        return X @ w
+    """The (K, n) rows X @ w[k] (X[k] @ w[k] for a stack X) of a (K, d)
+    matrix w; each row is the 1-d product bit for bit, and a lone row
+    over a shared X takes the 1-d product."""
     if w.shape[0] == 1 and X.ndim == 2:
         return (X @ w[0])[None]
     return np.matmul(X, w[:, :, None])[:, :, 0]
@@ -96,17 +94,17 @@ def core_eval(
 ):
     """Loss, or gradient, of one penalized/subset matrix pair.
 
-    w is one model's weight vector, or a (K, d) matrix of K models, one
-    per row, with level a scalar or a K-vector of levels; X_pen and
-    X_sub are then shared by every row, or (K, p, d) and (K, m, d)
-    stacks of each row's own.  Row k of a matrix call equals the 1-d
+    w is a (K, d) matrix of K models, one per row, with level a scalar
+    or a K-vector of levels, or a weight vector, run as the lone row of
+    such a matrix.  X_pen and X_sub are shared by every row, or
+    (K, p, d) and (K, m, d) stacks of each row's own.  Row k equals the
     call on w[k] and its own matrices at its level bit for bit, the
-    estimate that stands in for the threshold included.  pen_mask, 0/1
-    per penalized row, drops the rows it zeroes, so a minibatch keeps
-    its shape whatever its penalized count.  An empty penalized matrix
-    contributes zero; a nonempty subset gives the estimator its scores.
-    Returns (value, per_sample, None), or with want_grad (None, None,
-    grad); for a matrix, K values, (K, p) summands, (K, d) gradients.
+    threshold's estimate included.  pen_mask, 0/1 per penalized row,
+    drops the rows it zeroes, so a minibatch keeps its shape whatever
+    its penalized count.  An empty penalized matrix contributes zero; a
+    nonempty subset gives the estimator its scores.  Returns (value,
+    per_sample, None), or with want_grad (None, None, grad): K values,
+    (K, p) summands, (K, d) gradients; a float, (p,), (d,) for a vector.
     Levels, a float or a float64 K-vector, are checked when a spec is
     built; core_eval checks only that the subset's scores are finite,
     and its InvalidSpec is what training reports as Diverged.
@@ -116,12 +114,11 @@ def core_eval(
         raise DimensionError(
             f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
-    sub_rows = _checked(_times(X_sub, w)).reshape(-1, X_sub.shape[-2])
+    vector, W = w.ndim == 1, np.atleast_2d(w)
+    sub_rows = _checked(_times(X_sub, W)).reshape(-1, X_sub.shape[-2])
     q_weights = _row_weights(est_spec, sub_rows, level)  # C-ordered (K, m)
     theta = row_dots(q_weights, sub_rows)[:, None]
-    if w.ndim == 1:
-        q_weights, theta = q_weights[0], float(theta[0, 0])
-    z = sign * (_times(X_pen, w) - theta)
+    z = sign * (_times(X_pen, W) - theta)
     if want_grad:
         a = _sigmoid(z)
         if pen_mask is not None:
@@ -131,12 +128,14 @@ def core_eval(
             _times(X_pen.swapaxes(-1, -2), a)
             - a.sum(axis=-1, keepdims=True) * anchor
         )
-        return None, None, grad
+        return None, None, (grad[0] if vector else grad)
     per_sample = _softplus(z) / ln_base
     if pen_mask is not None:
         per_sample = per_sample * pen_mask
     value = per_sample.sum(axis=-1)
-    return (float(value) if w.ndim == 1 else value), per_sample, None
+    if vector:
+        return float(value[0]), per_sample[0], None
+    return value, per_sample, None
 
 
 def _resolved(spec: SurrogateLossSpec, dataset: Dataset):

@@ -16,16 +16,6 @@ from typing import Dict, List
 
 from ..errors import InvalidSpec
 
-_PRESET_FILES = {
-    "ionosphere": "ionosphere.json",
-    "housing": "housing.json",
-    "synthetic": "synthetic.json",
-    "stability_kernel": "stability_kernel.json",
-    "stability_interval": "stability_interval.json",
-    "loss_deviation": "loss_deviation.json",
-    "convex_convergence": "convex_convergence.json",
-}
-
 _COMPARISON_FILE = "published_comparison.json"
 
 
@@ -36,16 +26,20 @@ def _read_json(filename: str) -> dict:
 
 
 def preset_names() -> List[str]:
-    return sorted(_PRESET_FILES)
+    """The stems of the package's JSON files, the comparison file aside."""
+    return sorted(
+        ref.name[: -len(".json")] for ref in resources.files(__name__).iterdir()
+        if ref.name.endswith(".json") and ref.name != _COMPARISON_FILE
+    )
 
 
 def load_preset(name: str) -> dict:
     """The named preset's config dict (a fresh copy each call)."""
-    if name not in _PRESET_FILES:
+    if name not in preset_names():
         raise InvalidSpec(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    return _read_json(_PRESET_FILES[name])
+    return _read_json(f"{name}.json")
 
 
 def published_tables() -> dict:

@@ -265,7 +265,7 @@ class SurrogateLossSpec:
     """A differentiable objective: quantile estimator + logloss penalty.
 
     penalize selects the penalized side for the generic objective; the
-    named objectives fix their own side and ignore it.
+    named objectives fix their own side and take only the default.
     """
 
     objective: Objective
@@ -277,6 +277,9 @@ class SurrogateLossSpec:
     def __post_init__(self):
         object.__setattr__(self, "objective", Objective(self.objective))
         object.__setattr__(self, "penalize", Penalize(self.penalize))
+        named = self.objective is not Objective.GENERIC
+        if named and self.penalize is not Penalize.NEGATIVES:
+            raise InvalidSpec(f"the {self.objective.value} objective does not read penalize")
         object.__setattr__(self, "logloss_base", float(self.logloss_base))
         if not self.logloss_base > 1.0:
             raise InvalidSpec(
@@ -322,11 +325,11 @@ class TrainConfig:
     lr_decay: str = "constant"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise InvalidSpec("learning_rate must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidSpec("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise InvalidSpec("weight_decay must be nonnegative")
         if self.steps < 1:
             raise InvalidSpec("steps must be at least 1")

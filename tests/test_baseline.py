@@ -20,6 +20,7 @@ from quantrate import (
     rate,
 )
 from quantrate.baseline import lockstep_logistic_train, with_bias
+from quantrate.estimators import row_dots
 
 
 def separable_free_dataset(seed, n=80, dim=3):
@@ -208,3 +209,19 @@ def test_lockstep_fits_may_differ_only_in_decay_and_seed():
             lockstep_logistic_train(d, [(0.1, config), (0.2, replace(config, **change))])
     with pytest.raises(InvalidSpec):
         lockstep_logistic_train(d, [])
+
+
+def test_row_dot_norms_are_the_one_dimensional_norms():
+    # the stop rule's sqrt(row_dots(G, G)) is each row's
+    # float(np.linalg.norm(g)) bit for bit, for stacked gradients laid
+    # out as the fit computes them and for plain C-ordered rows
+    rng = np.random.default_rng(71)
+    for K in (1, 2, 5, 60):
+        for d in (1, 3, 35, 79):
+            for scale in (1e-300, 1e-12, 1e-6, 1.0, 1e3, 1e150):
+                A, B = rng.standard_normal((d, 9)), rng.standard_normal((K, 9))
+                stacked = np.matmul(A, B[:, :, None])[:, :, 0] * scale
+                for G in (rng.standard_normal((K, d)) * scale, stacked):
+                    got = np.sqrt(row_dots(G, G))
+                    want = [float(np.linalg.norm(g)) for g in G]
+                    assert got.tobytes() == np.array(want).tobytes()

@@ -325,3 +325,10 @@ def test_reference_search_matches_the_looped_search():
     assert w.tobytes() == np.zeros(3).tobytes()
     assert not np.any(want_w)
     assert loss == surrogate_loss(LinearModel(w + 1.0), all_zero, spec).value
+
+
+def test_loss_deviation_refuses_a_nan_norm_bound():
+    d = small_dataset()
+    constraint = RateConstraint("positives", "at_least", 0.8)
+    with pytest.raises(InvalidSpec, match="w_norm_bound must be nonnegative"):
+        loss_uniform_deviation(d, constraint, KERNEL, [10], 100, float("nan"), 2, 0)

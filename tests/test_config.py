@@ -73,3 +73,12 @@ def test_a_kind_of_the_wrong_type_is_an_unknown_kind():
             concentration_spec({"kind": kind}, None)
         with pytest.raises(InvalidSpec, match="unknown experiment kind"):
             experiment_spec({"kind": kind})
+
+
+def test_nan_rates_and_decays_are_refused_by_the_record():
+    # a library caller bypasses the config reader's finite check
+    for field in ("learning_rate", "weight_decay"):
+        kwargs = dict(learning_rate=0.1, steps=1, seed=0)
+        kwargs[field] = float("nan")
+        with pytest.raises(InvalidSpec, match=f"{field} must be nonnegative"):
+            TrainConfig(**kwargs)

@@ -16,7 +16,7 @@ from quantrate import (
     exact_quantile,
     order_rank,
 )
-from quantrate.estimators import estimate_values, row_dots
+from quantrate.estimators import _sorted_table, estimate_values, row_dots
 
 POINT = QuantileEstimatorSpec(kind="point")
 LOWER_MEAN = QuantileEstimatorSpec(kind="lower_mean")
@@ -597,3 +597,18 @@ def test_kernel_weights_are_read_only_and_not_shared():
                           for _ in range(2))
             assert not one.weights.flags.writeable
             assert not np.shares_memory(one.weights, again.weights)
+
+
+def test_a_scalar_level_keeps_one_table_whatever_k():
+    # a scalar level keys one n-weight table that a lone vector and all
+    # 60 columns of a matrix share; a level broadcast to K columns would
+    # key a second, 60n-weight table (past the size limit at this n)
+    n, spec = 2000, kernel_spec(0.05)
+    S = np.random.default_rng(73).standard_normal((n, 60))
+    _sorted_table.cache_clear()
+    alone = estimate(spec, S[:, 7].copy(), 0.3)
+    together = estimate(spec, S, 0.3)
+    info = _sorted_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert _sorted_table(n, np.float64(0.3).tobytes(), 0.05, True).shape == (1, n)
+    assert together.weights[:, 7].tobytes() == alone.weights.tobytes()

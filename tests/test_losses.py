@@ -398,3 +398,19 @@ def test_times_rows_are_the_one_dimensional_product():
         for k in range(K):
             assert rows[k].tobytes() == (X @ W[k]).tobytes()
             assert back[k].tobytes() == (X.T @ C[k]).tobytes()
+
+
+def test_only_generic_reads_penalize():
+    # a named objective fixes its own side, so a penalized side other
+    # than the default is an error there, not ignored
+    named = (
+        ("p_at_r", RateConstraint("positives", "at_least", 0.5)),
+        ("p_at_ppr_fp", RateConstraint("all", "at_least", 0.5)),
+        ("p_at_ppr_tp", RateConstraint("all", "at_least", 0.5)),
+    )
+    for objective, constraint in named:
+        with pytest.raises(InvalidSpec, match="does not read penalize"):
+            SurrogateLossSpec(objective, constraint, POINT, penalize="positives")
+        SurrogateLossSpec(objective, constraint, POINT, penalize="negatives")
+    generic = RateConstraint("negatives", "at_most", 0.2)
+    SurrogateLossSpec("generic", generic, POINT, penalize="positives")
