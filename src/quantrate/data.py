@@ -28,6 +28,7 @@ from .errors import (
     RaggedRows,
     UnknownLabel,
 )
+from .estimators import order_rank
 from .types import Dataset, check_fraction
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -47,9 +48,9 @@ def seed_of(*tags: int) -> int:
 class SplitSpec:
     """Train/test partition parameters.
 
-    train_fraction controls the exact train size floor(fraction * n).
-    Stratified mode applies the same floor to the positive class, so
-    both sides keep the original positive fraction within one sample.
+    The train size is the largest k with k/n <= train_fraction, and
+    stratified mode applies the same rule to the positive class, so both
+    sides keep the original positive fraction within one sample.
     """
 
     train_fraction: float
@@ -293,13 +294,13 @@ def load_sparse(path) -> Dataset:
 def split(dataset: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset]:
     """Deterministic train/test partition.
 
-    The train side holds exactly floor(train_fraction * n) samples; the
-    stratified variant additionally pins the train positive count to
-    floor(train_fraction * n_positives).  Row order within each side
+    The train side holds the largest k with k/n <= train_fraction
+    samples; the stratified variant pins its positive count by the same
+    rule against the number of positives.  Row order within each side
     follows the original dataset order.
     """
     n = dataset.n
-    n_train = int(np.floor(spec.train_fraction * n))
+    n_train = order_rank(n, spec.train_fraction)
     if n_train < 1 or n_train >= n:
         raise DegenerateSplit(
             f"fraction {spec.train_fraction} of {n} samples leaves an "
@@ -309,7 +310,7 @@ def split(dataset: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset]:
     if spec.stratified:
         pos = dataset.positive_indices()
         neg = dataset.negative_indices()
-        n_pos_train = int(np.floor(spec.train_fraction * pos.size))
+        n_pos_train = order_rank(pos.size, spec.train_fraction)
         n_neg_train = n_train - n_pos_train
         pos_perm = pos[rng.permutation(pos.size)]
         neg_perm = neg[rng.permutation(neg.size)]

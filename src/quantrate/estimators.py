@@ -206,12 +206,12 @@ def _plan(spec: QuantileEstimatorSpec, rows: np.ndarray, c):
     estimate and makes the downstream loss convex for linear models
     (c < 1/N falls back to k=1, the minimum, so small constraint
     minibatches never abort training); interval averages the ascending
-    order statistics at 1-based indices floor(N*k1)+1 through
-    floor(N*k2) inclusive and ignores c.
+    order statistics at 1-based indices lo+1 through hi inclusive, with
+    lo and hi the largest k with k/N <= k1 and k/N <= k2, and ignores c.
     """
     columns, n = rows.shape
     if spec.kind is EstimatorKind.INTERVAL:
-        lo, hi = int(math.floor(n * spec.k1)), int(math.floor(n * spec.k2))
+        lo, hi = order_rank(n, spec.k1), order_rank(n, spec.k2)
         if hi <= lo:
             raise DegenerateInterval(
                 f"window ({spec.k1}, {spec.k2}] selects no order statistics "

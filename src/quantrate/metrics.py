@@ -44,15 +44,15 @@ def calibrate_threshold(scores, constraint: RateConstraint) -> float:
     """Threshold satisfying a rate constraint on the given subset scores.
 
     The candidates are the distinct score values, plus the below-minimum
-    threshold (rate 1) for at_least.  A value is feasible when its count
-    of scores strictly above it is >= target * n (at_least) or
-    <= target * n (at_most).  That count only falls as the value grows,
-    so the feasible values form a prefix (at_least) or a suffix
-    (at_most) of the distinct values.  at_least returns the last value
-    of the prefix, or the below-minimum threshold when the prefix is
-    empty.  at_most returns the first value of the suffix, but never
-    one below the exact quantile at level 1 - target.  Either way the
-    result is the value np.unique keeps for its tied run.
+    threshold (rate 1) for at_least.  A value is feasible when
+    rate(scores, value) meets the target: >= target (at_least) or
+    <= target (at_most).  That rate only falls as the value grows, so
+    the feasible values form a prefix (at_least) or a suffix (at_most)
+    of the distinct values.  at_least returns the last value of the
+    prefix, or the below-minimum threshold when the prefix is empty;
+    at_most returns the first value of the suffix.  Either way the
+    result is the value np.unique keeps for its tied run, as +0.0 when
+    it is a zero.
 
     Parameters
     ----------
@@ -70,18 +70,15 @@ def calibrate_threshold(scores, constraint: RateConstraint) -> float:
     c = constraint.target
     n = s.size
     distinct, counts = np.unique(s, return_counts=True)
-    below = np.cumsum(counts)
-    above = n - below
+    rates = (n - np.cumsum(counts)) / n
     if constraint.direction is Direction.AT_LEAST:
-        j = int(np.count_nonzero(above >= c * n)) - 1
+        j = int(np.count_nonzero(rates >= c)) - 1
         if j < 0:
             return float(np.nextafter(distinct[0], -np.inf))
     else:
         # the maximum always qualifies: nothing lies above it
-        first = int(np.argmax(above <= c * n))
-        start = int(np.searchsorted(below, max(1, order_rank(n, 1.0 - c))))
-        j = max(first, start)
-    return float(distinct[j])
+        j = int(np.argmax(rates <= c))
+    return float(distinct[j] + 0.0)
 
 
 def evaluate(model: LinearModel, dataset: Dataset) -> EvalReport:

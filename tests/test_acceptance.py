@@ -17,9 +17,12 @@ import pytest
 
 from quantrate import (
     Dataset,
+    DegenerateInterval,
+    DegenerateSplit,
     LinearModel,
     QuantileEstimatorSpec,
     RateConstraint,
+    SplitSpec,
     SurrogateLossSpec,
     SyntheticSpec,
     calibrate_threshold,
@@ -33,6 +36,7 @@ from quantrate import (
     loss_uniform_deviation,
     published_rows,
     run_experiment,
+    split,
     surrogate_loss,
 )
 from quantrate.cli import main
@@ -261,36 +265,99 @@ def test_property_calibration_is_exhaustively_maximal():
     alphabet = (-1.5, -0.25, 0.3, 0.31, 2.0)
     bad_least = 0
     bad_most = 0
+    below_start = 0
     checked = 0
     for n in range(1, 13):
         c_grid = sorted({i / 20 for i in range(21)}
                         | {k / n for k in range(n + 1)})
         for combo in combinations_with_replacement(alphabet, n):
             s = np.array(combo)
-            candidates = list(np.unique(s)) + [
-                float(np.nextafter(s.min(), -np.inf))
-            ]
+            distinct = list(np.unique(s))
+            candidates = distinct + [float(np.nextafter(s.min(), -np.inf))]
             for c in c_grid:
                 checked += 1
                 theta = calibrate_threshold(
                     s, RateConstraint("all", "at_least", c))
                 feasible = [t for t in candidates
-                            if np.count_nonzero(s > t) >= c * n]
+                            if np.count_nonzero(s > t) / n >= c]
                 if not feasible or theta != max(feasible):
                     bad_least += 1
                 theta2 = calibrate_threshold(
                     s, RateConstraint("all", "at_most", c))
-                start = exact_quantile(s, 1.0 - c)
-                feasible2 = [t for t in candidates if t >= start
-                             and np.count_nonzero(s > t) <= c * n]
-                if (np.count_nonzero(s > theta2) > c * n
+                feasible2 = [t for t in distinct
+                             if np.count_nonzero(s > t) / n <= c]
+                if (np.count_nonzero(s > theta2) / n > c
                         or theta2 != min(feasible2)):
                     bad_most += 1
+                if theta2 < exact_quantile(s, 1.0 - c):
+                    below_start += 1
     print(f"exhaustive calibration: {checked} cases, "
-          f"at_least bad {bad_least}, at_most bad {bad_most}")
+          f"at_least bad {bad_least}, at_most bad {bad_most}, "
+          f"at_most below the exact quantile {below_start}")
     assert checked == 168727
     assert bad_least == 0
     assert bad_most == 0
+    assert below_start == 0
+
+
+def edge_targets(n):
+    """Each k/n for k = 0..n and its two float neighbours inside [0, 1]."""
+    targets = set()
+    for k in range(n + 1):
+        c = k / n
+        targets.update((np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)))
+    return sorted(float(c) for c in targets if 0.0 <= c <= 1.0)
+
+
+def largest_k(n, c):
+    """max{k : k/n <= c}, counting the k in 0..n whose k/n is <= c."""
+    return int(np.count_nonzero(np.arange(n + 1) / n <= c)) - 1
+
+
+def test_property_every_count_rule_is_k_over_n():
+    # calibration, the interval window and split sizes on n samples at
+    # every edge target, against brute-force scans of the literal k/n
+    # comparison.  n stops at 50, which keeps this near 2 s: to n = 200
+    # the sweep takes about 26 s on a 2-core x86-64 host, 18 s in split.
+    for n in range(1, 51):
+        s = np.arange(float(n))
+        candidates = np.append(s, np.nextafter(0.0, -np.inf))
+        rates = np.count_nonzero(s > candidates[:, None], axis=1) / n
+        targets = edge_targets(n)
+        for c in targets:
+            theta = calibrate_threshold(s, RateConstraint("all", "at_least", c))
+            assert np.count_nonzero(s > theta) / n >= c
+            assert theta == candidates[rates >= c].max()
+            theta = calibrate_threshold(s, RateConstraint("all", "at_most", c))
+            assert np.count_nonzero(s > theta) / n <= c
+            assert theta == s[rates[:n] <= c].min()
+        inner = [c for c in targets if 0.0 < c < 1.0]
+        for k1, k2 in zip(inner, inner[1:]):
+            lo, hi = largest_k(n, k1), largest_k(n, k2)
+            spec = QuantileEstimatorSpec(kind="interval", k1=k1, k2=k2)
+            if hi <= lo:
+                with pytest.raises(DegenerateInterval):
+                    estimate(spec, s, 0.5)
+            else:
+                support = estimate(spec, s, 0.5).support
+                assert list(support) == list(range(lo, hi))
+        if n < 2:
+            continue
+        d = Dataset(s[:, None], np.where(s % 3 == 0, 1, -1))
+        n_pos = d.positive_indices().size
+        for c in inner:
+            size = largest_k(n, c)
+            for stratified in (False, True):
+                spec = SplitSpec(c, seed=0, stratified=stratified)
+                if not 1 <= size < n:
+                    with pytest.raises(DegenerateSplit):
+                        split(d, spec)
+                    continue
+                train, _ = split(d, spec)
+                assert train.n == size
+                if stratified:
+                    positives = train.positive_indices().size
+                    assert positives == largest_k(n_pos, c)
 
 
 def test_property_surrogate_dominates_the_violation_count():

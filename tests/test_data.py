@@ -151,19 +151,33 @@ def ragged_dataset(rng, n=40):
     return Dataset(X, y)
 
 
+def largest_k(n, c):
+    """max{k : k/n <= c}, by scanning every k."""
+    return max(k for k in range(n + 1) if k / n <= c)
+
+
 def test_split_sizes_and_partition():
     rng = np.random.default_rng(79)
     for _ in range(30):
         d = ragged_dataset(rng)
         frac = float(rng.uniform(0.2, 0.8))
         tr, te = split(d, SplitSpec(train_fraction=frac, seed=5))
-        assert tr.n == int(np.floor(frac * d.n))
+        assert tr.n == largest_k(d.n, frac)
         assert tr.n + te.n == d.n
         n_pos = d.positive_indices().size
-        assert tr.positive_indices().size == int(np.floor(frac * n_pos))
+        assert tr.positive_indices().size == largest_k(n_pos, frac)
         # the two sides tile the original rows exactly once
         joined = np.vstack([tr.features, te.features])
         assert sorted(map(tuple, joined)) == sorted(map(tuple, d.features))
+
+
+def test_split_size_at_a_float_edge():
+    # 0.58 * 50 and 0.7 * 90 round just below 29 and 63
+    for n, frac, size in ((50, 0.58, 29), (90, 0.7, 63)):
+        assert largest_k(n, frac) == size
+        d = Dataset(np.arange(float(n))[:, None], [1, -1] * (n // 2))
+        tr, te = split(d, SplitSpec(frac, seed=1, stratified=False))
+        assert (tr.n, te.n) == (size, n - size)
 
 
 def test_split_sides_keep_original_order():

@@ -36,7 +36,9 @@ def test_order_rank_hand_values():
 
 
 def test_order_rank_float_boundaries():
-    # floor(0.3 * 10) is 2 in floats; the defining comparison must win
+    # 0.29 * 100 is 28.999999999999996 in floats, so floor(c * n) would
+    # give 28; the defining comparison 29/100 <= 0.29 must win
+    assert order_rank(100, 0.29) == 29
     assert order_rank(10, 0.3) == 3
     assert order_rank(3, 1.0 / 3.0) == 1
     assert order_rank(7, 0.7) == 4
@@ -206,7 +208,8 @@ def test_lower_mean_matches_sorted_prefix_mean():
 def test_interval_hand_values():
     spec = QuantileEstimatorSpec(kind="interval", k1=0.39, k2=0.41)
     s = [float(v) for v in range(1, 11)]
-    # window floor(10*.39)+1 .. floor(10*.41) selects the single 4th statistic
+    # the largest k with k/10 <= .39 is 3 and with k/10 <= .41 is 4, so
+    # the window selects the single 4th statistic
     res = estimate(spec, s, 0.5)
     assert res.value == 4.0
     assert list(res.support) == [3]
@@ -214,6 +217,17 @@ def test_interval_hand_values():
     res2 = estimate(spec2, [float(v) for v in range(1, 9)], 0.5)
     assert res2.value == 4.5  # mean of statistics 3..6
     assert res2.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_interval_window_edges_follow_the_literal_rule():
+    # 0.29 * 100 rounds below 29, but 29/100 <= 0.29 holds
+    s = np.arange(100.0)
+    lo = max(k for k in range(101) if k / 100 <= 0.29)
+    hi = max(k for k in range(101) if k / 100 <= 0.5)
+    assert (lo, hi) == (29, 50)
+    res = estimate(QuantileEstimatorSpec(kind="interval", k1=0.29, k2=0.5), s, 0.5)
+    assert list(res.support) == list(range(lo, hi))
+    assert res.value == 39.0
 
 
 def test_interval_ignores_level():
@@ -224,7 +238,8 @@ def test_interval_ignores_level():
 
 def test_interval_degenerate_window():
     spec = QuantileEstimatorSpec(kind="interval", k1=0.41, k2=0.49)
-    # floor(10*.41) == floor(10*.49) == 4: no statistics in the window
+    # the largest k with k/10 <= .41 and with k/10 <= .49 is 4 both times:
+    # no statistics in the window
     with pytest.raises(DegenerateInterval):
         estimate(spec, [float(v) for v in range(1, 11)], 0.5)
 
@@ -313,7 +328,7 @@ def ref_lower_mean(s, c):
 
 
 def ref_interval(s, k1, k2):
-    lo, hi = math.floor(s.size * k1), math.floor(s.size * k2)
+    lo, hi = _brute_rank(s.size, k1), _brute_rank(s.size, k2)
     return _dense(s, np.argsort(s, kind="stable")[lo:hi], 1.0 / (hi - lo))
 
 
@@ -376,7 +391,7 @@ def test_interval_matches_the_stable_sort_oracle():
             if not 0.0 < k1 < k2 < 1.0:
                 continue
             spec = QuantileEstimatorSpec(kind="interval", k1=k1, k2=k2)
-            if math.floor(n * k2) <= math.floor(n * k1):
+            if _brute_rank(n, k2) <= _brute_rank(n, k1):
                 with pytest.raises(DegenerateInterval):
                     estimate(spec, s, 0.5)
                 continue

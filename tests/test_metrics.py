@@ -1,5 +1,7 @@
 """Threshold calibration and evaluation metric tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,11 @@ def at_least(c):
 
 def at_most(c):
     return RateConstraint("negatives", "at_most", c)
+
+
+def largest_k(n, c):
+    """max{k : k/n <= c}, by scanning every k."""
+    return max(k for k in range(n + 1) if k / n <= c)
 
 
 def draw_scores(rng, lo=1, hi=26):
@@ -72,10 +79,10 @@ def test_calibrate_at_least_is_maximal_feasible():
             float(rng.integers(1, s.size + 1)) / s.size)
         theta = calibrate_threshold(s, at_least(c))
         n = s.size
-        assert np.count_nonzero(s > theta) >= c * n
+        assert np.count_nonzero(s > theta) / n >= c
         candidates = np.append(np.unique(s), np.nextafter(s.min(), -np.inf))
         feasible = [t for t in candidates
-                    if np.count_nonzero(s > t) >= c * n]
+                    if np.count_nonzero(s > t) / n >= c]
         assert theta == max(feasible)
 
 
@@ -87,11 +94,11 @@ def test_calibrate_at_most_is_minimal_above_start():
             float(rng.integers(1, s.size + 1)) / s.size)
         theta = calibrate_threshold(s, at_most(c))
         n = s.size
-        assert np.count_nonzero(s > theta) <= c * n
-        start = exact_quantile(s, 1.0 - c)
-        above = [t for t in np.unique(s) if t >= start
-                 and np.count_nonzero(s > t) <= c * n]
-        assert theta == min(above)
+        assert np.count_nonzero(s > theta) / n <= c
+        assert theta >= exact_quantile(s, 1.0 - c)
+        feasible = [t for t in np.unique(s)
+                    if np.count_nonzero(s > t) / n <= c]
+        assert theta == min(feasible)
 
 
 def test_evaluate_hand_counts():
@@ -137,7 +144,7 @@ def test_precision_at_rate_slice_never_exceeds_target():
         y = rng.choice([-1, 1], size=s.size)
         tau = float(rng.uniform(0.05, 1.0))
         n = s.size
-        m = max(1, int(np.floor(tau * n + 1e-9)))
+        m = max(1, largest_k(n, tau))
         if m == n:
             theta = np.nextafter(s.min(), -np.inf)
         else:
@@ -148,7 +155,7 @@ def test_precision_at_rate_slice_never_exceeds_target():
             assert p == 0.0
         else:
             assert p == np.count_nonzero(predicted & (y == 1)) / predicted.sum()
-        assert predicted.sum() <= max(1, np.floor(tau * n + 1e-9))
+        assert predicted.sum() <= m
 
 
 def test_precision_at_recall_meets_the_recall_floor():
@@ -216,13 +223,14 @@ def test_pr_grid_validation():
 
 
 # Signed zeros compare equal, so a tied run of scores may mix -0.0 and
-# 0.0.  The calibrated threshold is the value np.unique keeps for its
-# run (or one float below the minimum), and its sign reaches the output
-# files; "==" cannot see it, so these cases compare bytes.  Each entry
-# holds the (at_least, at_most) thresholds recorded for a case as
-# indices into np.unique(s), -1 meaning the below-minimum threshold; the
-# zero's sign is read from np.unique, whose sort may order signed zeros
-# differently on another numpy build or CPU.
+# 0.0.  The calibrated threshold is the value of its run (or one float
+# below the minimum), and its bytes reach the output files; "==" cannot
+# see a zero's sign, so these cases compare bytes.  Each entry holds the
+# (at_least, at_most) thresholds of a case as indices into np.unique(s),
+# -1 meaning the below-minimum threshold, found by scanning every
+# candidate for the extremal one whose count above it, over n, meets
+# the target.  A zero threshold is +0.0, whichever sign np.unique's sort
+# leaves first in the run.
 ZERO_HAND_SCORES = (
     (0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -1.0),
     (-0.0, 0.0, 0.0, -0.0, -0.0),
@@ -260,7 +268,7 @@ def threshold_bytes(s, run):
     distinct = np.unique(s)
     if run < 0:
         return np.nextafter(distinct[0], -np.inf).tobytes()
-    return distinct[run].tobytes()
+    return (distinct[run] + 0.0).tobytes()
 
 
 def check_recorded_bits(cases, recorded):
@@ -273,7 +281,7 @@ def check_recorded_bits(cases, recorded):
 
 ZERO_HAND_RUNS = (
     (3, 3), (2, 3), (1, 2), (0, 1), (0, 1), (0, 1), (0, 1), (-1, 0), (-1, 0),
-    (1, 1), (0, 0), (0, 0), (-1, 0), (-1, 0), (-1, 0), (-1, 0), (-1, 0),
+    (1, 1), (-1, 0), (0, 0), (-1, 0), (-1, 0), (-1, 0), (-1, 0), (-1, 0),
     (-1, 0), (-1, 0), (-1, 0), (-1, 0), (-1, 0), (2, 2), (1, 2), (1, 1),
     (0, 1), (0, 1), (0, 1), (0, 0), (-1, 0), (-1, 0), (1, 1), (-1, 0), (2, 2),
     (1, 2), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (-1, 0), (-1, 0), (1, 1),
@@ -296,7 +304,7 @@ TIE_HEAVY_RUNS = (
     (35, 36), (17, 18), (86, 86), (-1, 0), (85, 86), (45, 46), (0, 0),
     (43, 43), (42, 42), (64, 64), (50, 51), (42, 43), (23, 23), (10, 10),
     (-1, 0), (9, 10), (3, 4), (-1, 0), (5, 5), (4, 4), (6, 7), (5, 6), (4, 5),
-    (2, 3), (10, 10), (-1, 0), (9, 9), (4, 5), (0, 0), (5, 5), (3, 4), (6, 7),
+    (2, 3), (10, 10), (-1, 0), (9, 9), (4, 5), (0, 0), (5, 5), (4, 4), (6, 7),
     (5, 6), (4, 5), (2, 3), (87, 87), (-1, 0), (86, 86), (55, 56), (0, 0),
     (43, 43), (42, 42), (65, 66), (50, 51), (43, 44), (22, 23), (43, 43),
     (-1, 0), (42, 42), (38, 39), (0, 0), (24, 24), (23, 23), (37, 38),
@@ -305,16 +313,16 @@ TIE_HEAVY_RUNS = (
     (78, 79), (39, 40), (0, 0), (38, 38), (37, 37), (59, 60), (45, 46),
     (37, 38), (18, 19), (9, 9), (-1, 0), (8, 9), (2, 3), (-1, 0), (4, 4),
     (3, 3), (5, 6), (4, 5), (3, 4), (1, 2), (79, 79), (-1, 0), (78, 78),
-    (13, 14), (0, 0), (39, 39), (37, 38), (60, 61), (46, 47), (38, 39),
-    (18, 19), (10, 10), (-1, 0), (9, 10), (2, 3), (0, 0), (5, 5), (4, 5),
+    (13, 14), (0, 0), (39, 39), (38, 38), (60, 61), (46, 47), (38, 39),
+    (18, 19), (10, 10), (-1, 0), (9, 9), (2, 3), (0, 0), (5, 5), (4, 4),
     (6, 7), (5, 6), (4, 5), (2, 3), (76, 76), (-1, 0), (75, 75), (55, 55),
-    (0, 0), (37, 38), (36, 36), (58, 59), (45, 46), (37, 38), (17, 18),
-    (79, 79), (-1, 0), (78, 78), (25, 26), (0, 0), (40, 40), (39, 40),
+    (0, 0), (37, 37), (36, 36), (58, 59), (45, 46), (37, 38), (17, 18),
+    (79, 79), (-1, 0), (78, 78), (25, 26), (0, 0), (40, 40), (39, 39),
     (61, 62), (46, 47), (39, 40), (21, 22), (72, 72), (-1, 0), (71, 71),
     (39, 40), (0, 0), (38, 38), (37, 37), (59, 60), (44, 45), (36, 37),
-    (17, 18), (43, 43), (-1, 0), (42, 42), (13, 14), (0, 0), (20, 21),
+    (17, 18), (43, 43), (-1, 0), (42, 42), (13, 14), (0, 0), (20, 20),
     (19, 19), (38, 39), (27, 28), (21, 21), (4, 5), (93, 93), (-1, 0),
-    (92, 92), (47, 48), (0, 0), (47, 47), (45, 46), (68, 69), (54, 55),
+    (92, 92), (47, 48), (0, 0), (47, 47), (46, 46), (68, 69), (54, 55),
     (46, 47), (26, 27),
 )
 
@@ -325,3 +333,24 @@ def test_calibration_bits_on_signed_zero_ties():
 
 def test_calibration_bits_on_tie_heavy_vectors():
     check_recorded_bits(tie_heavy_cases(), TIE_HEAVY_RUNS)
+
+
+def test_a_zero_threshold_is_positive_zero_for_every_sign_pattern():
+    zero = np.float64(0.0).tobytes()
+    for signs in itertools.product((0.0, -0.0), repeat=4):
+        s = np.array(signs + (1.0, 2.0))
+        theta = calibrate_threshold(s, at_least(0.3))
+        assert np.count_nonzero(s > theta) == 2
+        assert np.float64(theta).tobytes() == zero, signs
+
+
+def test_arange_edges_meet_the_target_literally():
+    s = np.arange(100.0)
+    candidates = np.append(s, np.nextafter(0.0, -np.inf))
+    above = [np.count_nonzero(s > t) for t in candidates]
+    least = max(t for t, a in zip(candidates, above) if a / 100 >= 0.07)
+    most = min(t for t, a in zip(candidates, above) if a / 100 <= 0.29)
+    assert (least, most) == (92.0, 70.0)
+    assert calibrate_threshold(s, at_least(0.07)) == least
+    assert calibrate_threshold(s, at_most(0.29)) == most
+    assert rate(s, least) == 0.07 and rate(s, most) == 0.29
