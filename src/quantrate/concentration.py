@@ -15,6 +15,8 @@ finite sample of weight vectors and labeled as such.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -22,8 +24,8 @@ import numpy as np
 
 from .data import seed_of, stream
 from .errors import BatchTooLarge, ConstraintBatchEmpty, InvalidSpec
-from .estimators import estimate, estimate_values
-from .losses import _dataset_eval
+from .estimators import _checked, estimate
+from .losses import _dataset_eval, _row_values
 from .train import lockstep_train
 from .types import (
     Dataset,
@@ -44,14 +46,13 @@ _MODEL_STREAM = 15485863
 
 _REDRAW_CAP = 100
 
-# scores per estimate in estimator_stability: bounds the (n, K) arrays
-# of one estimate at the largest batch sizes
+# scores per estimate in estimator_stability, and per loss in
+# loss_uniform_deviation: bounds the (n, K) arrays of one call at the
+# largest batch sizes
 _CHUNK_SCORES = 2**18
 
 # reference candidates per core_eval call; all 6 401 at once doubled RSS
 _REF_CHUNK = 50
-
-_LN2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,23 @@ def _fit_slope(batch_sizes, mean_devs) -> float:
     return float(coeffs[0])
 
 
-def _increasing(values, not_positive: str, not_increasing: str) -> Tuple[int, ...]:
+def _whole(value, name: str) -> int:
+    """value as an int when it is an integer, a numpy one too; otherwise
+    InvalidSpec naming the argument, so that no size is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+
+
+def _increasing(values, name: str) -> Tuple[int, ...]:
     """The values as positive, strictly increasing integers; otherwise
-    InvalidSpec with the message of the first rule they break."""
-    out = tuple(int(v) for v in values)
+    InvalidSpec naming the argument and the first rule they break."""
+    out = tuple(_whole(v, name) for v in values)
     if not out or any(v < 1 for v in out):
-        raise InvalidSpec(not_positive)
+        raise InvalidSpec(f"{name} must be positive integers")
     if any(y <= x for x, y in zip(out, out[1:])):
-        raise InvalidSpec(not_increasing)
+        raise InvalidSpec(f"{name} must be strictly increasing")
     return out
 
 
@@ -143,10 +153,9 @@ def _report(batches, devs, trials: int, seed: int) -> ConcentrationReport:
 
 
 def _check_batches(batch_sizes, n: int, trials: int) -> Tuple[int, ...]:
-    if trials < 100:
+    if _whole(trials, "trials") < 100:
         raise InvalidSpec(f"at least 100 trials required, got {trials}")
-    b = _increasing(batch_sizes, "batch sizes must be positive integers",
-                    "batch sizes must be strictly increasing")
+    b = _increasing(batch_sizes, "batch_sizes")
     if b[-1] > n:
         raise BatchTooLarge(f"batch size {b[-1]} exceeds population {n}")
     return b
@@ -191,7 +200,7 @@ def estimator_stability(
     per column, whose values are those of a call on each subsample
     alone.
     """
-    batches = _check_batches(batch_sizes, n, trials)
+    batches = _check_batches(batch_sizes, _whole(n, "n"), trials)
     rng = np.random.default_rng(seed)
     population = _draw_population(score_law, n, rng)
     q_full = estimate(estimator_spec, population, c).value
@@ -209,26 +218,18 @@ def estimator_stability(
     return _report(batches, devs, trials, seed)
 
 
-def _mean_losses(
-    scores_by_model: np.ndarray,
-    pen_rows: np.ndarray,
-    sub_rows: np.ndarray,
-    estimator_spec: QuantileEstimatorSpec,
-    level: float,
-) -> np.ndarray:
-    """Per-model mean logloss of the penalized rows over the subset quantile.
-
-    scores_by_model is the (n_samples, n_models) score matrix; rows are
-    selected by position.  One estimate_values call covers every model
-    and builds no weights.  The gathered subset is freed before the
-    penalized rows are gathered, and the loss is taken in place, so one
-    gathered copy is alive at a time.
-    """
-    q = estimate_values(estimator_spec, scores_by_model[sub_rows], level)
-    z = scores_by_model[pen_rows]
-    z -= q
-    np.logaddexp(0.0, z, out=z)
-    return z.mean(axis=0) / _LN2
+def _model_losses(scores, pen, sub, estimator_spec, level) -> np.ndarray:
+    """Per-model mean logloss of the penalized rows pen over the quantile
+    of the subset rows sub of the (n_samples, n_models) score matrix:
+    core_eval's value path on score rows, one call per chunk of models
+    with about _CHUNK_SCORES subset scores."""
+    step = max(1, _CHUNK_SCORES // sub.size)
+    return np.concatenate([
+        _row_values(scores[pen, k : k + step].T,
+                    np.ascontiguousarray(scores[sub, k : k + step].T),
+                    1.0, level, estimator_spec, math.log(2.0))[0]
+        for k in range(0, scores.shape[1], step)
+    ]) / pen.size
 
 
 def loss_uniform_deviation(
@@ -256,10 +257,11 @@ def loss_uniform_deviation(
     batches = _check_batches(batch_sizes, dataset.n, trials)
     if not w_norm_bound >= 0:
         raise InvalidSpec("w_norm_bound must be nonnegative")
-    if n_models < 1:
+    if _whole(n_models, "n_models") < 1:
         raise InvalidSpec("n_models must be positive")
     sub = constraint_indices(dataset, constraint)
-    pen = dataset.negative_indices()
+    pen_mask = dataset.labels == -1
+    pen = np.flatnonzero(pen_mask)
     if pen.size == 0:
         raise InvalidSpec("deviation harness penalizes negatives; none present")
     level = 1.0 - constraint.target
@@ -273,13 +275,10 @@ def loss_uniform_deviation(
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         radii = w_norm_bound * model_rng.random(n_models) ** (1.0 / dim)
         W = raw * radii[:, None]
-    scores_by_model = dataset.features @ W.T
+    scores_by_model = _checked(dataset.features @ W.T)
 
-    sub_mask = np.zeros(dataset.n, dtype=bool)
-    sub_mask[sub] = True
-    pen_mask = np.zeros(dataset.n, dtype=bool)
-    pen_mask[pen] = True
-    full_losses = _mean_losses(scores_by_model, pen, sub, estimator_spec, level)
+    sub_mask = np.isin(np.arange(dataset.n), sub)
+    full_losses = _model_losses(scores_by_model, pen, sub, estimator_spec, level)
 
     devs = []
     for b in batches:
@@ -297,7 +296,7 @@ def loss_uniform_deviation(
                     f"batch size {b} kept missing the constraint subset or "
                     "the penalized side"
                 )
-            batch_losses = _mean_losses(
+            batch_losses = _model_losses(
                 scores_by_model, batch_pen, batch_sub, estimator_spec, level
             )
             dev[t] = float(np.max(np.abs(full_losses - batch_losses)))
@@ -354,11 +353,10 @@ def convex_sgd_convergence(
     row's own fixed-shape minibatch with a 0/1 mask of its negatives.
     """
     check_fraction(c, "recall level")
-    if batch_size < 1:
+    if _whole(batch_size, "batch_size") < 1:
         raise InvalidSpec(f"convex lab needs batch_size >= 1, got {batch_size}")
-    grid = _increasing(t_grid, "t_grid must hold positive step counts",
-                       "t_grid must be strictly increasing")
-    if trials < 1:
+    grid = _increasing(t_grid, "t_grid")
+    if _whole(trials, "trials") < 1:
         raise InvalidSpec("trials must be positive")
     loss_spec = SurrogateLossSpec(
         objective="p_at_r",

@@ -8,8 +8,6 @@ levels, one per column.  The estimate is a weighted average of the
 scores; the weights are what the surrogate-loss gradients differentiate
 through (weights themselves are rank-dependent and treated as locally
 constant), and estimate computes every value as that weighted sum.
-estimate_values gives a matrix's values alone, for callers that need no
-weights; it sums the lower-mean and interval windows directly.
 
 The canonical exact quantile at level c of N ascending order statistics
 is the k-th one with k = max{ integer k >= 1 : k/N <= c }; when no such
@@ -50,7 +48,8 @@ class QuantileResult:
 
     For a vector of n scores, value is a float and weights a read-only
     n-vector aligned with the *input* score order (not sorted order);
-    value equals float(weights @ scores).
+    value is weights times scores as row_dots sums it, whatever the BLAS
+    thread count, which for n <= 8192 is float(weights @ scores).
 
     For an (n, K) score matrix, value holds the K column estimates and
     weights is the read-only (n, K) matrix whose column j is the weight
@@ -109,13 +108,20 @@ def _check_level(c, s=None, kind=None):
     return c
 
 
-def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[k] @ b[k] for each row of two (K, n) arrays.
+_DOT_BLOCK = 2**13  # OpenBLAS splits a dot of over 10 000 terms across threads
 
-    With C-ordered rows each product is the one a 1-d dot of those rows
-    takes, bit for bit; a strided row sums in another order.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for each row of two (K, n) arrays, one product per
+    block of _DOT_BLOCK columns, added left to right, so that the bits
+    never depend on the BLAS thread count.  A C-ordered row of n <=
+    _DOT_BLOCK is its 1-d dot bit for bit; a strided row sums in another
+    order."""
+    out = np.matmul(a[:, None, :_DOT_BLOCK], b[:, :_DOT_BLOCK, None])[:, 0, 0]
+    for j in range(_DOT_BLOCK, a.shape[-1], _DOT_BLOCK):
+        block = slice(j, j + _DOT_BLOCK)
+        out += np.matmul(a[:, None, block], b[:, block, None])[:, 0, 0]
+    return out
 
 
 def order_rank(n: int, c: float) -> int:
@@ -150,7 +156,11 @@ def _stable_window(rows: np.ndarray, lo: int, hi: int, v_lo, v_hi) -> np.ndarray
     starting from the count of smaller scores; those whose rank falls in
     the window are in.
     """
-    inside = (rows >= v_lo[:, None]) & (rows <= v_hi[:, None])
+    inside = rows <= v_hi[:, None]
+    if lo:
+        inside &= rows >= v_lo[:, None]
+    if np.count_nonzero(inside) == len(rows) * (hi - lo):
+        return inside  # each row holds at least hi - lo, so exactly that
     # the rows where a tied run crosses an edge of the window
     for i in np.flatnonzero(np.count_nonzero(inside, axis=1) != hi - lo):
         s = rows[i]
@@ -162,26 +172,22 @@ def _stable_window(rows: np.ndarray, lo: int, hi: int, v_lo, v_hi) -> np.ndarray
     return inside
 
 
-def _window(scores: np.ndarray, lo: int, hi: int):
-    """A copy of scores holding, along the last axis, its ranks lo..hi-1
-    at slots lo..hi-1, and the scores at ranks lo (-inf when lo is 0)
-    and hi - 1."""
-    part = np.partition(scores, hi - 1, axis=-1)
-    if lo == 0:
-        return part, -np.inf, part[..., hi - 1]
-    v_hi = part[..., hi - 1].copy()  # the second pass moves rank hi - 1
-    # two single-rank passes: np.partition with two ranks took 6x as
-    # long at n = 20 000
-    part[..., :hi].partition(lo, axis=-1)
-    return part, part[..., lo], v_hi
-
-
 def _window_weights(rows: np.ndarray, lo_hi) -> np.ndarray:
-    """Weight 1/(hi - lo) on the stable ranks lo..hi-1 of each row."""
+    """Weight 1/(hi - lo) on the stable ranks lo..hi-1 of each row,
+    written over a partitioned copy of the rows once it has given each
+    row's scores at ranks lo (-inf when lo is 0) and hi - 1."""
     lo, hi = lo_hi
-    _, v_lo, v_hi = _window(rows, lo, hi)
-    v_lo = np.broadcast_to(v_lo, v_hi.shape)
-    return _stable_window(rows, lo, hi, v_lo, v_hi) * (1.0 / (hi - lo))
+    part = np.partition(rows, hi - 1, axis=-1)
+    v_lo, v_hi = np.full(len(rows), -np.inf), part[:, hi - 1]
+    if lo:
+        v_hi = v_hi.copy()  # the second pass moves rank hi - 1
+        # two single-rank passes: np.partition with two ranks took 6x as
+        # long at n = 20 000
+        part[:, :hi].partition(lo, axis=-1)
+        v_lo = part[:, lo]
+    np.copyto(part, _stable_window(rows, lo, hi, v_lo, v_hi))
+    part *= 1.0 / (hi - lo)
+    return part
 
 
 def _point_weights(rows: np.ndarray, k: int) -> np.ndarray:
@@ -280,6 +286,8 @@ def _row_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndarray
     if spec.kind is EstimatorKind.KERNEL:
         return _kernel_weights(spec, rows, c)
     weights_of, params = _plan(spec, rows, c)
+    if len(set(params)) == 1:  # no gather and scatter
+        return weights_of(rows, params[0])
     w = np.empty(rows.shape)
     for p in set(params):  # the rows sharing a rank window at once
         idx = [j for j, q in enumerate(params) if q == p]
@@ -304,22 +312,3 @@ def estimate(spec: QuantileEstimatorSpec, scores, c) -> QuantileResult:
         return QuantileResult(float(row_dots(w, rows)[0]), w[0])
     return QuantileResult(row_dots(w, rows), w.T)
 
-
-def estimate_values(spec: QuantileEstimatorSpec, scores, c) -> np.ndarray:
-    """The K column estimates of an (n, K) score matrix, without weights.
-
-    point and kernel return estimate's values.  lower_mean and interval
-    sum each column's window as np.partition leaves it, which builds no
-    (n, K) weight matrix; a value can differ from estimate's dot product
-    in the last bits.
-    """
-    s = _checked(scores)
-    if s.ndim != 2:
-        raise InvalidSpec("estimate_values takes an (n, K) score matrix")
-    if spec.kind in (EstimatorKind.POINT, EstimatorKind.KERNEL):
-        return estimate(spec, s, c).value
-    _, windows = _plan(spec, s.T, _check_level(c, s, spec.kind))
-    return np.array([
-        _window(col, lo, hi)[0][lo:hi].sum() / (hi - lo)
-        for col, (lo, hi) in zip(s.T, windows)
-    ])

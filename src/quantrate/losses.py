@@ -48,7 +48,8 @@ def logloss(z: float, base: float = 2.0) -> float:
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+    """log(1 + e^z), overwriting z."""
+    return np.logaddexp(0.0, z, out=z)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -109,33 +110,44 @@ def core_eval(
     built; core_eval checks only that the subset's scores are finite,
     and its InvalidSpec is what training reports as Diverged.
     """
-    ln_base = math.log(base)
     if X_sub.shape[-1] != w.shape[-1]:
         raise DimensionError(
             f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
     vector, W = w.ndim == 1, np.atleast_2d(w)
     sub_rows = _checked(_times(X_sub, W)).reshape(-1, X_sub.shape[-2])
+    if not want_grad:
+        value, per_sample = _row_values(_times(X_pen, W), sub_rows, sign, level,
+                                        est_spec, math.log(base), pen_mask)
+        if vector:
+            return float(value[0]), per_sample[0], None
+        return value, per_sample, None
     q_weights = _row_weights(est_spec, sub_rows, level)  # C-ordered (K, m)
-    theta = row_dots(q_weights, sub_rows)[:, None]
-    z = sign * (_times(X_pen, W) - theta)
-    if want_grad:
-        a = _sigmoid(z)
-        if pen_mask is not None:
-            a = a * pen_mask
-        anchor = _times(X_sub.swapaxes(-1, -2), q_weights)
-        grad = (sign / ln_base) * (
-            _times(X_pen.swapaxes(-1, -2), a)
-            - a.sum(axis=-1, keepdims=True) * anchor
-        )
-        return None, None, (grad[0] if vector else grad)
-    per_sample = _softplus(z) / ln_base
+    z = sign * (_times(X_pen, W) - row_dots(q_weights, sub_rows)[:, None])
+    a = _sigmoid(z)
     if pen_mask is not None:
-        per_sample = per_sample * pen_mask
-    value = per_sample.sum(axis=-1)
-    if vector:
-        return float(value[0]), per_sample[0], None
-    return value, per_sample, None
+        a = a * pen_mask
+    anchor = _times(X_sub.swapaxes(-1, -2), q_weights)
+    grad = (sign / math.log(base)) * (
+        _times(X_pen.swapaxes(-1, -2), a)
+        - a.sum(axis=-1, keepdims=True) * anchor
+    )
+    return None, None, (grad[0] if vector else grad)
+
+
+def _row_values(pen_rows, sub_rows, sign, level, est_spec, ln_base, pen_mask=None):
+    """core_eval's value path on score rows: K values and the (K, p)
+    summands of (K, p) penalized and finite, C-ordered (K, m) subset
+    score rows, which it leaves unchanged; sign is +1 or -1.  The
+    weights are freed before the summands are made, in one pass (a zero
+    margin may take either sign, which the softplus does not see), and
+    worked on in place."""
+    theta = row_dots(_row_weights(est_spec, sub_rows, level), sub_rows)[:, None]
+    z = _softplus(pen_rows - theta if sign > 0 else theta - pen_rows)
+    z /= ln_base
+    if pen_mask is not None:
+        z *= pen_mask
+    return z.sum(axis=-1), z
 
 
 def _resolved(spec: SurrogateLossSpec, dataset: Dataset):

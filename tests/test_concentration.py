@@ -1,5 +1,7 @@
 """Concentration harness tests on small, fast configurations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from quantrate import (
     surrogate_loss,
 )
 from quantrate.concentration import _fit_slope, _searched_reference
+from quantrate.data import stream
 
 KERNEL = QuantileEstimatorSpec(kind="kernel", bandwidth=0.05)
 
@@ -332,3 +335,100 @@ def test_loss_deviation_refuses_a_nan_norm_bound():
     constraint = RateConstraint("positives", "at_least", 0.8)
     with pytest.raises(InvalidSpec, match="w_norm_bound must be nonnegative"):
         loss_uniform_deviation(d, constraint, KERNEL, [10], 100, float("nan"), 2, 0)
+
+
+def test_labs_refuse_non_integral_sizes():
+    d = small_dataset()
+    constraint = RateConstraint("positives", "at_least", 0.8)
+    stability = dict(n=100, batch_sizes=[10, 20], trials=100,
+                     estimator_spec=KERNEL, c=0.5, score_law="uniform", seed=0)
+    for key, bad in (("batch_sizes", [50.9, 100.2]), ("trials", 100.5),
+                     ("n", 100.0)):
+        with pytest.raises(InvalidSpec, match=key):
+            estimator_stability(**dict(stability, **{key: bad}))
+    deviation = dict(dataset=d, constraint=constraint, estimator_spec=KERNEL,
+                     batch_sizes=[10, 30], trials=100, w_norm_bound=1.0,
+                     n_models=2, seed=0)
+    for key, bad in (("n_models", 2.9), ("batch_sizes", [10, 30.5]),
+                     ("trials", 100.0)):
+        with pytest.raises(InvalidSpec, match=key):
+            loss_uniform_deviation(**dict(deviation, **{key: bad}))
+    convex = dict(dataset=d, c=0.5, batch_size=10, t_grid=[5, 10], trials=1,
+                  seed=0)
+    for key, bad in (("t_grid", [10.7, 20.2]), ("batch_size", 10.5),
+                     ("trials", 1.5)):
+        with pytest.raises(InvalidSpec, match=key):
+            convex_sgd_convergence(**dict(convex, **{key: bad}))
+
+
+def test_numpy_integer_sizes_pass():
+    d = small_dataset()
+    constraint = RateConstraint("positives", "at_least", 0.8)
+    plain_ints = loss_uniform_deviation(d, constraint, KERNEL, [10, 30], 100, 1.0,
+                                        2, 5)
+    numpy_ints = loss_uniform_deviation(d, constraint, KERNEL, np.array([10, 30]),
+                                        np.int64(100), 1.0, np.int32(2), 5)
+    assert numpy_ints == plain_ints
+    assert all(type(b) is int for b in numpy_ints.batch_sizes)
+    r = estimator_stability(n=np.int64(100), batch_sizes=np.array([10, 20]),
+                            trials=100, estimator_spec=KERNEL, c=0.5,
+                            score_law="uniform", seed=0)
+    assert r.batch_sizes == (10, 20)
+    r = convex_sgd_convergence(d, c=0.5, batch_size=np.int64(10),
+                               t_grid=np.array([5]), trials=np.int64(1), seed=0)
+    assert r.t_grid == (5,) and type(r.t_grid[0]) is int
+
+
+def sorted_loss_deviation(dataset, in_sub, batch_sizes, trials, level, bound,
+                          n_models, seed):
+    """loss_uniform_deviation for lower_mean, rebuilt by sorting: each
+    model's quantile is the mean of the k smallest subset scores, k the
+    largest with k/N <= level (at least 1), and its loss the mean of
+    logaddexp(0, score - quantile) / ln 2 over the negatives; models and
+    batches come from the lab's streams."""
+    X, negative = dataset.features, dataset.labels == -1
+    rng = stream(seed, concentration._MODEL_STREAM)
+    raw = rng.standard_normal((n_models, dataset.dim))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    W = raw * (bound * rng.random(n_models) ** (1.0 / dataset.dim))[:, None]
+
+    def losses(rows):
+        out = []
+        for w in W:
+            s = np.sort(X[rows[in_sub[rows]]] @ w)
+            k = max([k for k in range(1, s.size + 1) if k / s.size <= level],
+                    default=1)
+            z = X[rows[negative[rows]]] @ w - s[:k].mean()
+            out.append(np.mean(np.logaddexp(0.0, z)) / math.log(2.0))
+        return np.array(out)
+
+    full = losses(np.arange(dataset.n))
+    means, q95s = [], []
+    for b in batch_sizes:
+        devs = []
+        for t in range(trials):
+            draws = stream(seed, b, t)
+            idx = draws.choice(dataset.n, size=b, replace=False)
+            while not (in_sub[idx].any() and negative[idx].any()):
+                idx = draws.choice(dataset.n, size=b, replace=False)
+            devs.append(np.max(np.abs(full - losses(idx))))
+        means.append(np.mean(devs))
+        q95s.append(np.quantile(devs, 0.95))
+    slope = np.polyfit(np.log(batch_sizes), np.log(means), 1)[0]
+    return means, q95s, slope
+
+
+def test_loss_deviation_matches_a_sorting_reference():
+    d = small_dataset(seed=13, n=240)
+    spec = QuantileEstimatorSpec(kind="lower_mean")
+    for subset, target, batches in (("all", 0.8, [20, 60, 180]),
+                                    ("positives", 0.7, [10, 40])):
+        constraint = RateConstraint(subset, "at_least", target)
+        in_sub = d.labels == 1 if subset == "positives" else np.ones(d.n, bool)
+        got = loss_uniform_deviation(d, constraint, spec, batches, 100, 5.0, 7, 21)
+        means, q95s, slope = sorted_loss_deviation(
+            d, in_sub, batches, 100, 1.0 - target, 5.0, 7, 21
+        )
+        assert np.allclose(got.mean_abs_dev, means, rtol=1e-12, atol=0.0)
+        assert np.allclose(got.q95_abs_dev, q95s, rtol=1e-12, atol=0.0)
+        assert np.isclose(got.fitted_slope, slope, rtol=1e-12, atol=0.0)

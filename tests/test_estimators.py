@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from quantrate import (
     exact_quantile,
     order_rank,
 )
-from quantrate.estimators import _sorted_table, estimate_values, row_dots
+from quantrate.estimators import _sorted_table, row_dots
 
 POINT = QuantileEstimatorSpec(kind="point")
 LOWER_MEAN = QuantileEstimatorSpec(kind="lower_mean")
@@ -503,23 +506,6 @@ def test_vector_levels_match_the_scalar_call_on_each_column():
                     assert bits(res.value[j]) == bits(one.value), (spec, j)
 
 
-def test_estimate_values_are_the_estimates_without_weights():
-    # point and kernel give estimate's values bit for bit; lower_mean and
-    # interval sum their windows, within 1e-12 of the column's scale
-    for spec in ALL_SPECS:
-        exact = spec.kind.value in ("point", "kernel")
-        for S in score_matrices():
-            for c in (0.0, 0.3, 2.0 / 3.0, 1.0, np.linspace(0.0, 1.0, S.shape[1])):
-                values = estimate_values(spec, S, c)
-                expected = estimate(spec, S, c).value
-                if exact:
-                    assert values.tobytes() == expected.tobytes(), spec
-                scale = np.maximum(np.abs(expected), np.abs(S).max(axis=0))
-                assert np.all(np.abs(values - expected) <= 1e-12 * scale), spec
-        with pytest.raises(InvalidSpec):
-            estimate_values(spec, np.arange(5.0), 0.5)  # a vector
-
-
 def test_bad_vector_levels_raise():
     S = np.random.default_rng(47).standard_normal((20, 3))
     for spec in ALL_SPECS:
@@ -627,3 +613,39 @@ def test_a_scalar_level_keeps_one_table_whatever_k():
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert _sorted_table(n, np.float64(0.3).tobytes(), 0.05, True).shape == (1, n)
     assert together.weights[:, 7].tobytes() == alone.weights.tobytes()
+
+
+THREAD_SCRIPT = """
+import numpy as np
+from quantrate import QuantileEstimatorSpec, estimate
+from quantrate.estimators import row_dots
+rng = np.random.default_rng(79)
+for n in (10_001, 20_000):
+    a, b = rng.standard_normal((2, 3, n))
+    print([float(v).hex() for v in row_dots(a, b)])
+spec = QuantileEstimatorSpec(kind="kernel", bandwidth=0.05)
+print(float(estimate(spec, rng.standard_normal(20_000), 0.3).value).hex())
+"""
+
+
+def test_long_row_dots_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10 000 terms across its
+    # threads, which sums in another order; row_dots' blocks never do
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", THREAD_SCRIPT], capture_output=True, text=True,
+            check=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0].count("\n") == 3
+    assert outputs[0] == outputs[1]
+
+
+def test_row_dots_of_short_rows_are_the_one_dimensional_dots():
+    rng = np.random.default_rng(83)
+    for n in (1, 105, 8192):
+        a, b = rng.standard_normal((2, 4, n))
+        got = row_dots(a, b)
+        for k in range(4):
+            assert got[k].tobytes() == np.float64(a[k] @ b[k]).tobytes()

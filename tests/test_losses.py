@@ -1,5 +1,6 @@
 """Surrogate loss tests: hand-computed oracles, gradients, symmetry."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from quantrate import (
     order_rank,
     surrogate_loss,
 )
-from quantrate.losses import _sigmoid, _times, core_eval
+from quantrate.losses import _row_values, _sigmoid, _times, core_eval
 
 LN2 = math.log(2.0)
 POINT = QuantileEstimatorSpec(kind="point")
@@ -414,3 +415,72 @@ def test_only_generic_reads_penalize():
         SurrogateLossSpec(objective, constraint, POINT, penalize="negatives")
     generic = RateConstraint("negatives", "at_most", 0.2)
     SurrogateLossSpec("generic", generic, POINT, penalize="positives")
+
+
+def value_calls():
+    """Seeded core_eval value calls for K in {1, 3}, with and without a
+    pen_mask, over shared matrices and (K, b, d) stacks, each estimator
+    kind, both signs, two bases, and untied and tied scores."""
+    rng = np.random.default_rng(2026)
+    specs = (
+        POINT,
+        QuantileEstimatorSpec(kind="lower_mean"),
+        QuantileEstimatorSpec(kind="interval", k1=0.25, k2=0.75),
+        QuantileEstimatorSpec(kind="kernel", bandwidth=0.2),
+        QuantileEstimatorSpec(kind="kernel", bandwidth=0.1, normalize=False),
+    )
+    for spec in specs:
+        for tied in (False, True):
+            form = np.round if tied else np.asarray
+            X_pen, X_sub = (form(rng.standard_normal(s)) for s in ((9, 4), (13, 4)))
+            P, S = (form(rng.standard_normal(s)) for s in ((3, 6, 4), (3, 5, 4)))
+            W = rng.standard_normal((3, 4))
+            mask = (rng.random((3, 6)) < 0.6) * 1.0
+            levels = np.array([0.1, 0.5, 0.85])
+            yield W[0], X_pen, X_sub, 1.0, 0.3, spec, 2.0, None
+            yield W[1], X_pen, X_sub, -1.0, 0.7, spec, np.e, (rng.random(9) < 0.5) * 1.0
+            yield W, X_pen, X_sub, -1.0, levels, spec, np.e, None
+            yield W, X_pen, X_sub, 1.0, 0.4, spec, 2.0, (rng.random(9) < 0.5) * 1.0
+            yield W[:1], P[:1], S[:1], 1.0, 0.6, spec, 2.0, mask[:1]
+            yield W, P, S, 1.0, levels, spec, 2.0, None
+            yield W, P, S, -1.0, 0.4, spec, 10.0, mask
+
+
+def test_value_calls_frozen_bits():
+    # sha256 of every value's then summands' bytes over the calls; the
+    # value path of training and of the loss-deviation lab is pinned
+    digest = hashlib.sha256()
+    for w, X_pen, X_sub, sign, level, spec, base, mask in value_calls():
+        value, per_sample, grad = core_eval(w, X_pen, X_sub, sign, level, spec,
+                                            base, pen_mask=mask)
+        assert grad is None
+        digest.update(np.asarray(value).tobytes() + per_sample.tobytes())
+    assert digest.hexdigest() == (
+        "4ce940caed496142204fb902bf7fa5236618ce5772cca1c926279739e55712db"
+    )
+
+
+def test_score_row_values_leave_their_rows_unchanged():
+    # the lab hands in gathered rows, a transposed view among them; the
+    # entry returns core_eval's bits on matrices that score as those
+    # rows, summing C-ordered summands as core_eval does
+    rng = np.random.default_rng(2027)
+    ln2 = math.log(2.0)
+    specs = (POINT, QuantileEstimatorSpec(kind="lower_mean"),
+             QuantileEstimatorSpec(kind="interval", k1=0.2, k2=0.6),
+             QuantileEstimatorSpec(kind="kernel", bandwidth=0.2))
+    for spec in specs:
+        for sign in (1.0, -1.0):
+            strided = rng.standard_normal((9, 3)).T  # (3, 9), not C-ordered
+            sub = np.round(rng.standard_normal((3, 13)) * 2.0)
+            mask = (rng.random((3, 9)) < 0.5) * 1.0
+            want, want_rows, _ = core_eval(np.ones((3, 1)), strided[:, :, None],
+                                           sub[:, :, None], sign, 0.3, spec, 2.0,
+                                           pen_mask=mask)
+            for pen in (strided, np.ascontiguousarray(strided)):
+                kept = pen.copy(), sub.copy()
+                value, per_sample = _row_values(pen, sub, sign, 0.3, spec, ln2, mask)
+                assert pen.tobytes() == kept[0].tobytes()
+                assert sub.tobytes() == kept[1].tobytes()
+                assert per_sample.tobytes() == want_rows.tobytes()
+            assert value.tobytes() == want.tobytes()

@@ -24,6 +24,13 @@ bytes depend on the host's numpy build and BLAS, so compare two runs
 on one host, such as a parent commit and a change: --check names each
 output whose digest differs, or that is missing on one side, and
 exits 1 if there is any.  It takes about 11 s on a 2-core x86-64 host.
+
+No output may depend on the BLAS thread count.  To check, write the
+manifest at one thread and check it at two (the --check note on the
+environments differing is expected; the thread count is part of it):
+
+    OPENBLAS_NUM_THREADS=1 python tools/digests.py --write one.json
+    OPENBLAS_NUM_THREADS=2 python tools/digests.py --check one.json
 """
 
 from __future__ import annotations
