@@ -26,7 +26,7 @@ class EmptyInput(InvalidSpec):
 
 
 class NonpositiveScale(InvalidSpec):
-    """A scale parameter (bandwidth, sigma, init_scale) must be positive."""
+    """A scale (bandwidth, sigma, init_scale) must be positive; a bandwidth finite."""
 
 
 class DegenerateInterval(InvalidSpec):

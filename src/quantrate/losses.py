@@ -42,8 +42,8 @@ class LossValue:
 def logloss(z: float, base: float = 2.0) -> float:
     """log_base(1 + e^z), overflow-safe for any z."""
     base = float(base)
-    if not base > 1.0:
-        raise InvalidSpec(f"logloss base must exceed 1, got {base}")
+    if not 1.0 < base < math.inf:
+        raise InvalidSpec(f"logloss base must be finite and exceed 1, got {base}")
     return float(np.logaddexp(0.0, z) / math.log(base))
 
 

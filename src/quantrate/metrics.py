@@ -43,16 +43,17 @@ def rate(scores, threshold: float) -> float:
 def calibrate_threshold(scores, constraint: RateConstraint) -> float:
     """Threshold satisfying a rate constraint on the given subset scores.
 
-    The candidates are the distinct score values, plus the below-minimum
-    threshold (rate 1) for at_least.  A value is feasible when
-    rate(scores, value) meets the target: >= target (at_least) or
-    <= target (at_most).  That rate only falls as the value grows, so
-    the feasible values form a prefix (at_least) or a suffix (at_most)
-    of the distinct values.  at_least returns the last value of the
-    prefix, or the below-minimum threshold when the prefix is empty;
-    at_most returns the first value of the suffix.  Either way the
-    result is the value np.unique keeps for its tied run, as +0.0 when
-    it is a zero.
+    A value is feasible when rate(scores, value), the count of scores
+    strictly above it over n, meets the target: >= target (at_least) or
+    <= target (at_most).  That count is an order statistic, so one
+    np.partition finds the result.  Let m = order_rank(n, target), the
+    most scores that may lie above a feasible at_most value.  at_most
+    returns the smallest feasible value: the score at 0-based rank
+    n - m - 1, or the minimum when m = n.  at_least needs k = m scores
+    above, or m + 1 when m/n < target; it returns the largest feasible
+    value: the largest score below the k-th largest one (the maximum
+    when k = 0), or one float below the minimum when no score lies
+    below it.  A zero result is +0.0.
 
     Parameters
     ----------
@@ -67,18 +68,15 @@ def calibrate_threshold(scores, constraint: RateConstraint) -> float:
         A threshold feasible for the constraint on these scores.
     """
     s = _checked(scores, vector=True)
-    c = constraint.target
-    n = s.size
-    distinct, counts = np.unique(s, return_counts=True)
-    rates = (n - np.cumsum(counts)) / n
-    if constraint.direction is Direction.AT_LEAST:
-        j = int(np.count_nonzero(rates >= c)) - 1
-        if j < 0:
-            return float(np.nextafter(distinct[0], -np.inf))
-    else:
-        # the maximum always qualifies: nothing lies above it
-        j = int(np.argmax(rates <= c))
-    return float(distinct[j] + 0.0)
+    n, c = s.size, constraint.target
+    m = order_rank(n, c)
+    if constraint.direction is Direction.AT_MOST:
+        r = max(n - m - 1, 0)
+        return float(np.partition(s, r)[r] + 0.0)
+    k = m + (m / n < c)
+    t = np.partition(s, n - k)[n - k] if k else np.inf
+    below = np.max(s, where=s < t, initial=-np.inf)
+    return float(below + 0.0 if below > -np.inf else np.nextafter(t, -np.inf))
 
 
 def evaluate(model: LinearModel, dataset: Dataset) -> EvalReport:

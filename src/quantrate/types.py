@@ -246,9 +246,9 @@ class QuantileEstimatorSpec:
         if unread:
             raise InvalidSpec(f"the {self.kind.value} estimator does not read {unread}")
         if self.kind is EstimatorKind.KERNEL:
-            if self.bandwidth is None or not self.bandwidth > 0:
+            if self.bandwidth is None or not 0 < self.bandwidth < math.inf:
                 raise NonpositiveScale(
-                    f"kernel bandwidth must be positive, got {self.bandwidth}"
+                    f"kernel bandwidth must be finite and > 0, got {self.bandwidth}"
                 )
         if self.kind is EstimatorKind.INTERVAL:
             if self.k1 is None or self.k2 is None:
@@ -281,9 +281,9 @@ class SurrogateLossSpec:
         if named and self.penalize is not Penalize.NEGATIVES:
             raise InvalidSpec(f"the {self.objective.value} objective does not read penalize")
         object.__setattr__(self, "logloss_base", float(self.logloss_base))
-        if not self.logloss_base > 1.0:
+        if not 1.0 < self.logloss_base < math.inf:
             raise InvalidSpec(
-                f"logloss base must exceed 1, got {self.logloss_base}"
+                f"logloss base must be finite and exceed 1, got {self.logloss_base}"
             )
         if self.objective is Objective.P_AT_R:
             if (

@@ -8,6 +8,7 @@ data files are absent; everything else runs self-contained.
 
 import json
 import math
+import re
 import time
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -482,3 +483,14 @@ def test_reruns_reproduce_output_files_byte_for_byte(tmp_path):
                  "--quiet"]) == 0
     for name in ("results.json", "summary.csv", "pr_points.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_the_readme_quick_start_runs(capsys):
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    precision, recall, rate = map(float, capsys.readouterr().out.split())
+    # calibrated on the data it reports on, so the recall floor holds
+    assert recall >= 0.9
+    assert 0.0 < precision <= 1.0 and 0.0 < rate <= 1.0

@@ -153,6 +153,40 @@ def test_eval_missing_level_is_a_config_error(tmp_path, capsys):
         assert f"takes no {flag}" in err["message"]
 
 
+def test_eval_out_writes_the_text_it_prints(tmp_path, capsys):
+    model_path, _, _ = train_model(tmp_path)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--config", str(model_path), "--out", str(out),
+                 "--quiet"]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["metric"] == "report"
+    assert out.read_text(encoding="utf-8") == printed
+
+
+def test_refusals_give_their_exact_messages(tmp_path, capsys):
+    model_path, config, _ = train_model(tmp_path)
+    payload = json.loads(model_path.read_text())
+    for key, value, message in (
+        ("schema", "quantrate.model.v0",
+         "model file schema 'quantrate.model.v0' is not quantrate.model.v1"),
+        ("threshold", None, "model file has no threshold; cannot build a report"),
+    ):
+        model_path.write_text(json.dumps(dict(payload, **{key: value})))
+        assert main(["eval", "--config", str(model_path), "--quiet"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "config", "message": message}
+    config["loss"]["estimator"] = {"kind": "bogus"}
+    code, err, _ = run_config("train", config, tmp_path, capsys)
+    assert code == 1 and err == {"kind": "config", "message": (
+        "kind must be one of ['point', 'kernel', 'lower_mean', 'interval'], "
+        "got 'bogus'")}
+    command, config = valid_config("rate_table", tmp_path)
+    config["taus"] = []
+    code, err, _ = run_config(command, config, tmp_path, capsys)
+    assert code == 1
+    assert err == {"kind": "config", "message": "taus must be a nonempty list"}
+
+
 def test_error_kinds(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "absent.json"),
                  "--quiet"])

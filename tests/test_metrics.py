@@ -354,3 +354,65 @@ def test_arange_edges_meet_the_target_literally():
     assert calibrate_threshold(s, at_least(0.07)) == least
     assert calibrate_threshold(s, at_most(0.29)) == most
     assert rate(s, least) == 0.07 and rate(s, most) == 0.29
+
+
+# The np.unique scan that calibration used before it selected one order
+# statistic: each distinct value's count above it over n, scanned for
+# the last value whose rate is >= c (at_least) or the first whose rate
+# is <= c (at_most).  Kept as an independent reference for the bytes.
+def unique_scan(s):
+    """thresholds(c), the scan's (at_least, at_most) threshold bytes at
+    target c, and the rate of each distinct value."""
+    n = s.size
+    distinct, counts = np.unique(s, return_counts=True)
+    rates = (n - np.cumsum(counts)) / n
+
+    def thresholds(c):
+        j = int(np.count_nonzero(rates >= c)) - 1
+        least = np.nextafter(distinct[0], -np.inf) if j < 0 else distinct[j] + 0.0
+        most = distinct[int(np.argmax(rates <= c))] + 0.0
+        return least.tobytes(), most.tobytes()
+
+    return thresholds, rates
+
+
+def neighbours(targets):
+    """The targets and their float neighbours inside [0, 1]."""
+    out = set()
+    for c in targets:
+        out.update((np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)))
+    return sorted(float(c) for c in out if 0.0 <= c <= 1.0)
+
+
+def check_against_unique_scan(s, targets):
+    thresholds, _ = unique_scan(s)
+    for c in targets:
+        got = tuple(
+            np.float64(calibrate_threshold(s, RateConstraint("all", d, c))).tobytes()
+            for d in ("at_least", "at_most"))
+        assert got == thresholds(c), (s.size, c)
+
+
+ALPHABET = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+
+
+def test_selection_matches_the_unique_scan_on_every_small_target():
+    # n = 1..29, untied and tie-heavy, at every k/n and its neighbours
+    rng = np.random.default_rng(97)
+    for n in range(1, 30):
+        targets = neighbours(k / n for k in range(n + 1))
+        for _ in range(3):
+            check_against_unique_scan(rng.standard_normal(n), targets)
+            check_against_unique_scan(rng.choice(ALPHABET, n), targets)
+
+
+@pytest.mark.parametrize("n", [1_000, 100_000])
+def test_selection_matches_the_unique_scan_at_scale(n):
+    # heavy ties and signed zeros; the edge targets are every distinct
+    # value's rate, where the threshold moves, and their neighbours
+    rng = np.random.default_rng(n)
+    for s in (rng.choice(ALPHABET, n),
+              np.round(rng.standard_normal(n), 1) * rng.choice([1.0, -1.0], n)):
+        _, rates = unique_scan(s)
+        targets = neighbours(np.concatenate([rates, [0.0, 1.0, 0.5]]))
+        check_against_unique_scan(s, targets)
