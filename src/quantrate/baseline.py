@@ -13,12 +13,15 @@ sqrt(row_dots(grad, grad)[k]), the 1-d norm bit for bit, is <= 1e-6.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import Diverged, InvalidSpec, SingleClass
 from .estimators import row_dots
 from .losses import _sigmoid, _times
 from .metrics import calibrate_threshold
+from .train import _rows
 from .types import (
     Dataset,
     LinearModel,
@@ -63,18 +66,17 @@ def logistic_train(
 def lockstep_logistic_train(
     dataset: Dataset, fits: list[tuple[float, TrainConfig]]
 ) -> list[LinearModel]:
-    """logistic_train of each (weight_decay, config) pair, configs alike
-    but in seed; the first fit in order to overflow raises Diverged."""
-    shared = [dict(vars(config), seed=None) for _, config in fits]
+    """logistic_train of each (weight_decay, config) pair, configs alike but
+    in seed, each at its decay; the first fit to overflow raises Diverged."""
+    configs = [replace(config, weight_decay=wd) for wd, config in fits]
+    shared = [dict(vars(c), seed=None, weight_decay=None) for c in configs]
     if not fits or shared.count(shared[0]) < len(fits):
         raise InvalidSpec("lockstep logistic fits must differ only in decay and seed")
     if dataset.positive_indices().size == 0 or dataset.negative_indices().size == 0:
         raise SingleClass("logistic regression needs both classes")
-    config, X_aug = fits[0][1], with_bias(dataset.features)
+    config, X_aug = configs[0], with_bias(dataset.features)
     neg_y = -dataset.labels.astype(np.float64)
-    dim, decay = X_aug.shape[1], np.array([wd for wd, _ in fits])[:, None]
-    W = np.stack([c.init_scale * np.random.default_rng(c.seed).standard_normal(dim)
-                  for _, c in fits])
+    _, W, decay = _rows(configs, X_aug.shape[1])
     velocity, fitted = np.zeros_like(W), np.empty_like(W)
     live, last_step = np.arange(len(fits)), np.full(len(fits), config.steps)
     for t in range(1, config.steps + 1):

@@ -16,7 +16,6 @@ finite sample of weight vectors and labeled as such.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -36,6 +35,7 @@ from .types import (
     check_fraction,
     constraint_indices,
     plain,
+    whole,
 )
 
 SCORE_LAWS = ("uniform", "gaussian", "constant")
@@ -67,12 +67,8 @@ class ConcentrationReport:
     seed: int
 
     def __post_init__(self):
-        b = np.asarray(self.batch_sizes)
-        if b.size == 0 or (b.size > 1 and not np.all(np.diff(b) > 0)):
-            raise InvalidSpec("batch_sizes must be nonempty strictly increasing")
-        if any(d < 0 for d in self.mean_abs_dev) or any(
-            d < 0 for d in self.q95_abs_dev
-        ):
+        _increasing(self.batch_sizes, "batch_sizes")
+        if any(d < 0 for d in (*self.mean_abs_dev, *self.q95_abs_dev)):
             raise InvalidSpec("deviations must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -118,19 +114,10 @@ def _fit_slope(batch_sizes, mean_devs) -> float:
     return float(coeffs[0])
 
 
-def _whole(value, name: str) -> int:
-    """value as an int when it is an integer, a numpy one too; otherwise
-    InvalidSpec naming the argument, so that no size is truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
-
-
 def _increasing(values, name: str) -> Tuple[int, ...]:
     """The values as positive, strictly increasing integers; otherwise
     InvalidSpec naming the argument and the first rule they break."""
-    out = tuple(_whole(v, name) for v in values)
+    out = tuple(whole(v, name) for v in values)
     if not out or any(v < 1 for v in out):
         raise InvalidSpec(f"{name} must be positive integers")
     if any(y <= x for x, y in zip(out, out[1:])):
@@ -153,7 +140,7 @@ def _report(batches, devs, trials: int, seed: int) -> ConcentrationReport:
 
 
 def _check_batches(batch_sizes, n: int, trials: int) -> Tuple[int, ...]:
-    if _whole(trials, "trials") < 100:
+    if whole(trials, "trials") < 100:
         raise InvalidSpec(f"at least 100 trials required, got {trials}")
     b = _increasing(batch_sizes, "batch_sizes")
     if b[-1] > n:
@@ -200,7 +187,7 @@ def estimator_stability(
     per column, whose values are those of a call on each subsample
     alone.
     """
-    batches = _check_batches(batch_sizes, _whole(n, "n"), trials)
+    batches = _check_batches(batch_sizes, whole(n, "n"), trials)
     rng = np.random.default_rng(seed)
     population = _draw_population(score_law, n, rng)
     q_full = estimate(estimator_spec, population, c).value
@@ -255,9 +242,9 @@ def loss_uniform_deviation(
     stream (a documented cap guards against degenerate setups).
     """
     batches = _check_batches(batch_sizes, dataset.n, trials)
-    if not w_norm_bound >= 0:
-        raise InvalidSpec("w_norm_bound must be nonnegative")
-    if _whole(n_models, "n_models") < 1:
+    if not 0 <= w_norm_bound < math.inf:
+        raise InvalidSpec("w_norm_bound must be nonnegative and finite")
+    if whole(n_models, "n_models") < 1:
         raise InvalidSpec("n_models must be positive")
     sub = constraint_indices(dataset, constraint)
     pen_mask = dataset.labels == -1
@@ -353,10 +340,10 @@ def convex_sgd_convergence(
     row's own fixed-shape minibatch with a 0/1 mask of its negatives.
     """
     check_fraction(c, "recall level")
-    if _whole(batch_size, "batch_size") < 1:
+    if whole(batch_size, "batch_size") < 1:
         raise InvalidSpec(f"convex lab needs batch_size >= 1, got {batch_size}")
     grid = _increasing(t_grid, "t_grid")
-    if _whole(trials, "trials") < 1:
+    if whole(trials, "trials") < 1:
         raise InvalidSpec("trials must be positive")
     loss_spec = SurrogateLossSpec(
         objective="p_at_r",

@@ -29,7 +29,7 @@ from .errors import (
     UnknownLabel,
 )
 from .estimators import order_rank
-from .types import Dataset, check_fraction
+from .types import Dataset, check_fraction, whole
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -59,7 +59,7 @@ class SplitSpec:
 
     def __post_init__(self):
         check_fraction(self.train_fraction, "train_fraction", open_top=True)
-        if self.seed < 0:
+        if whole(self.seed, "seed") < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
 
 
@@ -82,18 +82,18 @@ class SyntheticSpec:
     negative_scale: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
+        if whole(self.n, "n") < 1:
             raise InvalidSpec("n must be positive")
         check_fraction(self.positive_prior, "positive_prior", open_top=True)
-        if self.dim < 1:
+        if whole(self.dim, "dim") < 1:
             raise InvalidSpec("dim must be positive")
-        if not self.mean_separation > 0:
-            raise NonpositiveScale("mean_separation must be positive")
-        if not self.sigma > 0:
-            raise NonpositiveScale("sigma must be positive")
+        if not 0 < self.mean_separation < np.inf:
+            raise NonpositiveScale("mean_separation must be positive and finite")
+        if not 0 < self.sigma < np.inf:
+            raise NonpositiveScale("sigma must be positive and finite")
         if not (self.positive_scale > 0 and self.negative_scale > 0):
             raise NonpositiveScale("class scale factors must be positive")
-        if self.seed < 0:
+        if whole(self.seed, "seed") < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
 
 
@@ -128,6 +128,20 @@ class StandardizeTransform:
 
     def inverse(self, features) -> np.ndarray:
         return np.asarray(features, dtype=np.float64) * self.std + self.mean
+
+
+def _parsed(read, text: str, what: str, row: int, col: int):
+    """read(text), the one reading of a data cell: a ValueError becomes
+    ParseError(what.format(text)) at the cell's 1-based row and column."""
+    try:
+        return read(text)
+    except ValueError:
+        raise ParseError(what.format(text), row, col) from None
+
+
+def _entry(token: str) -> Tuple[int, float]:
+    head, _, tail = token.partition(":")
+    return int(head), float(tail)
 
 
 def _data_rows(path, skip: int = 0, comment: Optional[str] = None):
@@ -205,12 +219,7 @@ def load_delimited(
     labels = np.empty(len(rows), dtype=np.int64)
     for i, (lineno, cells) in enumerate(rows):
         raw = cells[col]
-        try:
-            value = read(raw)
-        except ValueError:
-            raise ParseError(
-                f"label cell {raw!r} is not numeric", lineno, col + 1
-            ) from None
+        value = _parsed(read, raw, "label cell {!r} is not numeric", lineno, col + 1)
         if value == pos_value:
             labels[i] = 1
         elif neg_value is not None and value != neg_value:
@@ -219,17 +228,10 @@ def load_delimited(
             )
         else:
             labels[i] = -1
-        k = 0
-        for j, cell in enumerate(cells):
-            if j == col:
-                continue
-            try:
-                features[i, k] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"feature cell {cell!r} is not numeric", lineno, j + 1
-                ) from None
-            k += 1
+        features[i] = [
+            _parsed(float, cell, "feature cell {!r} is not numeric", lineno, j + 1)
+            for j, cell in enumerate(cells) if j != col
+        ]
     return Dataset(features, labels)
 
 
@@ -243,12 +245,7 @@ def load_sparse(path) -> Dataset:
     max_index = 0
     for lineno, line in _data_rows(path, comment="#"):
         tokens = line.split()
-        try:
-            label_value = float(tokens[0])
-        except ValueError:
-            raise ParseError(
-                f"label {tokens[0]!r} is not numeric", lineno, 1
-            ) from None
+        label_value = _parsed(float, tokens[0], "label {!r} is not numeric", lineno, 1)
         if label_value not in (-1.0, 1.0):
             raise ParseError(
                 f"label {tokens[0]!r} is not +1 or -1", lineno, 1
@@ -256,18 +253,8 @@ def load_sparse(path) -> Dataset:
         entries = []
         previous = 0
         for pos, token in enumerate(tokens[1:], start=2):
-            head, sep, tail = token.partition(":")
-            if not sep:
-                raise ParseError(
-                    f"expected idx:val, got {token!r}", lineno, pos
-                )
-            try:
-                index = int(head)
-                value = float(tail)
-            except ValueError:
-                raise ParseError(
-                    f"expected idx:val, got {token!r}", lineno, pos
-                ) from None
+            index, value = _parsed(_entry, token, "expected idx:val, got {!r}",
+                                   lineno, pos)
             if index < 1:
                 raise ParseError(
                     f"index {index} is not 1-based", lineno, pos
@@ -324,11 +311,7 @@ def split(dataset: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset]:
         perm = rng.permutation(n)
         train_idx = perm[:n_train]
         test_idx = perm[n_train:]
-    train_idx = np.sort(train_idx)
-    test_idx = np.sort(test_idx)
-    if train_idx.size == 0 or test_idx.size == 0:
-        raise DegenerateSplit("a split side came up empty")
-    return dataset.take(train_idx), dataset.take(test_idx)
+    return dataset.take(np.sort(train_idx)), dataset.take(np.sort(test_idx))
 
 
 def standardize(
@@ -381,7 +364,7 @@ def generate_mixture(
     """
     if not components:
         raise EmptyInput("mixture needs at least one component")
-    if n < 1:
+    if whole(n, "n") < 1:
         raise InvalidSpec("n must be positive")
     dim = len(components[0].mean)
     if dim == 0 or any(len(c.mean) != dim for c in components):

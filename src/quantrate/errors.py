@@ -26,7 +26,7 @@ class EmptyInput(InvalidSpec):
 
 
 class NonpositiveScale(InvalidSpec):
-    """A scale (bandwidth, sigma, init_scale) must be positive; a bandwidth finite."""
+    """A scale (bandwidth, sigma, init_scale) must be positive and finite."""
 
 
 class DegenerateInterval(InvalidSpec):

@@ -52,6 +52,15 @@ def _shared(model: Model) -> Tuple[dict, dict]:
     )
 
 
+def _rows(configs: Sequence[TrainConfig], dim: int):
+    """Both trainers' row setup: each config's generator, the (K, dim)
+    weights they draw first, init_scale times normals, and the (K, 1) decays."""
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    W = np.stack([c.init_scale * rng.standard_normal(dim)
+                  for c, rng in zip(configs, rngs)])
+    return rngs, W, np.array([c.weight_decay for c in configs])[:, None]
+
+
 def _descend(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
     """The descent loop, one model per row; see sgd_train for a step.
 
@@ -79,17 +88,12 @@ def _descend(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
     sub_mask = np.isin(np.arange(n), sub)
     n_pen_total = pen.size
 
-    rngs = [np.random.default_rng(cfg.seed) for _, cfg in models]
-    W = np.stack([
-        cfg.init_scale * rng.standard_normal(dataset.dim)
-        for (_, cfg), rng in zip(models, rngs)
-    ])
+    rngs, W, decay = _rows([cfg for _, cfg in models], dataset.dim)
     level = np.array([r[3] for r in resolved])
-    decay = np.array([cfg.weight_decay for _, cfg in models])[:, None]
     # a zero-decay row beside decayed ones adds 0 * w to its gradient,
     # which can only turn a -0.0 entry into +0.0, and the velocity and
     # weight updates treat both zeros alike
-    decayed = any(cfg.weight_decay for _, cfg in models)
+    decayed = decay.any()
     velocity = np.zeros_like(W)
     full_batch = config.batch_size is None
     queues = np.empty((len(models), 0), dtype=np.int64)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple
 
@@ -36,6 +37,15 @@ def check_fraction(value, name: str, open_top: bool = False) -> float:
         top = ")" if open_top else "]"
         raise InvalidSpec(f"{name} must lie in (0, 1{top}, got {value}")
     return value
+
+
+def whole(value, name: str) -> int:
+    """value as an int when it is an integer, a numpy one too; otherwise
+    InvalidSpec naming it, so that no count or seed is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
 
 
 def plain(record) -> dict:
@@ -325,27 +335,27 @@ class TrainConfig:
     lr_decay: str = "constant"
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise InvalidSpec("learning_rate must be nonnegative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise InvalidSpec("learning_rate must be nonnegative and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidSpec("momentum must lie in [0, 1)")
-        if not self.weight_decay >= 0:
-            raise InvalidSpec("weight_decay must be nonnegative")
-        if self.steps < 1:
+        if not 0 <= self.weight_decay < math.inf:
+            raise InvalidSpec("weight_decay must be nonnegative and finite")
+        if whole(self.steps, "steps") < 1:
             raise InvalidSpec("steps must be at least 1")
-        if self.restarts < 1:
+        if whole(self.restarts, "restarts") < 1:
             raise InvalidSpec("restarts must be at least 1")
-        if not self.init_scale > 0:
-            raise NonpositiveScale("init_scale must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise InvalidSpec("batch_size must be at least 1 or full")
-        if self.constraint_batch_size is not None and self.constraint_batch_size < 1:
-            raise InvalidSpec("constraint_batch_size must be at least 1 or full")
-        if self.eval_every < 1:
+        if not 0 < self.init_scale < math.inf:
+            raise NonpositiveScale("init_scale must be positive and finite")
+        for name in ("batch_size", "constraint_batch_size"):
+            size = getattr(self, name)
+            if size is not None and whole(size, name) < 1:
+                raise InvalidSpec(f"{name} must be at least 1 or full")
+        if whole(self.eval_every, "eval_every") < 1:
             raise InvalidSpec("eval_every must be at least 1")
         if self.lr_decay not in ("constant", "inv_sqrt"):
             raise InvalidSpec("lr_decay must be 'constant' or 'inv_sqrt'")
-        if self.seed < 0:
+        if whole(self.seed, "seed") < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
 
     def lr_at(self, t: int) -> float:

@@ -26,6 +26,7 @@ from quantrate import (
     split,
     standardize,
 )
+from quantrate.estimators import order_rank
 
 
 def write(tmp_path, name, text):
@@ -119,6 +120,50 @@ def test_load_sparse_errors(tmp_path):
         load_sparse(write(tmp_path, "f", "# nothing\n\n"))
 
 
+def delimited(**kwargs):
+    return lambda path: load_delimited(path, **kwargs)
+
+
+# (loader, file text, class, 1-based row and column, message)
+PARSE_ERRORS = {
+    "delimited_label": (
+        delimited(label_column=0, positive_label_value="1", header=True,
+                  numeric_labels=True),
+        "y,x\n1,2\n\nx,3\n", ParseError, 4, 1, "label cell 'x' is not numeric"),
+    "delimited_feature": (
+        delimited(label_column=-1, positive_label_value="g"),
+        "1,2,g\n1, oops ,g\n", ParseError, 2, 2, "feature cell 'oops' is not numeric"),
+    "sparse_label": (
+        load_sparse, "# c\n+1 1:2\nx 1:2\n", ParseError, 3, 1,
+        "label 'x' is not numeric"),
+    "sparse_label_not_signed_one": (
+        load_sparse, "2 1:2\n", ParseError, 1, 1, "label '2' is not +1 or -1"),
+    "sparse_no_colon": (
+        load_sparse, "+1 12\n", ParseError, 1, 2, "expected idx:val, got '12'"),
+    "sparse_no_value": (
+        load_sparse, "+1 1:1 12:\n", ParseError, 1, 3, "expected idx:val, got '12:'"),
+    "sparse_index_not_integer": (
+        load_sparse, "-1 a:1\n", ParseError, 1, 2, "expected idx:val, got 'a:1'"),
+    "sparse_value_not_numeric": (
+        load_sparse, "-1 1:b\n", ParseError, 1, 2, "expected idx:val, got '1:b'"),
+    "sparse_index_zero": (
+        load_sparse, "+1 0:2\n", ParseError, 1, 2, "index 0 is not 1-based"),
+    "sparse_index_repeated": (
+        load_sparse, "+1 1:1 2:1\n-1 3:1 3:2\n", NonMonotonicIndex, 2, 3,
+        "index 3 does not increase past 3"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS)
+def test_loader_parse_errors_name_their_cell(tmp_path, case):
+    load, text, cls, row, col, message = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as info:
+        load(write(tmp_path, "data", text))
+    assert type(info.value) is cls
+    assert (info.value.row, info.value.col, info.value.message) == (row, col, message)
+    assert str(info.value) == f"row {row}, col {col}: {message}"
+
+
 def test_loaders_refuse_a_file_descriptor(tmp_path):
     # open() takes an int as a descriptor to read and then close
     fd = os.open(write(tmp_path, "a.csv", "+1 1:2\n"), os.O_RDONLY)
@@ -198,6 +243,40 @@ def test_split_determinism_and_degenerate():
     tiny = Dataset([[1.0], [2.0], [3.0]], [1, -1, 1])
     with pytest.raises(DegenerateSplit):
         split(tiny, SplitSpec(train_fraction=0.1, seed=0))
+
+
+def test_split_sweep_keeps_both_sides_and_the_train_count():
+    # every n <= 60, positive count p, and fraction k/n or a float
+    # neighbour of it.  A stratified train side takes pos of the p
+    # positives and size - pos of the negatives, so it holds size rows
+    # and leaves n - size >= 1 when 0 <= size - pos <= n - p.  Up to
+    # n = 20, split runs once per distinct count pair: its sizes depend
+    # on the fraction only through them.
+    for n in range(2, 61):
+        fractions = sorted({float(g) for k in range(1, n)
+                            for g in (np.nextafter(k / n, 0.0), k / n,
+                                      np.nextafter(k / n, 1.0))})
+        seen = set()
+        for p in range(n + 1):
+            d = Dataset(np.arange(float(n))[:, None], [1] * p + [-1] * (n - p))
+            for f in fractions:
+                size, pos = order_rank(n, f), order_rank(p, f)
+                if 1 <= size < n:
+                    assert 0 <= pos <= p and 0 <= size - pos <= n - p
+                for key in ((False, size), (True, size, pos, p)):
+                    if n > 20 or key in seen:
+                        continue
+                    seen.add(key)
+                    spec = SplitSpec(f, seed=n, stratified=key[0])
+                    if not 1 <= size < n:
+                        with pytest.raises(DegenerateSplit):
+                            split(d, spec)
+                        continue
+                    train, test = split(d, spec)
+                    assert (train.n, test.n) == (size, n - size)
+                    assert train.n == largest_k(n, f)
+                    if key[0]:
+                        assert train.positive_indices().size == pos
 
 
 def test_split_spec_validation():

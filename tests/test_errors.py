@@ -12,14 +12,18 @@ import pytest
 from quantrate import (
     Dataset,
     LinearModel,
+    MixtureComponent,
     QuantileEstimatorSpec,
     RateConstraint,
+    SplitSpec,
     SurrogateLossSpec,
     SyntheticSpec,
     TrainConfig,
     errors,
     estimator_stability,
+    generate_mixture,
     generate_synthetic,
+    logistic_train,
     logloss,
     loss_uniform_deviation,
     pr_points,
@@ -61,6 +65,11 @@ def _train_on_an_empty_window():
         QuantileEstimatorSpec("interval", k1=0.41, k2=0.49))
     config = TrainConfig(learning_rate=0.1, steps=3, seed=0, constraint_batch_size=5)
     return sgd_train(_positive_first(), spec, config)
+
+
+def _config(**changes):
+    """A one-step TrainConfig with the given fields changed."""
+    return TrainConfig(**dict(dict(learning_rate=0.1, steps=1, seed=0), **changes))
 
 
 REFUSALS = {
@@ -135,6 +144,68 @@ REFUSALS = {
         lambda: TrainConfig(learning_rate=0.1, steps=1, seed=0,
                             constraint_batch_size=0),
         errors.InvalidSpec, "constraint_batch_size must be at least 1 or full"),
+    "w_norm_bound_inf": (
+        lambda: loss_uniform_deviation(
+            _positive_first(), RateConstraint("positives", "at_least", 0.8),
+            QuantileEstimatorSpec("point"), (10,), 100, math.inf, 1, 0),
+        errors.InvalidSpec, "w_norm_bound must be nonnegative and finite"),
+    "synthetic_n_fractional": (
+        lambda: SyntheticSpec(n=10.5, mean_separation=1.0, sigma=1.0, seed=0),
+        errors.InvalidSpec, "n must be an integer, got 10.5"),
+    "synthetic_dim_fractional": (
+        lambda: SyntheticSpec(n=10, mean_separation=1.0, sigma=1.0, seed=0, dim=2.5),
+        errors.InvalidSpec, "dim must be an integer, got 2.5"),
+    "synthetic_seed_fractional": (
+        lambda: SyntheticSpec(n=10, mean_separation=1.0, sigma=1.0, seed=1.5),
+        errors.InvalidSpec, "seed must be an integer, got 1.5"),
+    "synthetic_separation_inf": (
+        lambda: SyntheticSpec(n=10, mean_separation=math.inf, sigma=1.0, seed=0),
+        errors.NonpositiveScale, "mean_separation must be positive and finite"),
+    "synthetic_sigma_inf": (
+        lambda: SyntheticSpec(n=10, mean_separation=1.0, sigma=math.inf, seed=0),
+        errors.NonpositiveScale, "sigma must be positive and finite"),
+    "mixture_n_fractional": (
+        lambda: generate_mixture([MixtureComponent(1, 1.0, (0.0,), 1.0)], 10.5, 0),
+        errors.InvalidSpec, "n must be an integer, got 10.5"),
+    "split_seed_fractional": (
+        lambda: SplitSpec(0.5, seed=1.5),
+        errors.InvalidSpec, "seed must be an integer, got 1.5"),
+    "train_steps_fractional": (
+        lambda: _config(steps=2.5),
+        errors.InvalidSpec, "steps must be an integer, got 2.5"),
+    "train_restarts_fractional": (
+        lambda: _config(restarts=1.5),
+        errors.InvalidSpec, "restarts must be an integer, got 1.5"),
+    "train_batch_size_fractional": (
+        lambda: _config(batch_size=10.5),
+        errors.InvalidSpec, "batch_size must be an integer, got 10.5"),
+    "train_constraint_batch_size_fractional": (
+        lambda: _config(constraint_batch_size=2.5),
+        errors.InvalidSpec, "constraint_batch_size must be an integer, got 2.5"),
+    "train_eval_every_fractional": (
+        lambda: _config(eval_every=1.5),
+        errors.InvalidSpec, "eval_every must be an integer, got 1.5"),
+    "train_seed_fractional": (
+        lambda: _config(seed=1.5),
+        errors.InvalidSpec, "seed must be an integer, got 1.5"),
+    "train_learning_rate_inf": (
+        lambda: _config(learning_rate=math.inf),
+        errors.InvalidSpec, "learning_rate must be nonnegative and finite"),
+    "train_weight_decay_inf": (
+        lambda: _config(weight_decay=math.inf),
+        errors.InvalidSpec, "weight_decay must be nonnegative and finite"),
+    "train_init_scale_inf": (
+        lambda: _config(init_scale=math.inf),
+        errors.NonpositiveScale, "init_scale must be positive and finite"),
+    "logistic_decay_negative": (
+        lambda: logistic_train(_positive_first(), -5.0, _config()),
+        errors.InvalidSpec, "weight_decay must be nonnegative and finite"),
+    "logistic_decay_nan": (
+        lambda: logistic_train(_positive_first(), math.nan, _config()),
+        errors.InvalidSpec, "weight_decay must be nonnegative and finite"),
+    "logistic_decay_inf": (
+        lambda: logistic_train(_positive_first(), math.inf, _config()),
+        errors.InvalidSpec, "weight_decay must be nonnegative and finite"),
     # finite weights: the trainer passes the estimator's refusal on as it is
     "empty_interval_in_training": (
         _train_on_an_empty_window,
@@ -150,3 +221,14 @@ def test_library_refusals_name_their_rule(case):
         call()
     assert type(info.value) is cls
     assert str(info.value) == message
+
+
+def test_numpy_integers_pass_the_integer_rule():
+    n, one = np.int64(12), np.uint8(1)
+    config = TrainConfig(learning_rate=0.1, steps=n, seed=np.uint64(2**63),
+                         restarts=one, batch_size=n, constraint_batch_size=one,
+                         eval_every=one)
+    assert (config.steps, config.batch_size, config.seed) == (12, 12, 2**63)
+    spec = SyntheticSpec(n=n, mean_separation=1.0, sigma=1.0, seed=one, dim=np.int32(2))
+    assert generate_synthetic(spec).features.shape == (12, 2)
+    assert SplitSpec(0.5, seed=n).seed == 12
