@@ -142,7 +142,7 @@ def cmd_eval(args) -> int:
             raise InvalidSpec("model file has no threshold; cannot build a report")
         # score once (with the stored transform), then count through a
         # 1-d identity model so the report path sees the same numbers
-        probe = LinearModel([1.0], threshold=float(payload["threshold"]))
+        probe = LinearModel([1.0], threshold=payload["threshold"])
         report = evaluate(probe, Dataset(scores[:, None], dataset.labels))
         result = dict(report.to_dict(), metric="report")
     elif args.metric in ("p_at_rate", "p_at_recall"):

@@ -35,7 +35,7 @@ from .types import (
     check_fraction,
     constraint_indices,
     plain,
-    whole,
+    typed,
 )
 
 SCORE_LAWS = ("uniform", "gaussian", "constant")
@@ -117,7 +117,7 @@ def _fit_slope(batch_sizes, mean_devs) -> float:
 def _increasing(values, name: str) -> Tuple[int, ...]:
     """The values as positive, strictly increasing integers; otherwise
     InvalidSpec naming the argument and the first rule they break."""
-    out = tuple(whole(v, name) for v in values)
+    out = tuple(typed(int, v, name) for v in values)
     if not out or any(v < 1 for v in out):
         raise InvalidSpec(f"{name} must be positive integers")
     if any(y <= x for x, y in zip(out, out[1:])):
@@ -140,7 +140,7 @@ def _report(batches, devs, trials: int, seed: int) -> ConcentrationReport:
 
 
 def _check_batches(batch_sizes, n: int, trials: int) -> Tuple[int, ...]:
-    if whole(trials, "trials") < 100:
+    if typed(int, trials, "trials") < 100:
         raise InvalidSpec(f"at least 100 trials required, got {trials}")
     b = _increasing(batch_sizes, "batch_sizes")
     if b[-1] > n:
@@ -187,7 +187,7 @@ def estimator_stability(
     per column, whose values are those of a call on each subsample
     alone.
     """
-    batches = _check_batches(batch_sizes, whole(n, "n"), trials)
+    batches = _check_batches(batch_sizes, typed(int, n, "n"), trials)
     rng = np.random.default_rng(seed)
     population = _draw_population(score_law, n, rng)
     q_full = estimate(estimator_spec, population, c).value
@@ -244,7 +244,7 @@ def loss_uniform_deviation(
     batches = _check_batches(batch_sizes, dataset.n, trials)
     if not 0 <= w_norm_bound < math.inf:
         raise InvalidSpec("w_norm_bound must be nonnegative and finite")
-    if whole(n_models, "n_models") < 1:
+    if typed(int, n_models, "n_models") < 1:
         raise InvalidSpec("n_models must be positive")
     sub = constraint_indices(dataset, constraint)
     pen_mask = dataset.labels == -1
@@ -340,10 +340,10 @@ def convex_sgd_convergence(
     row's own fixed-shape minibatch with a 0/1 mask of its negatives.
     """
     check_fraction(c, "recall level")
-    if whole(batch_size, "batch_size") < 1:
+    if typed(int, batch_size, "batch_size") < 1:
         raise InvalidSpec(f"convex lab needs batch_size >= 1, got {batch_size}")
     grid = _increasing(t_grid, "t_grid")
-    if whole(trials, "trials") < 1:
+    if typed(int, trials, "trials") < 1:
         raise InvalidSpec("trials must be positive")
     loss_spec = SurrogateLossSpec(
         objective="p_at_r",

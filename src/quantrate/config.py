@@ -5,24 +5,23 @@ Only these functions read a config value.  Most blocks fill a record
 (load_delimited, the concentration harnesses), and take their keys,
 types and defaults from its fields: a field without a default is a
 required key, one with a default an optional key, and each value is
-read as the JSON form of the field's type (see _read).  Any other key
-is a config error, so a typo such as "bandwith" fails loudly instead
-of being ignored.  Every document may carry a "name" label.
+read as the form of the field's type by the records' own rule
+(types.typed), after the few rules JSON adds (see _json).  Any other
+key is a config error, so a typo such as "bandwith" fails loudly
+instead of being ignored.  Every document may carry a "name" label.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 import sys
-import typing
 from dataclasses import dataclass, is_dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
 from . import concentration, data
 from .data import MixtureComponent, SplitSpec, SyntheticSpec
 from .errors import InvalidSpec
-from .types import QuantileEstimatorSpec, SurrogateLossSpec, TrainConfig, check_fraction
+from .types import QuantileEstimatorSpec, SurrogateLossSpec, TrainConfig
+from .types import check_fraction, signature, typed
 
 _DEFAULT_CURVE_GRID = [round(0.1 * k, 1) for k in range(1, 11)]
 # the parameter tables of the loaders and labs, from the functions as
@@ -38,50 +37,26 @@ _NOT_LOGISTIC = ("weight_decay", "batch_size", "constraint_batch_size", "restart
 # harness parameter -> (its config key, the type that key reads as)
 _HARNESS_KEYS = {"estimator_spec": ("estimator", QuantileEstimatorSpec),
                  "dataset": ("synthetic", SyntheticSpec)}
-# a plain type -> (its JSON form, whether a value has that form); a seed
-# is an int in range, and any other type (an enum) reads from a string
-_FORMS = {
-    bool: ("true or false", lambda v: type(v) is bool),
-    int: ("an integer", lambda v: type(v) in (int, float) and v % 1 == 0),
-    float: ("a finite number",
-            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-    str: ("a string", lambda v: isinstance(v, str)),
-    "seed": ("an integer in [0, 2**64)",
-             lambda v: _FORMS[int][1](v) and 0 <= v < 2**64),
-}
 
 
-@functools.cache
-def _fields(target) -> dict:
-    """name -> (type, required) of each field of a record or parameter
-    of a function; required means it has no default."""
-    hints = typing.get_type_hints(target)
-    return {
-        name: (hints.get(name), p.default is p.empty)
-        for name, p in inspect.signature(target).parameters.items()
-    }
+def _json(hint, value, key: str):
+    """What JSON adds to a value's form (see types.typed): an object fills
+    a record, a number must be finite and reads as an int where one is
+    wanted if its value is integral, and a seed is in [0, 2**64)."""
+    if is_dataclass(hint):
+        return _record(hint, value, key)
+    number = type(value) in (int, float)
+    if key == "seed" and not (number and value % 1 == 0 and 0 <= value < 2**64):
+        raise InvalidSpec(f"seed must be an integer in [0, 2**64), got {value!r}")
+    if number and not abs(value) <= sys.float_info.max:
+        raise InvalidSpec(f"{key} must be a finite number, got {value!r}")
+    return int(value) if number and hint is int and value % 1 == 0 else value
 
 
 def _read(hint, value, key: str):
     """value read as the JSON form of the type hint, else a config error
-    naming key: see _FORMS, and Optional from null, a Tuple or Sequence
-    from a list (as a tuple), a record from an object (see _record)."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is typing.Union:  # Optional[X]
-        return None if value is None else _read(args[0], value, key)
-    if is_dataclass(hint):
-        return _record(hint, value, key)
-    if origin is not None:  # Tuple or Sequence
-        if isinstance(value, list):
-            return tuple(_read(args[0], v, key) for v in value)
-        raise InvalidSpec(f"{key} must be a list, got {value!r}")
-    want, fits = _FORMS["seed" if key == "seed" else hint if hint in _FORMS else str]
-    if fits(value):
-        try:
-            return hint(value)  # an enum may reject the string
-        except ValueError:
-            want = f"one of {[m.value for m in hint]}"
-    raise InvalidSpec(f"{key} must be {want}, got {value!r}")
+    naming key: the record's own form, after what _json adds."""
+    return typed(hint, value, key, _json)
 
 
 def read_seed(value) -> int:
@@ -114,7 +89,7 @@ def _values(target, block, where: str, skip=(), extra=()) -> dict:
     """The block's value for each field of target but skip, read as the
     field's type.  The block may also hold the keys extra, which the
     caller reads."""
-    fields = {k: f for k, f in _fields(target).items() if k not in skip}
+    fields = {k: f for k, f in signature(target).items() if k not in skip}
     check_keys(
         block, [k for k, (_, req) in fields.items() if not req] + list(extra),
         where, [k for k, (_, req) in fields.items() if req],
@@ -198,7 +173,7 @@ def concentration_spec(config: dict, seed: Optional[int]) -> Tuple[str, dict]:
         raise InvalidSpec(f"unknown concentration kind {kind!r}")
     keys = {
         name: _HARNESS_KEYS.get(name, (name, hint))
-        for name, (hint, _) in _fields(_HARNESSES[kind]).items()
+        for name, (hint, _) in signature(_HARNESSES[kind]).items()
         if name != "seed"
     }
     _document(config, f"{kind} config", tuple(k for k, _ in keys.values()),
@@ -254,7 +229,7 @@ def experiment_spec(config: dict) -> ExperimentSpec:
                "logistic", "reps"),
         optional + ("kind", "seed", "standardize", "published"), kind,
     )
-    fields = _fields(ExperimentSpec)
+    fields = signature(ExperimentSpec)
 
     def read(field, key=None, block=config, default=None):
         key = key or field

@@ -29,7 +29,7 @@ from .errors import (
     UnknownLabel,
 )
 from .estimators import order_rank
-from .types import Dataset, check_fraction, whole
+from .types import Dataset, check_fraction, typed, typed_fields
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -58,8 +58,9 @@ class SplitSpec:
     stratified: bool = True
 
     def __post_init__(self):
+        typed_fields(self)
         check_fraction(self.train_fraction, "train_fraction", open_top=True)
-        if whole(self.seed, "seed") < 0:
+        if self.seed < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
 
 
@@ -82,18 +83,16 @@ class SyntheticSpec:
     negative_scale: float = 1.0
 
     def __post_init__(self):
-        if whole(self.n, "n") < 1:
+        typed_fields(self)
+        if self.n < 1:
             raise InvalidSpec("n must be positive")
         check_fraction(self.positive_prior, "positive_prior", open_top=True)
-        if whole(self.dim, "dim") < 1:
+        if self.dim < 1:
             raise InvalidSpec("dim must be positive")
-        if not 0 < self.mean_separation < np.inf:
-            raise NonpositiveScale("mean_separation must be positive and finite")
-        if not 0 < self.sigma < np.inf:
-            raise NonpositiveScale("sigma must be positive and finite")
-        if not (self.positive_scale > 0 and self.negative_scale > 0):
-            raise NonpositiveScale("class scale factors must be positive")
-        if whole(self.seed, "seed") < 0:
+        for name in ("mean_separation", "sigma", "positive_scale", "negative_scale"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise NonpositiveScale(f"{name} must be positive and finite")
+        if self.seed < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
 
 
@@ -107,13 +106,15 @@ class MixtureComponent:
     sigma: float
 
     def __post_init__(self):
+        typed_fields(self)
         if self.label not in (-1, 1):
             raise InvalidSpec("component label must be -1 or +1")
-        if not self.weight > 0:
-            raise InvalidSpec("component weight must be positive")
-        if not self.sigma > 0:
-            raise NonpositiveScale("component sigma must be positive")
-        object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
+        if not 0 < self.weight < np.inf:
+            raise InvalidSpec("component weight must be positive and finite")
+        if not 0 < self.sigma < np.inf:
+            raise NonpositiveScale("component sigma must be positive and finite")
+        if not np.all(np.isfinite(self.mean)):
+            raise InvalidSpec("component mean must be finite")
 
 
 @dataclass(frozen=True)
@@ -364,7 +365,7 @@ def generate_mixture(
     """
     if not components:
         raise EmptyInput("mixture needs at least one component")
-    if whole(n, "n") < 1:
+    if typed(int, n, "n") < 1:
         raise InvalidSpec("n must be positive")
     dim = len(components[0].mean)
     if dim == 0 or any(len(c.mean) != dim for c in components):
@@ -374,7 +375,7 @@ def generate_mixture(
     means = np.array([c.mean for c in components], dtype=np.float64)
     sigmas = np.array([c.sigma for c in components], dtype=np.float64)
     labels_by_comp = np.array([c.label for c in components], dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(typed(int, seed, "seed"))
     which = rng.choice(len(components), size=n, p=probs)
     noise = rng.standard_normal((n, dim))
     features = means[which] + sigmas[which][:, None] * noise

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateInterval, EmptyInput, InvalidSpec
-from .types import EstimatorKind, QuantileEstimatorSpec
+from .types import EstimatorKind, QuantileEstimatorSpec, typed
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -94,7 +94,7 @@ def _check_level(c, s=None, kind=None):
     if kind is EstimatorKind.INTERVAL:
         return c
     if not isinstance(c, (list, tuple, np.ndarray)) or np.ndim(c) == 0:
-        c = float(c)
+        c = typed(float, c[()] if isinstance(c, np.ndarray) else c, "quantile level")
         if not 0.0 <= c <= 1.0:
             raise InvalidSpec(f"quantile level {c} outside [0, 1]")
         return c
@@ -262,7 +262,7 @@ def _kernel_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndar
     """Gaussian-kernel weights of each row of (K, n) scores at its level:
     _kernel_at each score's tie-broken rank, which is 1..n in sorted
     order when no row has a tie, so that a cached table serves."""
-    h, normalize, c = float(spec.bandwidth), spec.normalize, np.atleast_1d(c)
+    h, normalize, c = spec.bandwidth, spec.normalize, np.atleast_1d(c)
     n_rows, n = rows.shape
     order = np.argsort(rows, axis=1)  # ties share a weight: any order
     order += n * np.arange(n_rows)[:, None]  # flat indices into rows

@@ -28,6 +28,7 @@ from .types import (
     QuantileEstimatorSpec,
     SurrogateLossSpec,
     constraint_indices,
+    typed,
 )
 
 
@@ -41,7 +42,7 @@ class LossValue:
 
 def logloss(z: float, base: float = 2.0) -> float:
     """log_base(1 + e^z), overflow-safe for any z."""
-    base = float(base)
+    base = typed(float, base, "base")
     if not 1.0 < base < math.inf:
         raise InvalidSpec(f"logloss base must be finite and exceed 1, got {base}")
     return float(np.logaddexp(0.0, z) / math.log(base))

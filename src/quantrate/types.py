@@ -7,13 +7,20 @@ Conventions used throughout the package:
 * a prediction is positive iff score > threshold (strictly);
 * a rate constraint bounds the fraction of a sample subset predicted
   positive, from below (at_least) or above (at_most).
+
+Every input record reads each field in the form of its annotation
+(typed_fields, the rule the config reader applies too), then checks its
+ranges: a value of another form is an InvalidSpec naming the field.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import inspect
 import math
 import operator
+import typing
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple
 
@@ -32,20 +39,69 @@ from .errors import (
 def check_fraction(value, name: str, open_top: bool = False) -> float:
     """value as a float in (0, 1], or in (0, 1) when open_top is set;
     otherwise InvalidSpec naming it."""
-    value = float(value)
+    value = typed(float, value, name)
     if not (0.0 < value < 1.0 or (value == 1.0 and not open_top)):
         top = ")" if open_top else "]"
         raise InvalidSpec(f"{name} must lie in (0, 1{top}, got {value}")
     return value
 
 
-def whole(value, name: str) -> int:
-    """value as an int when it is an integer, a numpy one too; otherwise
-    InvalidSpec naming it, so that no count or seed is truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+@functools.cache
+def _form(hint) -> tuple:
+    """(the form, the classes of its values, the value in it or None for
+    the value as it is) of a plain type hint: an enum takes the values of
+    its members, a record its instances, and no type but bool a bool."""
+    if issubclass(hint, enum.Enum):
+        return f"one of {[m.value for m in hint]}", str, {m.value: m for m in hint}.get
+    return {
+        bool: ("true or false", np.bool_, bool),
+        int: ("an integer", (int, np.integer), operator.index),
+        float: ("a number", (int, float, np.integer, np.floating), float),
+        str: ("a string", str, None),
+    }.get(hint, (f"a {hint.__name__}", hint, None))
+
+
+def typed(hint, value, name: str, pre=None):
+    """value in the form of the type hint (see _form), else InvalidSpec
+    naming it; Optional takes None, and a Tuple or Sequence a list, a
+    tuple or a 1-d array, as a tuple.  pre, if given, first maps each
+    value of a plain hint, given the hint and name (JSON's rules)."""
+    if not isinstance(hint, type):  # Optional[X], Tuple[X, ...] or Sequence[X]
+        inner = typing.get_args(hint)[0]
+        if typing.get_origin(hint) is typing.Union:
+            return None if value is None else typed(inner, value, name, pre)
+        if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1:
+            return tuple(typed(inner, v, name, pre) for v in value)
+        raise InvalidSpec(f"{name} must be a list, got {value!r}")
+    value = value if pre is None else pre(hint, value, name)
+    if type(value) is hint:
+        return value
+    want, kinds, form = _form(hint)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        out = value if form is None else form(value)
+        if out is not None:  # None: no member of the enum has the string
+            return out
+    raise InvalidSpec(f"{name} must be {want}, got {value!r}")
+
+
+@functools.cache
+def signature(target) -> dict:
+    """name -> (type hint, required) of each field of a record or
+    parameter of a function; required means it has no default."""
+    hints = typing.get_type_hints(target)
+    return {
+        name: (hints.get(name), p.default is p.empty)
+        for name, p in inspect.signature(target).parameters.items()
+    }
+
+
+def typed_fields(record) -> None:
+    """Sets each field of a frozen record to its value in the form of its
+    annotation (see typed), so that Python calls read values as configs do."""
+    for name, (hint, _) in signature(type(record)).items():
+        value = getattr(record, name)
+        if type(value) is not hint:
+            object.__setattr__(record, name, typed(hint, value, name))
 
 
 def plain(record) -> dict:
@@ -158,8 +214,7 @@ class LinearModel:
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        if self.threshold is not None:
-            object.__setattr__(self, "threshold", float(self.threshold))
+        typed_fields(self)
 
     def scores(self, dataset_or_matrix) -> np.ndarray:
         X = getattr(dataset_or_matrix, "features", dataset_or_matrix)
@@ -187,18 +242,14 @@ class RateConstraint:
     indices: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "subset", Subset(self.subset))
-        object.__setattr__(self, "direction", Direction(self.direction))
-        object.__setattr__(self, "target", float(self.target))
+        typed_fields(self)
         if not 0.0 <= self.target <= 1.0:
             raise InvalidSpec(f"target rate {self.target} outside [0, 1]")
         if self.subset is Subset.INDICES:
             if not self.indices:
                 raise InvalidSpec("subset 'indices' needs an index list")
-            idx = tuple(int(i) for i in self.indices)
-            if len(set(idx)) != len(idx) or min(idx) < 0:
+            if len(set(self.indices)) < len(self.indices) or min(self.indices) < 0:
                 raise InvalidSpec("indices must be unique and nonnegative")
-            object.__setattr__(self, "indices", idx)
         elif self.indices is not None:
             raise InvalidSpec("indices given but subset is not 'indices'")
 
@@ -248,7 +299,7 @@ class QuantileEstimatorSpec:
     k2: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", EstimatorKind(self.kind))
+        typed_fields(self)
         reads = {EstimatorKind.KERNEL: ("bandwidth", "normalize"),
                  EstimatorKind.INTERVAL: ("k1", "k2")}.get(self.kind, ())
         unread = [f.name for f in fields(self)[1:]
@@ -285,12 +336,10 @@ class SurrogateLossSpec:
     penalize: Penalize = Penalize.NEGATIVES
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", Objective(self.objective))
-        object.__setattr__(self, "penalize", Penalize(self.penalize))
+        typed_fields(self)
         named = self.objective is not Objective.GENERIC
         if named and self.penalize is not Penalize.NEGATIVES:
             raise InvalidSpec(f"the {self.objective.value} objective does not read penalize")
-        object.__setattr__(self, "logloss_base", float(self.logloss_base))
         if not 1.0 < self.logloss_base < math.inf:
             raise InvalidSpec(
                 f"logloss base must be finite and exceed 1, got {self.logloss_base}"
@@ -335,27 +384,28 @@ class TrainConfig:
     lr_decay: str = "constant"
 
     def __post_init__(self):
+        typed_fields(self)
         if not 0 <= self.learning_rate < math.inf:
             raise InvalidSpec("learning_rate must be nonnegative and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidSpec("momentum must lie in [0, 1)")
         if not 0 <= self.weight_decay < math.inf:
             raise InvalidSpec("weight_decay must be nonnegative and finite")
-        if whole(self.steps, "steps") < 1:
+        if self.steps < 1:
             raise InvalidSpec("steps must be at least 1")
-        if whole(self.restarts, "restarts") < 1:
+        if self.restarts < 1:
             raise InvalidSpec("restarts must be at least 1")
         if not 0 < self.init_scale < math.inf:
             raise NonpositiveScale("init_scale must be positive and finite")
         for name in ("batch_size", "constraint_batch_size"):
             size = getattr(self, name)
-            if size is not None and whole(size, name) < 1:
+            if size is not None and size < 1:
                 raise InvalidSpec(f"{name} must be at least 1 or full")
-        if whole(self.eval_every, "eval_every") < 1:
+        if self.eval_every < 1:
             raise InvalidSpec("eval_every must be at least 1")
         if self.lr_decay not in ("constant", "inv_sqrt"):
             raise InvalidSpec("lr_decay must be 'constant' or 'inv_sqrt'")
-        if whole(self.seed, "seed") < 0:
+        if self.seed < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
 
     def lr_at(self, t: int) -> float:

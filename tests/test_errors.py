@@ -2,9 +2,11 @@
 process, and each refusal of a library call raises its class with a
 message that names the rule."""
 
+import dataclasses
 import inspect
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +213,54 @@ REFUSALS = {
         _train_on_an_empty_window,
         errors.DegenerateInterval,
         "window (0.41, 0.49] selects no order statistics for n=5"),
+    # a value of the wrong form, which a record once kept or coerced
+    "estimator_normalize_string": (
+        lambda: QuantileEstimatorSpec("kernel", bandwidth=0.1, normalize="false"),
+        errors.InvalidSpec, "normalize must be true or false, got 'false'"),
+    "split_stratified_string": (
+        lambda: SplitSpec(0.5, seed=1, stratified="no"),
+        errors.InvalidSpec, "stratified must be true or false, got 'no'"),
+    "indices_fractional": (
+        lambda: RateConstraint("indices", "at_least", 0.5, indices=(1.5, 2)),
+        errors.InvalidSpec, "indices must be an integer, got 1.5"),
+    "train_steps_bool": (
+        lambda: _config(steps=True),
+        errors.InvalidSpec, "steps must be an integer, got True"),
+    "train_learning_rate_string": (
+        lambda: _config(learning_rate="0.1"),
+        errors.InvalidSpec, "learning_rate must be a number, got '0.1'"),
+    "estimator_kind_unknown": (
+        lambda: QuantileEstimatorSpec("bogus"),
+        errors.InvalidSpec,
+        "kind must be one of ['point', 'kernel', 'lower_mean', 'interval'], got 'bogus'"),
+    "logistic_decay_string": (
+        lambda: logistic_train(_positive_first(), "0.5", _config()),
+        errors.InvalidSpec, "weight_decay must be a number, got '0.5'"),
+    # mixture and generator values a config refuses
+    "mixture_weight_inf": (
+        lambda: generate_mixture([MixtureComponent(1, math.inf, (1.0,), 1.0),
+                                  MixtureComponent(-1, 1.0, (-1.0,), 1.0)], 10, 0),
+        errors.InvalidSpec, "component weight must be positive and finite"),
+    "mixture_sigma_inf": (
+        lambda: generate_mixture([MixtureComponent(1, 1.0, (1.0,), math.inf)], 10, 0),
+        errors.NonpositiveScale, "component sigma must be positive and finite"),
+    "mixture_mean_nan": (
+        lambda: generate_mixture([MixtureComponent(1, 1.0, (0.0, math.nan), 1.0)], 10, 0),
+        errors.InvalidSpec, "component mean must be finite"),
+    "mixture_mean_inf": (
+        lambda: MixtureComponent(1, 1.0, (-math.inf,), 1.0),
+        errors.InvalidSpec, "component mean must be finite"),
+    "mixture_seed_fractional": (
+        lambda: generate_mixture([MixtureComponent(1, 1.0, (0.0,), 1.0)], 10, 1.5),
+        errors.InvalidSpec, "seed must be an integer, got 1.5"),
+    "synthetic_positive_scale_inf": (
+        lambda: SyntheticSpec(n=10, mean_separation=1.0, sigma=1.0, seed=0,
+                              positive_scale=math.inf),
+        errors.NonpositiveScale, "positive_scale must be positive and finite"),
+    "synthetic_negative_scale_inf": (
+        lambda: SyntheticSpec(n=10, mean_separation=1.0, sigma=1.0, seed=0,
+                              negative_scale=math.inf),
+        errors.NonpositiveScale, "negative_scale must be positive and finite"),
 }
 
 
@@ -232,3 +282,77 @@ def test_numpy_integers_pass_the_integer_rule():
     spec = SyntheticSpec(n=n, mean_separation=1.0, sigma=1.0, seed=one, dim=np.int32(2))
     assert generate_synthetic(spec).features.shape == (12, 2)
     assert SplitSpec(0.5, seed=n).seed == 12
+    spec = QuantileEstimatorSpec("kernel", bandwidth=np.float64(0.1),
+                                 normalize=np.bool_(False))
+    assert spec.normalize is False and type(spec.bandwidth) is float
+    assert SplitSpec(np.float64(0.5), seed=1, stratified=np.bool_(True)).stratified is True
+    assert RateConstraint("indices", "at_least", np.float64(0.5),
+                          indices=np.array([1, 2])).indices == (1, 2)
+    component = MixtureComponent(np.int8(1), np.float32(0.5), np.array([0.0, 1.5]), 1.0)
+    assert component.mean == (0.0, 1.5) and type(component.weight) is float
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", REFUSALS)
+def test_no_runtime_warning_comes_before_a_refusal(case):
+    call, cls, _ = REFUSALS[case]
+    with pytest.raises(cls):
+        call()
+
+
+# a valid value for every field of each input record, LinearModel's
+# threshold too; the kernel and interval specs cover the estimator
+VALID = [
+    (RateConstraint, dict(subset="indices", direction="at_least", target=0.5,
+                          indices=(0, 1))),
+    (QuantileEstimatorSpec, dict(kind="kernel", bandwidth=0.1, normalize=False)),
+    (QuantileEstimatorSpec, dict(kind="interval", k1=0.2, k2=0.8)),
+    (SurrogateLossSpec, dict(objective="generic",
+                             constraint=RateConstraint("all", "at_least", 0.5),
+                             estimator=QuantileEstimatorSpec("point"),
+                             logloss_base=2.0, penalize="positives")),
+    (TrainConfig, dict(learning_rate=0.1, steps=5, seed=3, momentum=0.5,
+                       weight_decay=0.1, batch_size=10, constraint_batch_size=5,
+                       restarts=2, init_scale=0.01, eval_every=2, lr_decay="inv_sqrt")),
+    (SplitSpec, dict(train_fraction=0.5, seed=1, stratified=False)),
+    (SyntheticSpec, dict(n=10, mean_separation=1.0, sigma=1.0, seed=0,
+                         positive_prior=0.3, dim=3, positive_scale=2.0,
+                         negative_scale=0.5)),
+    (MixtureComponent, dict(label=-1, weight=0.5, mean=(0.0, 1.0), sigma=2.0)),
+    (LinearModel, dict(weights=[1.0, 2.0], threshold=0.5)),
+]
+
+
+def wrong_forms(value):
+    """Values of another form than value's: a string for a number or a
+    bool, a bool or a fraction for an integer, a number for a string, a
+    bad entry in a list, and a plain dict for a record."""
+    if isinstance(value, bool):
+        return ["false", 1]
+    if isinstance(value, int):
+        return [True, "1", 1.5]
+    if isinstance(value, float):
+        return ["0.5", True]
+    if isinstance(value, str):
+        return [7]
+    if isinstance(value, tuple):
+        bad = 1.5 if isinstance(value[0], int) else "1.0"
+        return ["x", (value[0], bad)]
+    return [dataclasses.asdict(value)]
+
+
+def test_every_record_field_has_a_valid_sample():
+    for cls in {cls for cls, _ in VALID}:
+        named = set().union(*(set(kw) for c, kw in VALID if c is cls))
+        assert named == {f.name for f in dataclasses.fields(cls)}, cls
+
+
+@pytest.mark.parametrize("cls, valid, key, value", [
+    (cls, valid, key, value) for cls, valid in VALID for key in valid
+    if key != "weights" for value in wrong_forms(valid[key])
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_a_wrongly_typed_value_is_a_spec_error(cls, valid, key, value):
+    cls(**valid)
+    with pytest.raises(errors.InvalidSpec) as info:
+        cls(**dict(valid, **{key: value}))
+    assert re.search(rf"\b{key}\b", str(info.value)), str(info.value)
