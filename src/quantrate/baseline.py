@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import Diverged, InvalidSpec, SingleClass
 from .estimators import row_dots
-from .losses import _sigmoid, _times
+from .losses import _sigmoid, _softplus, _times
 from .metrics import calibrate_threshold
 from .train import _rows
 from .types import (
@@ -45,7 +45,7 @@ def logistic_objective(
     """Sum of per-sample loglosses plus the feature-weight decay term."""
     margins = labels * (X_aug @ w)
     penalty = 0.5 * weight_decay * float(w[:-1] @ w[:-1])
-    return float(np.logaddexp(0.0, -margins).sum()) + penalty
+    return float(_softplus(-margins).sum()) + penalty
 
 
 def logistic_train(

@@ -45,19 +45,26 @@ def logloss(z: float, base: float = 2.0) -> float:
     base = typed(float, base, "base")
     if not 1.0 < base < math.inf:
         raise InvalidSpec(f"logloss base must be finite and exceed 1, got {base}")
-    return float(np.logaddexp(0.0, z) / math.log(base))
+    return float(_softplus(np.array([z], dtype=np.float64))[0] / math.log(base))
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
-    """log(1 + e^z), overwriting z."""
-    return np.logaddexp(0.0, z, out=z)
+    """log(1 + e^z) = max(z, 0) + log1p(e^-|z|), overwriting z: logaddexp's
+    formula on numpy's vectorized exp and log1p, within 3 ulp of
+    np.logaddexp(0, z); its bits depend on numpy's SIMD build."""
+    e = np.abs(z)
+    np.log1p(np.exp(np.negative(e, out=e), out=e), out=e)
+    return np.add(np.maximum(z, 0.0, out=z), e, out=z)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so that no
-    exponent overflows; e = e^-|z| serves both sides."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    exponent overflows; e = e^-|z| serves both sides, max(e, z >= 0) is
+    the numerator (e <= 1), bit for bit the two-division form."""
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.maximum(e, z >= 0)
+    return np.divide(out, np.add(e, 1.0, out=e), out=out)
 
 
 def _side(spec: SurrogateLossSpec) -> Tuple[int, float]:
@@ -127,7 +134,7 @@ def core_eval(
     z = sign * (_times(X_pen, W) - row_dots(q_weights, sub_rows)[:, None])
     a = _sigmoid(z)
     if pen_mask is not None:
-        a = a * pen_mask
+        a *= pen_mask
     anchor = _times(X_sub.swapaxes(-1, -2), q_weights)
     grad = (sign / math.log(base)) * (
         _times(X_pen.swapaxes(-1, -2), a)

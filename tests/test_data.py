@@ -422,3 +422,27 @@ def test_dataset_validation_and_immutability():
         d.features[0, 0] = 5.0
     with pytest.raises(ValueError):
         d.labels[0] = -1
+
+
+def test_take_is_a_new_dataset_of_the_rows_bit_for_bit():
+    # take skips the checks its rows passed when the set was built; its
+    # arrays match a Dataset built from the same rows in bytes and flags
+    rng = np.random.default_rng(55)
+    d = Dataset(rng.standard_normal((40, 3)), np.where(rng.random(40) < 0.5, 1, -1))
+    flags = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED")
+    for size in (1, 2, 3, 17, 40, 90):
+        idx = rng.integers(-40, 40, size)
+        for indices in (idx, list(idx), idx.astype(np.int32)):
+            got, want = d.take(indices), Dataset(d.features[idx], d.labels[idx])
+            assert type(got) is Dataset
+            for a, b in ((got.features, want.features), (got.labels, want.labels)):
+                assert a.tobytes() == b.tobytes()
+                assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+                assert [a.flags[f] for f in flags] == [b.flags[f] for f in flags]
+                assert not a.flags.writeable and a.base is None
+    with pytest.raises(EmptyInput):
+        d.take([])
+    with pytest.raises(EmptyInput):
+        d.take(np.array([], dtype=np.int64))
+    with pytest.raises(InvalidSpec):
+        d.take([[0, 1]])  # rows of a 3-d matrix

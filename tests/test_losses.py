@@ -23,6 +23,7 @@ from quantrate import (
     surrogate_loss,
 )
 from quantrate.losses import _row_values, _sigmoid, _times, core_eval
+from quantrate.losses import _softplus
 
 LN2 = math.log(2.0)
 POINT = QuantileEstimatorSpec(kind="point")
@@ -375,6 +376,57 @@ def test_sigmoid_is_the_two_division_form_bit_for_bit():
     assert _sigmoid(z).tobytes() == want.tobytes()
 
 
+def test_sigmoid_keeps_the_bits_of_its_where_form():
+    # oracle: the numerator as np.where(z >= 0, 1.0, e), a pass that
+    # broadcasts the scalar 1.0; C- and F-ordered arguments, left as given
+    rng = np.random.default_rng(20)
+    special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+    for shape in ((7,), (1, 1), (2, 4500), (60, 70), (3, 5, 4), (0, 3)):
+        for scale in (1e-8, 1.0, 40.0, 800.0):
+            z = rng.standard_normal(shape) * scale
+            z.flat[: special.size] = special[: z.size]
+            for arg in (z, z.T):
+                e = np.exp(-np.abs(arg))
+                want = np.where(arg >= 0, 1.0, e) / (1.0 + e)
+                kept = arg.copy()
+                assert _sigmoid(arg).tobytes() == want.tobytes()
+                assert arg.tobytes() == kept.tobytes()
+
+
+def test_softplus_is_within_4_ulp_of_scalar_libm():
+    # an oracle apart from numpy's loops: max(z, 0) + log1p(exp(-|z|))
+    # in Python floats, summand by summand
+    mags = np.geomspace(1e-3, 1e3, 4001)
+    z = np.concatenate([mags, -mags, np.random.default_rng(3).uniform(-40, 40, 4000)])
+    want = np.array([max(x, 0.0) + math.log1p(math.exp(-abs(x))) for x in z])
+    got = _softplus(z.copy())
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+def test_softplus_special_values_and_in_place():
+    z = np.array([0.0, -0.0, 1e-300, -1e-300, -800.0, -np.inf, -1e308,
+                  800.0, np.inf, np.nan])
+    got = _softplus(z)
+    assert got is z
+    assert got[:4].tolist() == [math.log(2.0)] * 4
+    assert got[4:7].tolist() == [0.0] * 3
+    assert got[7:9].tolist() == [800.0, np.inf]
+    assert np.isnan(got[9])
+
+
+def test_logloss_is_the_core_eval_summand_bit_for_bit():
+    # one penalized score per margin over a lone subset score of 0, whose
+    # point quantile makes the margin the score itself
+    rng = np.random.default_rng(47)
+    z = np.concatenate([np.geomspace(1e-6, 750.0, 600), rng.standard_normal(400) * 5.0])
+    z = np.concatenate([z, -z, [0.0, -0.0, 800.0, -800.0]])
+    for base in (2.0, math.e, 10.0):
+        _, per_sample, _ = core_eval(np.ones(1), z[:, None], np.zeros((1, 1)),
+                                     1.0, 0.5, POINT, base)
+        want = np.array([logloss(x, base) for x in z])
+        assert want.tobytes() == per_sample.tobytes()
+
+
 def test_value_calls_drop_masked_rows():
     rng = np.random.default_rng(11)
     W = rng.standard_normal((2, 4))
@@ -456,7 +508,7 @@ def test_value_calls_frozen_bits():
         assert grad is None
         digest.update(np.asarray(value).tobytes() + per_sample.tobytes())
     assert digest.hexdigest() == (
-        "4ce940caed496142204fb902bf7fa5236618ce5772cca1c926279739e55712db"
+        "af306c9fd90fc0dc609c7c458e065ddbe43815df87d824f542743b4db5acf86f"
     )
 
 

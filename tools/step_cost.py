@@ -17,15 +17,25 @@ the fastest of 7 calls:
 Each time is divided by the call's model-steps (models x steps).  It
 also times one kernel estimate call at the two quantile shapes, the
 preset's estimator on the (105, K) scores of K seeded models at their
-levels (K=4 and K=60), as the fastest of 7 runs of 100 calls.  The
-last line is one JSON object with the six figures in microseconds
-and the quantile/logistic ratio at K=4, the cost of the rate
-constraint over the unconstrained loss on the same data and K.
+levels (K=4 and K=60), as the fastest of 7 runs of 100 calls.
+
+It also times one value call of the loss-deviation lab at the
+`loss_deviation` preset's largest batch: `losses._row_values` on 50
+models' seeded scores at b = 3200, with 2240 penalized rows (a strided
+view, as the lab gathers them) and the whole batch as the subset, at
+the preset's estimator and level, as the fastest of 7 runs of 20 calls.
+perfbench books this path to `concentration`, so it has no layer of
+its own there.
+
+The last line is one JSON object with the seven figures in
+microseconds and the quantile/logistic ratio at K=4, the cost of the
+rate constraint over the unconstrained loss on the same data and K.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import tempfile
 import time
@@ -40,12 +50,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench.workloads import write_ionosphere  # noqa: E402
 from quantrate import RateConstraint, SurrogateLossSpec, baseline, estimate  # noqa: E402
 from quantrate import presets  # noqa: E402
-from quantrate.config import experiment_spec  # noqa: E402
+from quantrate.config import estimator_spec, experiment_spec  # noqa: E402
 from quantrate.data import split, standardize  # noqa: E402
 from quantrate.experiment import load_experiment_dataset  # noqa: E402
+from quantrate.losses import _row_values  # noqa: E402
 from quantrate.train import lockstep_train  # noqa: E402
 
-SEED, REPEATS, CALLS = 1, 7, 100
+SEED, REPEATS, CALLS, LAB_CALLS = 1, 7, 100, 20
+LAB_PENALIZED = 2240  # the negatives of a b = 3200 batch at positive prior 0.3
 
 
 def fastest(call) -> float:
@@ -108,6 +120,17 @@ def main() -> int:
         us[f"kernel_estimate_k{len(group)}_us_per_call"] = fastest(
             lambda: [estimate(spec.estimator, scores, levels) for _ in range(CALLS)]
         ) / CALLS
+    lab = presets.load_preset("loss_deviation")
+    lab_spec = estimator_spec(lab["estimator"])
+    lab_level = 1.0 - lab["constraint"]["target"]
+    lab_scores = np.random.default_rng(SEED).standard_normal(
+        (max(lab["batch_sizes"]), lab["n_models"]))
+    pen_rows = lab_scores[:LAB_PENALIZED].T
+    sub_rows = np.ascontiguousarray(lab_scores.T)
+    us["lab_value_us_per_call"] = fastest(
+        lambda: [_row_values(pen_rows, sub_rows, 1.0, lab_level, lab_spec, math.log(2.0))
+                 for _ in range(LAB_CALLS)]
+    ) / LAB_CALLS
     figures = {name: round(seconds * 1e6, 3) for name, seconds in us.items()}
     figures["quantile_over_logistic_k4"] = round(
         us["quantile_k4_us_per_model_step"] / us["logistic_k4_us_per_model_step"], 3
