@@ -13,6 +13,7 @@ and every setting of their loss specs and configs but the level
 (constraint target), the weight decay and the seed.  A minibatch step
 takes each row's own batch, a (K, batch_size, d) stack, with a 0/1
 mask of its penalized samples in place of a gather of ragged size.
+The logistic baseline runs on the same loop, _descend.
 
 Determinism contract, per model: one PCG64 generator seeded from that
 model's config.seed drives, in order, its weight initialization, each
@@ -30,6 +31,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import BatchTooLarge, ConstraintBatchEmpty, Diverged, InvalidSpec
+from .estimators import row_dots
 from .losses import _resolved, core_eval
 from .types import (
     Dataset,
@@ -42,38 +44,72 @@ from .types import (
 Model = Tuple[SurrogateLossSpec, TrainConfig]
 
 
-def _shared(model: Model) -> Tuple[dict, dict]:
-    """The fields of a model that every row of a lockstep call shares."""
-    loss_spec, config = model
-    constraint = dict(vars(loss_spec.constraint), target=None)
-    return (
-        dict(vars(loss_spec), constraint=constraint),
-        dict(vars(config), seed=None, weight_decay=None, restarts=None),
-    )
+def _alike(rows, free: Sequence[str], message: str) -> None:
+    """Raise InvalidSpec(message) unless the lockstep rows, each a tuple
+    of records, agree in every field but those named free."""
+    kept = [[dict(vars(r), **dict.fromkeys(free)) for r in row] for row in rows]
+    if not kept or kept.count(kept[0]) < len(kept):
+        raise InvalidSpec(message)
 
 
-def _rows(configs: Sequence[TrainConfig], dim: int):
-    """Both trainers' row setup: each config's generator, the (K, dim)
-    weights they draw first, init_scale times normals, and the (K, 1) decays."""
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    W = np.stack([c.init_scale * rng.standard_normal(dim)
+def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
+             value=None, free=slice(None), tolerance=None):
+    """The descent loop of both trainers.  Row k of the (K, d) weights W,
+    d the width of X, starts at configs[k].init_scale times rngs[k]'s
+    first normals.  Step t adds weight_decay * W in the columns free to
+    gradient(t, W) and sets v <- momentum * v - lr_t * g, W <- W + v; the
+    trace takes value(W) after each eval_every-th step and the last.  A
+    row freezes after the first step whose 1-d gradient norm is at most
+    tolerance.  Returns W and the trace; inf or nan weights raise
+    Diverged, as do scores X @ W.T that turn inf or nan."""
+    config = configs[0]
+    W = np.stack([c.init_scale * rng.standard_normal(X.shape[1])
                   for c, rng in zip(configs, rngs)])
-    return rngs, W, np.array([c.weight_decay for c in configs])[:, None]
+    decay = np.array([c.weight_decay for c in configs])[:, None]
+    # a zero-decay row beside decayed ones adds 0 * w to its gradient,
+    # which can only turn a -0.0 entry into +0.0, and the velocity and
+    # weight updates treat both zeros alike
+    decayed = decay.any()
+    velocity, fitted = np.zeros_like(W), np.empty_like(W)
+    live, trace = np.arange(len(configs)), []
+    cause = None
+    try:
+        for t in range(1, config.steps + 1):
+            grad = gradient(t, W)
+            if decayed:
+                grad[:, free] += decay * W[:, free]
+            velocity = config.momentum * velocity - config.lr_at(t) * grad
+            W = W + velocity
+            if value is not None and (t % config.eval_every == 0 or t == config.steps):
+                trace.append(value(W))
+            if tolerance is not None:
+                stop = np.sqrt(row_dots(grad, grad)) <= tolerance
+                if stop.any():
+                    fitted[live[stop]] = W[stop]
+                    live, W, velocity, decay = (a[~stop] for a in (live, W, velocity, decay))
+                    if live.size == 0:
+                        break
+    except InvalidSpec as exc:
+        # core_eval raises InvalidSpec on inf or nan subset scores; it
+        # means divergence unless the scores under every row are finite
+        if np.all(np.isfinite(X @ W.T)):
+            raise
+        cause = exc
+    fitted[live] = W
+    if cause is not None or not np.all(np.isfinite(fitted)):
+        raise Diverged(
+            f"training diverged by step {t}: weights or scores are not finite"
+        ) from cause
+    return fitted, trace
 
 
-def _descend(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
-    """The descent loop, one model per row; see sgd_train for a step.
-
-    The models agree on all but the level, the weight decay and the seed
-    (lockstep_train checks).  Minibatch models in intersection mode (no
-    constraint_batch_size) descend one per loop, in order: each one's
-    constraint batch is its minibatch's share of the subset, ragged
-    from row to row.
-    """
+def _fit_models(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
+    """lockstep_train's models, checked alike, on the descent loop; see
+    sgd_train for a step and lockstep_train for the one-per-loop case."""
     loss_spec, config = models[0]
     independent = config.constraint_batch_size is not None
     if len(models) > 1 and config.batch_size is not None and not independent:
-        return [_descend(dataset, [m])[0] for m in models]
+        return [_fit_models(dataset, [m])[0] for m in models]
     config.check_against(dataset.n)
     resolved = [_resolved(spec, dataset) for spec, _ in models]
     sub, pen, sign, _ = resolved[0]
@@ -86,76 +122,61 @@ def _descend(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
     X_pen, X_sub = X[pen], X[sub]
     pen_mask = np.isin(np.arange(n), pen).astype(float)
     sub_mask = np.isin(np.arange(n), sub)
-    n_pen_total = pen.size
 
-    rngs, W, decay = _rows([cfg for _, cfg in models], dataset.dim)
+    configs = [cfg for _, cfg in models]
+    rngs = [np.random.default_rng(c.seed) for c in configs]
     level = np.array([r[3] for r in resolved])
-    # a zero-decay row beside decayed ones adds 0 * w to its gradient,
-    # which can only turn a -0.0 entry into +0.0, and the velocity and
-    # weight updates treat both zeros alike
-    decayed = decay.any()
-    velocity = np.zeros_like(W)
     full_batch = config.batch_size is None
     queues = np.empty((len(models), 0), dtype=np.int64)
     cursor = 0
-    trace = []
-    try:
-        for t in range(1, config.steps + 1):
-            if full_batch:
-                pen_rows, mask = X_pen, None
-            else:
-                if cursor + config.batch_size > queues.shape[1]:
-                    queues = np.array([rng.permutation(n) for rng in rngs])
-                    cursor = 0
-                batch = queues[:, cursor : cursor + config.batch_size]
-                cursor += config.batch_size
-                # take gathers the (K, b) indices 5x faster than X[batch]
-                pen_rows, mask = X.take(batch, axis=0), pen_mask[batch]
-            if independent:
-                drawn = np.array([
-                    rng.choice(
-                        sub.size, size=config.constraint_batch_size,
-                        replace=False,
-                    )
-                    for rng in rngs
-                ])
-                sub_rows = X_sub.take(drawn, axis=0)
-            elif full_batch:
-                sub_rows = X_sub
-            else:  # one model: its minibatch's share of the subset
-                sub_batch = batch[0][sub_mask[batch[0]]]
-                if sub_batch.size == 0:
-                    raise ConstraintBatchEmpty(
-                        f"step {t}: minibatch of {config.batch_size} missed "
-                        "the constraint subset; set constraint_batch_size to "
-                        "sample it independently"
-                    )
-                sub_rows = X[sub_batch]
-            _, _, grad = core_eval(
-                W, pen_rows, sub_rows, sign, level, loss_spec.estimator,
-                loss_spec.logloss_base, want_grad=True, pen_mask=mask,
-            )
-            if not full_batch:
-                # a batch with no penalized sample has a zero gradient
-                in_batch = np.maximum(mask.sum(axis=1), 1.0)
-                grad = (n_pen_total / in_batch)[:, None] * grad
-            if decayed:
-                grad = grad + decay * W
-            velocity = config.momentum * velocity - config.lr_at(t) * grad
-            W = W + velocity
-            if t % config.eval_every == 0 or t == config.steps:
-                trace.append(core_eval(
-                    W, X_pen, X_sub, sign, level, loss_spec.estimator,
-                    loss_spec.logloss_base,
-                )[0])
-    except InvalidSpec as exc:
-        # core_eval raises InvalidSpec on inf or nan subset scores; it
-        # means divergence unless the scores under every row are finite
-        if np.all(np.isfinite(X @ W.T)):
-            raise
-        raise Diverged(
-            f"training diverged by step {t}: weights or scores are not finite"
-        ) from exc
+
+    def gradient(t, W):
+        nonlocal queues, cursor
+        if full_batch:
+            pen_rows, mask = X_pen, None
+        else:
+            if cursor + config.batch_size > queues.shape[1]:
+                queues = np.array([rng.permutation(n) for rng in rngs])
+                cursor = 0
+            batch = queues[:, cursor : cursor + config.batch_size]
+            cursor += config.batch_size
+            # take gathers the (K, b) indices 5x faster than X[batch]
+            pen_rows, mask = X.take(batch, axis=0), pen_mask[batch]
+        if independent:
+            drawn = np.array([
+                rng.choice(
+                    sub.size, size=config.constraint_batch_size,
+                    replace=False,
+                )
+                for rng in rngs
+            ])
+            sub_rows = X_sub.take(drawn, axis=0)
+        elif full_batch:
+            sub_rows = X_sub
+        else:  # one model: its minibatch's share of the subset
+            sub_batch = batch[0][sub_mask[batch[0]]]
+            if sub_batch.size == 0:
+                raise ConstraintBatchEmpty(
+                    f"step {t}: minibatch of {config.batch_size} missed "
+                    "the constraint subset; set constraint_batch_size to "
+                    "sample it independently"
+                )
+            sub_rows = X[sub_batch]
+        _, _, grad = core_eval(
+            W, pen_rows, sub_rows, sign, level, loss_spec.estimator,
+            loss_spec.logloss_base, want_grad=True, pen_mask=mask,
+        )
+        if full_batch:
+            return grad
+        # a batch with no penalized sample has a zero gradient
+        in_batch = np.maximum(mask.sum(axis=1), 1.0)
+        return (pen.size / in_batch)[:, None] * grad
+
+    def value(W):
+        return core_eval(W, X_pen, X_sub, sign, level, loss_spec.estimator,
+                         loss_spec.logloss_base)[0]
+
+    W, trace = _descend(configs, rngs, X, gradient, value)
     traces = np.array(trace)
     return [
         TrainResult(
@@ -165,7 +186,7 @@ def _descend(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
             restart_index=0,
             seed_used=cfg.seed,
         )
-        for k, (_, cfg) in enumerate(models)
+        for k, cfg in enumerate(configs)
     ]
 
 
@@ -179,15 +200,14 @@ def sgd_train(
     build the constraint minibatch; take the loss gradient over the
     whole batch with a 0/1 mask of its penalized samples, scaled by
     total-penalized over penalized-in-batch so magnitudes match the
-    full objective; add weight_decay * w; apply the momentum update
-    v <- momentum * v - lr_t * g, w <- w + v.  A batch with no
-    penalized samples contributes only its decay term.
+    full objective; then _descend's decay and momentum update.  A batch
+    with no penalized samples contributes only its decay term.
 
     The loss trace records the full-dataset surrogate loss (no decay
     term) after every eval_every-th step and after the final step.
     Weights or scores that overflow to inf or nan raise Diverged.
     """
-    return _descend(dataset, [(loss_spec, config)])[0]
+    return _fit_models(dataset, [(loss_spec, config)])[0]
 
 
 def lockstep_train(
@@ -195,22 +215,18 @@ def lockstep_train(
 ) -> List[TrainResult]:
     """Train each (loss_spec, config) model; result k is sgd_train's.
 
-    The models must agree on everything but the constraint target, the
-    weight decay and the seed.  They train in one lockstep loop, and a
+    The models, one or more, must agree on all but the constraint target,
+    the weight decay and the seed.  They train in one lockstep loop, and a
     model that overflows raises Diverged for the whole call, at the
     first step any row overflowed.  Minibatch models with no
     constraint_batch_size train one per loop, in order, since their
     constraint batch, the minibatch's share of the subset, differs in
     size from row to row; the first of them to overflow raises.
     """
-    if not models:
-        raise InvalidSpec("lockstep_train needs at least one model")
-    shared = _shared(models[0])
-    if any(_shared(m) != shared for m in models[1:]):
-        raise InvalidSpec(
-            "lockstep models may differ only in target, weight_decay and seed"
-        )
-    return _descend(dataset, models)
+    _alike([(spec, spec.constraint, cfg) for spec, cfg in models],
+           ["constraint", "target", "seed", "weight_decay", "restarts"],
+           "lockstep models may differ only in target, weight_decay and seed")
+    return _fit_models(dataset, models)
 
 
 def best_restart(results: Sequence[TrainResult]) -> TrainResult:

@@ -19,6 +19,7 @@ from quantrate import (
     logistic_train,
     rate,
 )
+from quantrate import baseline, losses
 from quantrate.baseline import lockstep_logistic_train, with_bias
 from quantrate.estimators import row_dots
 
@@ -189,7 +190,7 @@ def test_the_stop_rule_is_each_rows_1d_norm(point, want):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lockstep_overflow_raises_diverged_as_a_fit_alone_does():
     d = separable_free_dataset(7)
-    message = "logistic fit diverged: weights not finite after 50 steps"
+    message = "training diverged by step 50: weights or scores are not finite"
     huge_lr = fit_config(steps=50, lr=1e308)
     with pytest.raises(Diverged, match=message):
         lockstep_logistic_train(d, [(0.7, huge_lr), (0.0, replace(huge_lr, seed=4))])
@@ -209,6 +210,19 @@ def test_lockstep_fits_may_differ_only_in_decay_and_seed():
             lockstep_logistic_train(d, [(0.1, config), (0.2, replace(config, **change))])
     with pytest.raises(InvalidSpec):
         lockstep_logistic_train(d, [])
+
+
+def test_a_logistic_fit_computes_no_loss(monkeypatch):
+    # the shared descent loop takes a loss trace only for a caller that
+    # passes one; a logistic fit passes none, so no step takes the softplus
+    calls = []
+    for module in (losses, baseline):
+        monkeypatch.setattr(module, "_softplus", lambda z: calls.append(z.shape))
+    d = separable_free_dataset(7)
+    fits = [(wd, replace(fit_config(steps=40), seed=s)) for wd, s in STOP_FITS]
+    lockstep_logistic_train(d, fits)
+    logistic_train(d, 0.7, fit_config(steps=40))
+    assert calls == []
 
 
 def test_row_dot_norms_are_the_one_dimensional_norms():

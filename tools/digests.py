@@ -23,7 +23,10 @@ The manifest is {"environment": ..., "outputs": {path: sha256}}.  The
 bytes depend on the host's numpy build and BLAS, so compare two runs
 on one host, such as a parent commit and a change: --check names each
 output whose digest differs, or that is missing on one side, and
-exits 1 if there is any.  It takes about 11 s on a 2-core x86-64 host.
+exits 1 if there is any.  Some outputs also depend on the SIMD loop
+numpy dispatches float64 exp and log1p to; the environment records
+both targets under "dispatch", and --check notes when they differ.  It
+takes about 11 s on a 2-core x86-64 host.
 
 No output may depend on the BLAS thread count.  To check, write the
 manifest at one thread and check it at two (the --check note on the
@@ -133,6 +136,18 @@ def workload_digests() -> dict:
     return outputs
 
 
+def dispatch_targets() -> dict:
+    """{"exp": target, "log1p": target}: the SIMD loop numpy runs for
+    float64 exp and log1p here, which rounds some outputs differently
+    from the other targets; empty where numpy (< 2.0) cannot say."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return {}
+    info = opt_func_info(func_name="^exp$|^log1p$", signature="float64")
+    return {name: next(iter(loops.values()))["current"] for name, loops in info.items()}
+
+
 def compare(saved: dict, outputs: dict) -> list:
     """Lines naming each path whose digest differs or is on one side only."""
     lines = []
@@ -153,7 +168,8 @@ def main(argv=None) -> int:
                         help="compare against this manifest; exit 1 on any change")
     args = parser.parse_args(argv)
     outputs = {**digests(), **workload_digests()}
-    manifest = {"environment": environment(), "outputs": outputs}
+    manifest = {"environment": {**environment(), "dispatch": dispatch_targets()},
+                "outputs": outputs}
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     if args.write:
         Path(args.write).write_text(text, encoding="utf-8")
@@ -166,6 +182,11 @@ def main(argv=None) -> int:
     old_env = {k: v for k, v in saved["environment"].items() if k != "git_commit"}
     if env != old_env:
         print("note: the manifests come from different environments", file=sys.stderr)
+    if env["dispatch"] != old_env.get("dispatch"):
+        print(f"note: numpy's float64 exp/log1p dispatch targets differ: "
+              f"{old_env.get('dispatch', 'unrecorded')} in {args.check}, "
+              f"{env['dispatch']} here; README lists the outputs that move "
+              "with them", file=sys.stderr)
     lines = compare(saved["outputs"], manifest["outputs"])
     for line in lines:
         print(line)

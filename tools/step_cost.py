@@ -10,6 +10,7 @@ the fastest of 7 calls:
 * quantile K=60: one lockstep_train call of the preset's 60 models
   (5 levels x 4 decays x 3 restarts, 300 full-batch steps);
 * quantile K=4: the 4 decays at the first level, one restart;
+* quantile K=1: one sgd_train call per decay at the first level, summed;
 * logistic K=4: the preset's 4 logistic fits (500 steps), in one
   lockstep_logistic_train call;
 * logistic K=1: one logistic_train call per decay, summed.
@@ -27,7 +28,7 @@ the preset's estimator and level, as the fastest of 7 runs of 20 calls.
 perfbench books this path to `concentration`, so it has no layer of
 its own there.
 
-The last line is one JSON object with the seven figures in
+The last line is one JSON object with the eight figures in
 microseconds and the quantile/logistic ratio at K=4, the cost of the
 rate constraint over the unconstrained loss on the same data and K.
 """
@@ -54,7 +55,7 @@ from quantrate.config import estimator_spec, experiment_spec  # noqa: E402
 from quantrate.data import split, standardize  # noqa: E402
 from quantrate.experiment import load_experiment_dataset  # noqa: E402
 from quantrate.losses import _row_values  # noqa: E402
-from quantrate.train import lockstep_train  # noqa: E402
+from quantrate.train import lockstep_train, sgd_train  # noqa: E402
 
 SEED, REPEATS, CALLS, LAB_CALLS = 1, 7, 100, 20
 LAB_PENALIZED = 2240  # the negatives of a b = 3200 batch at positive prior 0.3
@@ -104,6 +105,9 @@ def main() -> int:
         ) / (len(models) * q_steps),
         "quantile_k4_us_per_model_step": fastest(
             lambda: lockstep_train(train_set, first_level)
+        ) / (len(first_level) * q_steps),
+        "quantile_k1_us_per_model_step": sum(
+            fastest(lambda: sgd_train(train_set, loss, c)) for loss, c in first_level
         ) / (len(first_level) * q_steps),
         "logistic_k4_us_per_model_step": fastest(
             lambda: baseline.lockstep_logistic_train(train_set, fits)
