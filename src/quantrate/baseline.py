@@ -32,8 +32,7 @@ from .types import (
 
 def with_bias(features) -> np.ndarray:
     """Append a constant-1 bias column."""
-    X = np.asarray(features, dtype=np.float64)
-    return np.hstack([X, np.ones((X.shape[0], 1))])
+    return np.hstack([features, np.ones((len(features), 1))])
 
 
 def logistic_objective(

@@ -50,7 +50,7 @@ from .metrics import (
 )
 from .presets import load_preset, preset_names
 from .train import multi_restart_train
-from .types import Dataset, LinearModel, constraint_indices
+from .types import Dataset, LinearModel, constraint_indices, typed_array
 
 MODEL_SCHEMA = "quantrate.model.v1"
 CONCENTRATION_SCHEMA = "quantrate.concentration.v1"
@@ -123,8 +123,8 @@ def _model_scores(payload: dict, dataset: Dataset) -> np.ndarray:
     transform = payload.get("transform")
     if transform:
         features = StandardizeTransform(
-            np.asarray(transform["mean"], dtype=np.float64),
-            np.asarray(transform["std"], dtype=np.float64),
+            typed_array(transform["mean"], "transform mean"),
+            typed_array(transform["std"], "transform std"),
         ).apply(features)
     return LinearModel(payload["weights"]).scores(features)
 

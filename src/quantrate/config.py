@@ -145,10 +145,9 @@ def train_spec(
     if "data" in config:
         data_source(config, need_path=False)
     block = _object(config["train"], "train")
-    own = read_seed(block["seed"]) if "seed" in block else None
-    seed = own if seed is None else read_seed(seed)
-    if seed is None:
+    if seed is None and "seed" not in block:
         raise InvalidSpec("train config needs a seed (or pass --seed)")
+    seed = run_seed(block, seed)
     train = _values(TrainConfig, block, "train", ("seed",), ("seed",))
     return (
         _record(SurrogateLossSpec, config["loss"], "loss"),
@@ -158,8 +157,8 @@ def train_spec(
 
 
 def run_seed(config: dict, seed: Optional[int] = None) -> int:
-    """The seed an experiment or concentration config runs with: a given
-    seed, else the config's own, else 0."""
+    """The seed a config, or a train block, runs with: a given seed, else
+    its own, else 0; its own is read either way."""
     own = read_seed(_object(config, "config").get("seed", 0))
     return own if seed is None else read_seed(seed)
 

@@ -29,7 +29,7 @@ from .errors import (
     UnknownLabel,
 )
 from .estimators import order_rank
-from .types import Dataset, check_fraction, typed, typed_fields
+from .types import Dataset, check_fraction, typed, typed_array, typed_fields
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -60,8 +60,6 @@ class SplitSpec:
     def __post_init__(self):
         typed_fields(self)
         check_fraction(self.train_fraction, "train_fraction", open_top=True)
-        if self.seed < 0:
-            raise InvalidSpec("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,6 @@ class SyntheticSpec:
         for name in ("mean_separation", "sigma", "positive_scale", "negative_scale"):
             if not 0 < getattr(self, name) < np.inf:
                 raise NonpositiveScale(f"{name} must be positive and finite")
-        if self.seed < 0:
-            raise InvalidSpec("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,7 @@ class MixtureComponent:
             raise InvalidSpec("component weight must be positive and finite")
         if not 0 < self.sigma < np.inf:
             raise NonpositiveScale("component sigma must be positive and finite")
-        if not np.all(np.isfinite(self.mean)):
-            raise InvalidSpec("component mean must be finite")
+        typed_array(self.mean, "component mean")
 
 
 @dataclass(frozen=True)
@@ -125,10 +120,10 @@ class StandardizeTransform:
     std: np.ndarray
 
     def apply(self, features) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
+        return (typed_array(features, "features") - self.mean) / self.std
 
     def inverse(self, features) -> np.ndarray:
-        return np.asarray(features, dtype=np.float64) * self.std + self.mean
+        return typed_array(features, "features") * self.std + self.mean
 
 
 def _parsed(read, text: str, what: str, row: int, col: int):

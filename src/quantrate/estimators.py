@@ -33,14 +33,9 @@ import math
 import numpy as np
 
 from .errors import DegenerateInterval, EmptyInput, InvalidSpec
-from .types import EstimatorKind, QuantileEstimatorSpec, typed
+from .types import EstimatorKind, QuantileEstimatorSpec, _frozen, typed, typed_array
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class QuantileResult:
@@ -75,16 +70,14 @@ class QuantileResult:
 
 def _checked(scores, vector: bool = False) -> np.ndarray:
     """Finite nonempty scores: a vector, or unless vector, an (n, K) matrix."""
-    s = np.asarray(scores, dtype=np.float64)
-    if vector and s.ndim != 1:
-        raise InvalidSpec("scores must be a 1-d array")
-    if s.ndim not in (1, 2):
-        raise InvalidSpec("scores must be a vector or an (n, K) matrix")
+    if vector:
+        s = typed_array(scores, "scores", lambda shape: len(shape) == 1,
+                        "scores must be a 1-d array")
+    else:
+        s = typed_array(scores, "scores", lambda shape: len(shape) in (1, 2),
+                        "scores must be a vector or an (n, K) matrix")
     if s.size == 0:
         raise EmptyInput("empty score vector")
-    # a finite sum proves every score finite without an (n, K) mask
-    if not np.isfinite(s.sum()) and not np.isfinite(s).all():
-        raise InvalidSpec("scores must be finite")
     return s
 
 
@@ -98,11 +91,9 @@ def _check_level(c, s=None, kind=None):
         if not 0.0 <= c <= 1.0:
             raise InvalidSpec(f"quantile level {c} outside [0, 1]")
         return c
-    c = np.asarray(c, dtype=np.float64)
-    if s is None or s.ndim != 2 or c.shape != (s.shape[1],):
-        raise InvalidSpec(
-            "levels must be a scalar or one per column of a score matrix"
-        )
+    columns = s.shape[1:] if s is not None and s.ndim == 2 else None
+    c = typed_array(c, "quantile levels", lambda shape: shape == columns,
+                    "levels must be a scalar or one per column of a score matrix")
     if not np.all((c >= 0.0) & (c <= 1.0)):
         raise InvalidSpec(f"quantile levels {c} outside [0, 1]")
     return c

@@ -98,6 +98,12 @@ def load_experiment_dataset(config: dict, data_path: Optional[str]) -> Dataset:
     return load(**args)
 
 
+def _best_decay(metric: np.ndarray) -> int:
+    """Index of the weight decay with the best mean over the repetitions
+    of a (reps, n_decays) metric; ties go to the lowest index."""
+    return int(np.argmax(metric.mean(axis=0)))
+
+
 def _select_and_aggregate(
     method: str,
     levels: Sequence[float],
@@ -105,15 +111,12 @@ def _select_and_aggregate(
     train_metric: np.ndarray,
     weight_decays: Sequence[float],
 ) -> List[MethodAggregate]:
-    """Pick a weight decay per level under both protocols and aggregate.
-
-    Metric arrays are (reps, n_levels, n_decays); argmax ties resolve
-    to the lowest grid index.
-    """
+    """Pick a weight decay per level under both protocols (see _best_decay)
+    and aggregate; metric arrays are (reps, n_levels, n_decays)."""
     out = []
     for li, level in enumerate(levels):
         for selection, source in (("test", test_metric), ("train", train_metric)):
-            wi = int(np.argmax(source[:, li, :].mean(axis=0)))
+            wi = _best_decay(source[:, li])
             per_rep = test_metric[:, li, wi]
             out.append(
                 MethodAggregate(
@@ -266,7 +269,7 @@ def _run(
     else:
         curve = []
         for m, method in enumerate(methods):
-            wi = int(np.argmax(values[:, m, 0, 0, :].mean(axis=0)))
+            wi = _best_decay(values[:, m, 0, 0])  # test selection, first level
             for gi, g in enumerate(grid):
                 points = curves[:, m, wi, gi]
                 curve.append(

@@ -22,6 +22,8 @@ from .types import (
     LinearModel,
     RateConstraint,
     check_fraction,
+    plus_minus_one,
+    typed_array,
 )
 
 
@@ -119,9 +121,7 @@ def precision_at_rate(scores, labels, tau: float) -> float:
     """
     check_fraction(tau, "tau")
     s = _checked(scores, vector=True)
-    y = np.asarray(labels)
-    if y.shape != s.shape:
-        raise InvalidSpec("labels must be one per score")
+    y = plus_minus_one(labels, s.size, "score")
     n = s.size
     m = max(1, order_rank(n, tau))
     if m == n:
@@ -159,9 +159,8 @@ def _pr_point(s, positive, c: float) -> PRPoint:
 
 
 def _check_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 1 or g.size == 0:
-        raise InvalidSpec("recall grid must be a nonempty 1-d sequence")
+    g = typed_array(grid, "recall grid", lambda s: len(s) == 1 and s[0] > 0,
+                    "recall grid must be a nonempty 1-d sequence")
     for value in g:
         check_fraction(value, "recall grid value")
     if g.size > 1 and not np.all(np.diff(g) > 0):
@@ -173,10 +172,7 @@ def pr_points(scores, labels, grid: Sequence[float]) -> List[PRPoint]:
     """Precision-recall samples at each recall level of the grid."""
     g = _check_grid(grid)
     s = _checked(scores, vector=True)
-    y = np.asarray(labels)
-    if y.shape != s.shape:
-        raise InvalidSpec("labels must be one per score")
-    positive = y == 1
+    positive = plus_minus_one(labels, s.size, "score") == 1
     if not np.any(positive):
         raise NoConstraintSubset("no positive samples to constrain recall on")
     return [_pr_point(s, positive, float(c)) for c in g]

@@ -84,6 +84,40 @@ def typed(hint, value, name: str, pre=None):
     raise InvalidSpec(f"{name} must be {want}, got {value!r}")
 
 
+def typed_array(value, name: str, shape_ok=None, wrong_shape: str = "",
+                integers: bool = False) -> np.ndarray:
+    """value as a finite float64 array, or int64 if integers: int, uint or
+    float entries (no floats if integers), any if it is empty, in a shape
+    shape_ok accepts, if given; else InvalidSpec naming it, or wrong_shape.
+    A float64 array comes back as it is, not copied."""
+    want = "integers" if integers else "numbers"
+    try:
+        a = np.asarray(value)
+    except ValueError:  # rows of unequal lengths
+        raise InvalidSpec(f"{name} must be {want}, got unequal rows") from None
+    if a.size and a.dtype.kind not in ("iu" if integers else "iuf"):
+        raise InvalidSpec(f"{name} must be {want}, got {a.dtype.name} values")
+    if shape_ok is not None and not shape_ok(a.shape):
+        raise InvalidSpec(wrong_shape)
+    if a.dtype.kind == "f" and not np.isfinite(a).all():  # a sum warns on inf - inf
+        raise InvalidSpec(f"{name} must be finite")
+    return a.astype(np.int64 if integers else np.float64, copy=False)
+
+
+def plus_minus_one(labels, n: int, per: str) -> np.ndarray:
+    """The n labels, each -1 or +1, as a new int64 array; per names their rows."""
+    y = typed_array(labels, "labels", lambda s: s == (n,),
+                    f"labels must be one per {per}")
+    if not (np.abs(y) == 1.0).all():
+        raise InvalidSpec("labels must be -1 or +1")
+    return y.astype(np.int64)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @functools.cache
 def signature(target) -> dict:
     """name -> (type hint, required) of each field of a record or
@@ -97,11 +131,13 @@ def signature(target) -> dict:
 
 def typed_fields(record) -> None:
     """Sets each field of a frozen record to its value in the form of its
-    annotation (see typed), so that Python calls read values as configs do."""
+    annotation (see typed), as configs read it, and refuses a negative seed."""
     for name, (hint, _) in signature(type(record)).items():
         value = getattr(record, name)
         if type(value) is not hint:
             object.__setattr__(record, name, typed(hint, value, name))
+    if getattr(record, "seed", 0) < 0:
+        raise InvalidSpec("seed must be a nonnegative integer")
 
 
 def plain(record) -> dict:
@@ -159,25 +195,12 @@ class Dataset:
     """Feature matrix plus {-1,+1} labels, immutable once built."""
 
     def __init__(self, features, labels):
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels)
-        if features.ndim != 2:
-            raise InvalidSpec("features must be a 2-d array")
+        features = typed_array(features, "features", lambda s: len(s) == 2,
+                               "features must be a 2-d array")
         if features.shape[0] == 0:
             raise EmptyInput("dataset needs at least one sample")
-        if not np.all(np.isfinite(features)):
-            raise InvalidSpec("features must be finite")
-        if labels.shape != (features.shape[0],):
-            raise InvalidSpec("labels must be one per sample")
-        labels = labels.astype(np.int64)
-        if not np.all(np.isin(labels, (-1, 1))):
-            raise InvalidSpec("labels must be -1 or +1")
-        features = features.copy()
-        labels = labels.copy()
-        features.flags.writeable = False
-        labels.flags.writeable = False
-        self.features = features
-        self.labels = labels
+        self.features = _frozen(features.copy())
+        self.labels = _frozen(plus_minus_one(labels, len(features), "sample"))
 
     @property
     def n(self) -> int:
@@ -195,12 +218,12 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         """The rows at indices, unchecked: this set's checks cover them."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = typed_array(indices, "indices", integers=True)
         if idx.ndim != 1 or idx.size == 0:  # refused as a new Dataset is
             return Dataset(self.features[idx], self.labels[idx])
         subset = object.__new__(Dataset)
-        subset.features, subset.labels = self.features[idx], self.labels[idx]
-        subset.features.flags.writeable = subset.labels.flags.writeable = False
+        subset.features = _frozen(self.features[idx])
+        subset.labels = _frozen(self.labels[idx])
         return subset
 
 
@@ -212,19 +235,14 @@ class LinearModel:
     threshold: Optional[float] = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] == 0:
-            raise InvalidSpec("weights must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(w)):
-            raise InvalidSpec("weights must be finite")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        w = typed_array(self.weights, "weights", lambda s: len(s) == 1 and s[0] > 0,
+                        "weights must be a nonempty 1-d vector")
+        object.__setattr__(self, "weights", _frozen(w.copy()))
         typed_fields(self)
 
     def scores(self, dataset_or_matrix) -> np.ndarray:
-        X = getattr(dataset_or_matrix, "features", dataset_or_matrix)
-        X = np.asarray(X, dtype=np.float64)
+        X = dataset_or_matrix  # a Dataset's features passed the rule when it was built
+        X = X.features if isinstance(X, Dataset) else typed_array(X, "features")
         if X.ndim != 2 or X.shape[1] != self.weights.shape[0]:
             raise DimensionError(
                 f"feature matrix {X.shape} incompatible with weight dim "
@@ -411,8 +429,6 @@ class TrainConfig:
             raise InvalidSpec("eval_every must be at least 1")
         if self.lr_decay not in ("constant", "inv_sqrt"):
             raise InvalidSpec("lr_decay must be 'constant' or 'inv_sqrt'")
-        if self.seed < 0:
-            raise InvalidSpec("seed must be a nonnegative integer")
 
     def lr_at(self, t: int) -> float:
         """Step size of step t (1-based) under lr_decay."""

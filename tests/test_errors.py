@@ -3,6 +3,7 @@ process, and each refusal of a library call raises its class with a
 message that names the rule."""
 
 import dataclasses
+import functools
 import inspect
 import math
 import pickle
@@ -18,10 +19,13 @@ from quantrate import (
     QuantileEstimatorSpec,
     RateConstraint,
     SplitSpec,
+    StandardizeTransform,
     SurrogateLossSpec,
     SyntheticSpec,
     TrainConfig,
+    calibrate_threshold,
     errors,
+    estimate,
     estimator_stability,
     generate_mixture,
     generate_synthetic,
@@ -29,8 +33,11 @@ from quantrate import (
     logloss,
     loss_uniform_deviation,
     pr_points,
+    precision_at_rate,
+    rate,
     sgd_train,
 )
+from quantrate.cli import _model_scores
 from quantrate.types import constraint_indices
 
 ERRORS = [
@@ -264,6 +271,70 @@ REFUSALS = {
 }
 
 
+# Every array argument is read by one rule (types.typed_array): numbers
+# only, finite, refused with the argument's name.  Each call below
+# passes its argument two entries of a form the rule refuses.
+_X2 = np.zeros((2, 1))
+_POINT = QuantileEstimatorSpec("point")
+ARRAY_ARGUMENTS = {
+    "features": ("features", lambda e: Dataset([[e[0]], [e[1]]], [1, -1])),
+    "labels": ("labels", lambda e: Dataset(_X2, e)),
+    "indices": ("indices", lambda e: Dataset(_X2, [1, -1]).take(e)),
+    "weights": ("weights", lambda e: LinearModel(e)),
+    "scored_matrix": ("features", lambda e: LinearModel([1.0]).scores([[e[0]], [e[1]]])),
+    "scores": ("scores", lambda e: estimate(_POINT, e, 0.5)),
+    "levels": ("quantile levels", lambda e: estimate(_POINT, np.zeros((3, 2)), e)),
+    "metric_labels": ("labels", lambda e: precision_at_rate([0.3, 0.1], e, 0.5)),
+    "recall_grid": ("recall grid", lambda e: pr_points([0.3, 0.1], [1, -1], e)),
+    "standardized": ("features", lambda e: StandardizeTransform(
+        np.zeros(1), np.ones(1)).apply([[e[0]], [e[1]]])),
+    "model_transform": ("transform mean", lambda e: _model_scores(
+        {"weights": [1.0], "transform": {"mean": e, "std": [1.0]}},
+        Dataset(_X2, [1, -1]))),
+}
+# two entries of each refused form, and the name numpy gives their dtype
+WRONG_ENTRIES = {
+    "string": (["1", "-1"], "str64"),
+    "bool": ([True, False], "bool"),
+    "object": ([None, 1], "object"),
+}
+for _arg, (_name, _call) in ARRAY_ARGUMENTS.items():
+    _want = "integers" if _arg == "indices" else "numbers"
+    for _form, (_entries, _dtype) in WRONG_ENTRIES.items():
+        REFUSALS[f"array_{_arg}_{_form}"] = (
+            functools.partial(_call, _entries), errors.InvalidSpec,
+            f"{_name} must be {_want}, got {_dtype} values")
+REFUSALS.update({
+    "array_labels_fractional": (
+        lambda: Dataset(_X2, [1.5, -1]),
+        errors.InvalidSpec, "labels must be -1 or +1"),
+    "array_indices_fractional": (
+        lambda: Dataset(_X2, [1, -1]).take([1.5]),
+        errors.InvalidSpec, "indices must be integers, got float64 values"),
+    "array_weights_ragged": (
+        lambda: LinearModel([[1.0], [1.0, 2.0]]),
+        errors.InvalidSpec, "weights must be numbers, got unequal rows"),
+    "array_rate_string_scores": (
+        lambda: rate(["1", "2"], 1.5),
+        errors.InvalidSpec, "scores must be numbers, got str32 values"),
+    "array_calibrate_bool_scores": (
+        lambda: calibrate_threshold([True, False], RateConstraint("all", "at_least", 0.5)),
+        errors.InvalidSpec, "scores must be numbers, got bool values"),
+    "array_pr_points_string_labels": (
+        lambda: pr_points([0.3, 0.1, 0.2], ["1", "-1", "1"], [0.5]),
+        errors.InvalidSpec, "labels must be numbers, got str64 values"),
+    "array_precision_string_labels": (
+        lambda: precision_at_rate([0.3, 0.1, 0.2], ["1", "-1", "1"], 0.5),
+        errors.InvalidSpec, "labels must be numbers, got str64 values"),
+    # these once warned "invalid value encountered in cast" / "in reduce"
+    "array_labels_nan": (
+        lambda: Dataset(_X2, [math.nan, -1]),
+        errors.InvalidSpec, "labels must be finite"),
+    "array_scores_inf_minus_inf": (
+        lambda: estimate(_POINT, [math.inf, -math.inf], 0.5),
+        errors.InvalidSpec, "scores must be finite"),
+})
+
 @pytest.mark.parametrize("case", REFUSALS)
 def test_library_refusals_name_their_rule(case):
     call, cls, message = REFUSALS[case]
@@ -291,6 +362,18 @@ def test_numpy_integers_pass_the_integer_rule():
     component = MixtureComponent(np.int8(1), np.float32(0.5), np.array([0.0, 1.5]), 1.0)
     assert component.mean == (0.0, 1.5) and type(component.weight) is float
 
+
+
+def test_a_float64_array_passes_the_array_rule_uncopied():
+    from quantrate.types import typed_array
+
+    a = np.arange(6.0).reshape(3, 2)
+    assert typed_array(a, "a") is a
+    assert typed_array(a, "a", lambda shape: len(shape) == 2, "2-d") is a
+    cast = typed_array(a.astype(np.int32), "a")
+    assert cast.dtype == np.float64 and cast.tobytes() == a.tobytes()
+    indices = typed_array([2, 0], "indices", integers=True)
+    assert indices.dtype == np.int64 and indices.tolist() == [2, 0]
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", REFUSALS)

@@ -20,6 +20,7 @@ from quantrate import (
     order_rank,
 )
 from quantrate.estimators import _sorted_table, row_dots
+from simd import by_dispatch
 
 POINT = QuantileEstimatorSpec(kind="point")
 LOWER_MEAN = QuantileEstimatorSpec(kind="lower_mean")
@@ -580,8 +581,9 @@ def test_kernel_calls_frozen_bits():
     for spec, S, c in kernel_calls():
         res = estimate(spec, S, c)
         digest.update(res.value.tobytes() + res.weights.tobytes())
-    assert digest.hexdigest() == (
-        "28a3c0c634c9e6968fd8bca64268a4c11c4bbf26dd859db62c2e90607cb11721"
+    assert digest.hexdigest() == by_dispatch(
+        "28a3c0c634c9e6968fd8bca64268a4c11c4bbf26dd859db62c2e90607cb11721",
+        "3cd20b92c4700d69eaba1f56c176526365454b3a59d1c862ccb92f9290c6b3a2",
     )
 
 
