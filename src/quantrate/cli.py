@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, concentration
 from .config import concentration_spec, read_seed, train_spec
 from .data import GENERATOR_NAME, StandardizeTransform, generate_synthetic, standardize
@@ -118,15 +116,15 @@ def _load_model(path: str):
     return payload
 
 
-def _model_scores(payload: dict, dataset: Dataset) -> np.ndarray:
-    features = dataset.features
+def _model_scores(payload: dict, dataset: Dataset):
     transform = payload.get("transform")
     if transform:
-        features = StandardizeTransform(
+        dataset = Dataset(StandardizeTransform(
             typed_array(transform["mean"], "transform mean"),
             typed_array(transform["std"], "transform std"),
-        ).apply(features)
-    return LinearModel(payload["weights"]).scores(features)
+        ).apply(dataset.features), dataset.labels)
+    scores = LinearModel(payload["weights"]).scores(dataset)
+    return dataset, typed_array(scores, "scores")  # evaluate does not check them
 
 
 def cmd_eval(args) -> int:
@@ -135,22 +133,17 @@ def cmd_eval(args) -> int:
     if args.grid is not None and args.metric != "pr_auc":
         raise InvalidSpec(f"metric {args.metric} takes no --grid")
     payload = _load_model(args.config)
-    dataset = load_experiment_dataset(payload["config"], args.data)
-    scores = _model_scores(payload, dataset)
+    dataset, scores = _model_scores(
+        payload, load_experiment_dataset(payload["config"], args.data))
     if args.metric == "report":
         if payload.get("threshold") is None:
             raise InvalidSpec("model file has no threshold; cannot build a report")
-        # score once (with the stored transform), then count through a
-        # 1-d identity model so the report path sees the same numbers
-        probe = LinearModel([1.0], threshold=payload["threshold"])
-        report = evaluate(probe, Dataset(scores[:, None], dataset.labels))
-        result = dict(report.to_dict(), metric="report")
+        model = LinearModel(payload["weights"], payload["threshold"])
+        result = dict(evaluate(model, dataset).to_dict(), metric="report")
     elif args.metric in ("p_at_rate", "p_at_recall"):
         if args.level is None:
             raise InvalidSpec(f"metric {args.metric} needs --level")
-        metric = precision_at_rate
-        if args.metric == "p_at_recall":
-            metric = precision_at_recall
+        metric = precision_at_recall if args.metric == "p_at_recall" else precision_at_rate
         result = {
             "metric": args.metric,
             "level": args.level,

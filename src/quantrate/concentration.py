@@ -33,6 +33,7 @@ from .types import (
     SurrogateLossSpec,
     TrainConfig,
     check_fraction,
+    check_seed,
     constraint_indices,
     plain,
     typed,
@@ -187,6 +188,7 @@ def estimator_stability(
     per column, whose values are those of a call on each subsample
     alone.
     """
+    seed = check_seed(seed)
     batches = _check_batches(batch_sizes, typed(int, n, "n"), trials)
     rng = np.random.default_rng(seed)
     population = _draw_population(score_law, n, rng)
@@ -241,6 +243,7 @@ def loss_uniform_deviation(
     subset or the penalized side entirely are redrawn from the same
     stream (a documented cap guards against degenerate setups).
     """
+    seed = check_seed(seed)
     batches = _check_batches(batch_sizes, dataset.n, trials)
     if not 0 <= w_norm_bound < math.inf:
         raise InvalidSpec("w_norm_bound must be nonnegative and finite")
@@ -339,6 +342,7 @@ def convex_sgd_convergence(
     trials train as rows of one lockstep_train call, each step on every
     row's own fixed-shape minibatch with a 0/1 mask of its negatives.
     """
+    seed = check_seed(seed)
     check_fraction(c, "recall level")
     if typed(int, batch_size, "batch_size") < 1:
         raise InvalidSpec(f"convex lab needs batch_size >= 1, got {batch_size}")

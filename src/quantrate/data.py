@@ -29,7 +29,7 @@ from .errors import (
     UnknownLabel,
 )
 from .estimators import order_rank
-from .types import Dataset, check_fraction, typed, typed_array, typed_fields
+from .types import Dataset, check_fraction, check_seed, typed, typed_array, typed_fields
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -358,6 +358,7 @@ def generate_mixture(
     mean must share one dimension.  Draw order (component indices, then
     one noise block) is fixed for reproducibility.
     """
+    seed = check_seed(seed)
     if not components:
         raise EmptyInput("mixture needs at least one component")
     if typed(int, n, "n") < 1:
@@ -370,7 +371,7 @@ def generate_mixture(
     means = np.array([c.mean for c in components], dtype=np.float64)
     sigmas = np.array([c.sigma for c in components], dtype=np.float64)
     labels_by_comp = np.array([c.label for c in components], dtype=np.int64)
-    rng = np.random.default_rng(typed(int, seed, "seed"))
+    rng = np.random.default_rng(seed)
     which = rng.choice(len(components), size=n, p=probs)
     noise = rng.standard_normal((n, dim))
     features = means[which] + sigmas[which][:, None] * noise

@@ -123,7 +123,7 @@ def core_eval(
             f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
     vector, W = w.ndim == 1, np.atleast_2d(w)
-    sub_rows = _checked(_times(X_sub, W)).reshape(-1, X_sub.shape[-2])
+    sub_rows = _checked(_times(X_sub, W))
     if not want_grad:
         value, per_sample = _row_values(_times(X_pen, W), sub_rows, sign, level,
                                         est_spec, math.log(base), pen_mask)

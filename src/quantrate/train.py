@@ -103,14 +103,31 @@ def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
     return fitted, trace
 
 
-def _fit_models(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
-    """lockstep_train's models, checked alike, on the descent loop; see
-    sgd_train for a step and lockstep_train for the one-per-loop case."""
+def lockstep_train(
+    dataset: Dataset, models: Sequence[Model]
+) -> List[TrainResult]:
+    """Train each (loss_spec, config) model; result k is sgd_train's.
+
+    The models, one or more, must agree on all but the constraint target,
+    the weight decay and the seed.  They train in one lockstep loop, and a
+    model that overflows raises Diverged for the whole call, at the first
+    step any row overflowed.  Minibatch models with no
+    constraint_batch_size train one per loop, in order, since their
+    constraint batch, the minibatch's share of the subset, differs in size
+    from row to row; the first of them to overflow raises.  A batch larger
+    than its data, the dataset or the subset, raises BatchTooLarge.
+    """
+    _alike([(spec, spec.constraint, cfg) for spec, cfg in models],
+           ["constraint", "target", "seed", "weight_decay", "restarts"],
+           "lockstep models may differ only in target, weight_decay and seed")
     loss_spec, config = models[0]
+    full_batch = config.batch_size is None
     independent = config.constraint_batch_size is not None
-    if len(models) > 1 and config.batch_size is not None and not independent:
-        return [_fit_models(dataset, [m])[0] for m in models]
-    config.check_against(dataset.n)
+    if len(models) > 1 and not (full_batch or independent):
+        return [lockstep_train(dataset, [m])[0] for m in models]
+    X, n = dataset.features, dataset.n
+    if not full_batch and config.batch_size > n:
+        raise BatchTooLarge(f"batch_size {config.batch_size} > n={n}")
     resolved = [_resolved(spec, dataset) for spec, _ in models]
     sub, pen, sign, _ = resolved[0]
     if independent and config.constraint_batch_size > sub.size:
@@ -118,7 +135,6 @@ def _fit_models(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
             f"constraint_batch_size {config.constraint_batch_size} exceeds "
             f"the constraint subset ({sub.size} samples)"
         )
-    X, n = dataset.features, dataset.n
     X_pen, X_sub = X[pen], X[sub]
     pen_mask = np.isin(np.arange(n), pen).astype(float)
     sub_mask = np.isin(np.arange(n), sub)
@@ -126,7 +142,6 @@ def _fit_models(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
     configs = [cfg for _, cfg in models]
     rngs = [np.random.default_rng(c.seed) for c in configs]
     level = np.array([r[3] for r in resolved])
-    full_batch = config.batch_size is None
     queues = np.empty((len(models), 0), dtype=np.int64)
     cursor = 0
 
@@ -207,26 +222,7 @@ def sgd_train(
     term) after every eval_every-th step and after the final step.
     Weights or scores that overflow to inf or nan raise Diverged.
     """
-    return _fit_models(dataset, [(loss_spec, config)])[0]
-
-
-def lockstep_train(
-    dataset: Dataset, models: Sequence[Model]
-) -> List[TrainResult]:
-    """Train each (loss_spec, config) model; result k is sgd_train's.
-
-    The models, one or more, must agree on all but the constraint target,
-    the weight decay and the seed.  They train in one lockstep loop, and a
-    model that overflows raises Diverged for the whole call, at the
-    first step any row overflowed.  Minibatch models with no
-    constraint_batch_size train one per loop, in order, since their
-    constraint batch, the minibatch's share of the subset, differs in
-    size from row to row; the first of them to overflow raises.
-    """
-    _alike([(spec, spec.constraint, cfg) for spec, cfg in models],
-           ["constraint", "target", "seed", "weight_decay", "restarts"],
-           "lockstep models may differ only in target, weight_decay and seed")
-    return _fit_models(dataset, models)
+    return lockstep_train(dataset, [(loss_spec, config)])[0]
 
 
 def best_restart(results: Sequence[TrainResult]) -> TrainResult:

@@ -27,7 +27,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
-    BatchTooLarge,
     DimensionError,
     EmptyInput,
     InvalidSpec,
@@ -87,15 +86,18 @@ def typed(hint, value, name: str, pre=None):
 def typed_array(value, name: str, shape_ok=None, wrong_shape: str = "",
                 integers: bool = False) -> np.ndarray:
     """value as a finite float64 array, or int64 if integers: int, uint or
-    float entries (no floats if integers), any if it is empty, in a shape
-    shape_ok accepts, if given; else InvalidSpec naming it, or wrong_shape.
-    A float64 array comes back as it is, not copied."""
-    want = "integers" if integers else "numbers"
+    float entries (no floats if integers, no bool in a list), any if it is
+    empty, in a shape shape_ok accepts, if given; else InvalidSpec naming
+    it, or wrong_shape.  A float64 array comes back as it is, not copied."""
+    want, kinds = ("integers", "iu") if integers else ("numbers", "iuf")
     try:
         a = np.asarray(value)
     except ValueError:  # rows of unequal lengths
         raise InvalidSpec(f"{name} must be {want}, got unequal rows") from None
-    if a.size and a.dtype.kind not in ("iu" if integers else "iuf"):
+    if not isinstance(value, np.ndarray) and a.dtype.kind in kinds and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(value, object).flat):
+        a = a.astype(bool)  # refused below: numpy reads [1, True] as numbers
+    if a.size and a.dtype.kind not in kinds:
         raise InvalidSpec(f"{name} must be {want}, got {a.dtype.name} values")
     if shape_ok is not None and not shape_ok(a.shape):
         raise InvalidSpec(wrong_shape)
@@ -129,15 +131,22 @@ def signature(target) -> dict:
     }
 
 
+def check_seed(value) -> int:
+    """value as a seed, a nonnegative integer (see typed); else InvalidSpec."""
+    if (seed := typed(int, value, "seed")) < 0:
+        raise InvalidSpec("seed must be a nonnegative integer")
+    return seed
+
+
 def typed_fields(record) -> None:
     """Sets each field of a frozen record to its value in the form of its
-    annotation (see typed), as configs read it, and refuses a negative seed."""
+    annotation (see typed), as configs read it, and a seed by check_seed."""
     for name, (hint, _) in signature(type(record)).items():
         value = getattr(record, name)
-        if type(value) is not hint:
+        if name == "seed":
+            object.__setattr__(record, name, check_seed(value))
+        elif type(value) is not hint:
             object.__setattr__(record, name, typed(hint, value, name))
-    if getattr(record, "seed", 0) < 0:
-        raise InvalidSpec("seed must be a nonnegative integer")
 
 
 def plain(record) -> dict:
@@ -435,10 +444,6 @@ class TrainConfig:
         if self.lr_decay == "inv_sqrt":
             return self.learning_rate / math.sqrt(t)
         return self.learning_rate
-
-    def check_against(self, n: int) -> None:
-        if self.batch_size is not None and self.batch_size > n:
-            raise BatchTooLarge(f"batch_size {self.batch_size} > n={n}")
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,19 @@ def test_eval_out_writes_the_text_it_prints(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == printed
 
 
+def test_eval_refuses_overflowing_scores_under_every_metric(tmp_path, capsys):
+    # each weight alone is finite; the scores they give overflow
+    model_path, _, _ = train_model(tmp_path)
+    payload = json.loads(model_path.read_text())
+    model_path.write_text(json.dumps(dict(payload, weights=[1e308] * 3)))
+    for extra in ([], ["--metric", "p_at_rate", "--level", "0.3"],
+                  ["--metric", "p_at_recall", "--level", "0.5"],
+                  ["--metric", "pr_auc", "--grid", "0.5,1.0"]):
+        assert main(["eval", "--config", str(model_path), *extra, "--quiet"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "config", "message": "scores must be finite"}
+
+
 def test_refusals_give_their_exact_messages(tmp_path, capsys):
     model_path, config, _ = train_model(tmp_path)
     payload = json.loads(model_path.read_text())

@@ -24,6 +24,7 @@ from quantrate import (
     SyntheticSpec,
     TrainConfig,
     calibrate_threshold,
+    convex_sgd_convergence,
     errors,
     estimate,
     estimator_stability,
@@ -38,6 +39,7 @@ from quantrate import (
     sgd_train,
 )
 from quantrate.cli import _model_scores
+from quantrate.experiment import json_text
 from quantrate.types import constraint_indices
 
 ERRORS = [
@@ -333,7 +335,48 @@ REFUSALS.update({
     "array_scores_inf_minus_inf": (
         lambda: estimate(_POINT, [math.inf, -math.inf], 0.5),
         errors.InvalidSpec, "scores must be finite"),
+    # numpy reads a list that mixes bools and numbers as numbers
+    "array_weights_int_and_bool": (
+        lambda: LinearModel([1, True]),
+        errors.InvalidSpec, "weights must be numbers, got bool values"),
+    "array_weights_bool_and_float": (
+        lambda: LinearModel([True, 1.5]),
+        errors.InvalidSpec, "weights must be numbers, got bool values"),
+    "array_labels_int_and_bool": (
+        lambda: Dataset(np.zeros((2, 1)), [1, True]),
+        errors.InvalidSpec, "labels must be numbers, got bool values"),
 })
+# every seed a lab or the mixture generator takes follows the records' rule
+_STABILITY = (50, (10, 20), 100, QuantileEstimatorSpec("point"), 0.5, "uniform")
+_LAB_CALLS = {
+    "stability": lambda seed: estimator_stability(*_STABILITY, seed),
+    "deviation": lambda seed: loss_uniform_deviation(
+        _positive_first(), RateConstraint("positives", "at_least", 0.8),
+        QuantileEstimatorSpec("point"), (10,), 100, 1.0, 1, seed),
+    "convex": lambda seed: convex_sgd_convergence(
+        _positive_first(), 0.5, 10, (1,), 1, seed),
+    "mixture": lambda seed: generate_mixture(
+        [MixtureComponent(1, 1.0, (0.0,), 1.0)], 10, seed),
+}
+for _lab, _call in _LAB_CALLS.items():
+    for _form, (_seed, _message) in {
+        "string": ("7", "seed must be an integer, got '7'"),
+        "bool": (True, "seed must be an integer, got True"),
+        "fractional": (2.5, "seed must be an integer, got 2.5"),
+        "negative": (-3, "seed must be a nonnegative integer"),
+    }.items():
+        if _lab != "mixture" or _form == "negative":  # it read the other forms already
+            REFUSALS[f"{_lab}_seed_{_form}"] = (
+                functools.partial(_call, _seed), errors.InvalidSpec, _message)
+
+
+@pytest.mark.parametrize("lab", ["stability", "deviation", "convex"])
+def test_a_numpy_integer_seed_reads_as_its_int(lab):
+    # the report of an np.int64 seed once held it, and json could not write it
+    expected, got = _LAB_CALLS[lab](7), _LAB_CALLS[lab](np.int64(7))
+    assert json_text(got.to_dict()) == json_text(expected.to_dict())
+    assert type(got.seed) is int
+
 
 @pytest.mark.parametrize("case", REFUSALS)
 def test_library_refusals_name_their_rule(case):

@@ -10,6 +10,12 @@ path a config echoes is the same relative one on every run:
 
 * `train` on the CLI tests' toy CSV and config, then `eval` of the
   model with each of the four metrics;
+* a second `train` on that CSV in minibatch intersection mode
+  (`batch_size` 30, no `constraint_batch_size`, 2 restarts, no
+  standardizing) on `p_at_ppr_fp`, whose constraint subset is every
+  sample, so no minibatch misses it: its restarts take the lockstep
+  trainer's one-model-per-loop path.  Then `eval --metric report` of
+  that model, whose file has `"transform": null`;
 * every self-contained preset at full size: `experiment synthetic` and
   `concentration` of the two stability labs, `loss_deviation` and
   `convex_convergence`;
@@ -64,7 +70,8 @@ EVALS = (
     ("p_at_recall", "--level", "0.5"),
     ("pr_auc", "--grid", "0.2,0.4,0.6,0.8,1.0"),
 )
-INPUTS = {"toy.csv", "train_config.json", "ionosphere.json", "ionosphere.data"}
+INPUTS = {"toy.csv", "train_config.json", "minibatch_config.json", "ionosphere.json",
+          "ionosphere.data"}
 CONCENTRATION_PRESETS = (
     "stability_kernel", "stability_interval", "loss_deviation", "convex_convergence",
 )
@@ -75,7 +82,14 @@ def commands() -> list:
     working directory."""
     here = Path(".")
     csv_path = write_csv(here)
-    config_path, _ = write_train_config(here, csv_path)
+    config_path, config = write_train_config(here, csv_path)
+    minibatch = dict(
+        config, standardize=False,
+        loss=dict(config["loss"], objective="p_at_ppr_fp",
+                  constraint={"subset": "all", "direction": "at_least", "target": 0.3}),
+        train=dict(config["train"], batch_size=30, constraint_batch_size=None),
+    )
+    Path("minibatch_config.json").write_text(json.dumps(minibatch), encoding="utf-8")
     iono = load_preset("ionosphere")
     iono["reps"] = 3
     Path("ionosphere.json").write_text(json.dumps(iono), encoding="utf-8")
@@ -84,6 +98,9 @@ def commands() -> list:
     for metric, *extra in EVALS:
         runs.append(["eval", "--config", "model.json", "--data", str(csv_path),
                      "--metric", metric, *extra, "--out", f"eval_{metric}.json"])
+    runs += [["train", "--config", "minibatch_config.json", "--out", "minibatch.json"],
+             ["eval", "--config", "minibatch.json", "--data", str(csv_path),
+              "--metric", "report", "--out", "eval_minibatch_report.json"]]
     runs.append(["experiment", "--config", "synthetic", "--out", "synthetic"])
     runs += [["concentration", "--config", name, "--out", name]
              for name in CONCENTRATION_PRESETS]
