@@ -96,5 +96,5 @@ def baseline_with_threshold(
     """
     fitted = logistic_train(dataset, weight_decay, config)
     sub = constraint_indices(dataset, constraint)
-    scores = with_bias(dataset.features[sub]) @ fitted.weights
+    scores = fitted.scores(with_bias(dataset.features[sub]))
     return LinearModel(fitted.weights, calibrate_threshold(scores, constraint))

@@ -123,8 +123,7 @@ def _model_scores(payload: dict, dataset: Dataset):
             typed_array(transform["mean"], "transform mean"),
             typed_array(transform["std"], "transform std"),
         ).apply(dataset.features), dataset.labels)
-    scores = LinearModel(payload["weights"]).scores(dataset)
-    return dataset, typed_array(scores, "scores")  # evaluate does not check them
+    return dataset, LinearModel(payload["weights"]).scores(dataset)
 
 
 def cmd_eval(args) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 from .data import seed_of, stream
 from .errors import BatchTooLarge, ConstraintBatchEmpty, InvalidSpec
 from .estimators import _checked, estimate
-from .losses import _dataset_eval, _row_values
+from .losses import _dataset_eval, _resolved, _row_values
 from .train import lockstep_train
 from .types import (
     Dataset,
@@ -34,7 +34,6 @@ from .types import (
     TrainConfig,
     check_fraction,
     check_seed,
-    constraint_indices,
     plain,
     typed,
 )
@@ -207,16 +206,16 @@ def estimator_stability(
     return _report(batches, devs, trials, seed)
 
 
-def _model_losses(scores, pen, sub, estimator_spec, level) -> np.ndarray:
-    """Per-model mean logloss of the penalized rows pen over the quantile
-    of the subset rows sub of the (n_samples, n_models) score matrix:
-    core_eval's value path on score rows, one call per chunk of models
-    with about _CHUNK_SCORES subset scores."""
+def _model_losses(scores, pen, sub, sign, level, spec) -> np.ndarray:
+    """Per-model mean of spec's logloss, at _resolved's sign and level, of
+    the penalized rows pen over the quantile of the subset rows sub of the
+    (n_samples, n_models) score matrix: core_eval's value path on score
+    rows, one call per chunk of models with about _CHUNK_SCORES subset scores."""
     step = max(1, _CHUNK_SCORES // sub.size)
     return np.concatenate([
         _row_values(scores[pen, k : k + step].T,
                     np.ascontiguousarray(scores[sub, k : k + step].T),
-                    1.0, level, estimator_spec, math.log(2.0))[0]
+                    sign, level, spec.estimator, math.log(spec.logloss_base))[0]
         for k in range(0, scores.shape[1], step)
     ]) / pen.size
 
@@ -249,12 +248,11 @@ def loss_uniform_deviation(
         raise InvalidSpec("w_norm_bound must be nonnegative and finite")
     if typed(int, n_models, "n_models") < 1:
         raise InvalidSpec("n_models must be positive")
-    sub = constraint_indices(dataset, constraint)
+    spec = SurrogateLossSpec("generic", constraint, estimator_spec)
     pen_mask = dataset.labels == -1
-    pen = np.flatnonzero(pen_mask)
-    if pen.size == 0:
+    if not pen_mask.any():  # before _resolved's EmptyObjective
         raise InvalidSpec("deviation harness penalizes negatives; none present")
-    level = 1.0 - constraint.target
+    sub, pen, sign, level = _resolved(spec, dataset)
 
     dim = dataset.dim
     model_rng = stream(seed, _MODEL_STREAM)
@@ -268,7 +266,7 @@ def loss_uniform_deviation(
     scores_by_model = _checked(dataset.features @ W.T)
 
     sub_mask = np.isin(np.arange(dataset.n), sub)
-    full_losses = _model_losses(scores_by_model, pen, sub, estimator_spec, level)
+    full_losses = _model_losses(scores_by_model, pen, sub, sign, level, spec)
 
     devs = []
     for b in batches:
@@ -286,9 +284,8 @@ def loss_uniform_deviation(
                     f"batch size {b} kept missing the constraint subset or "
                     "the penalized side"
                 )
-            batch_losses = _model_losses(
-                scores_by_model, batch_pen, batch_sub, estimator_spec, level
-            )
+            batch_losses = _model_losses(scores_by_model, batch_pen, batch_sub,
+                                         sign, level, spec)
             dev[t] = float(np.max(np.abs(full_losses - batch_losses)))
         devs.append(dev)
     return _report(batches, devs, trials, seed)

@@ -191,7 +191,7 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
         (wd, replace(spec.logistic, seed=seed_of(seed, rep, *logistic_tag, wi)))
         for wi, wd in enumerate(decays)])
     for wi, lmodel in enumerate(logistic):
-        logistic_scores = [with_bias(s.features) @ lmodel.weights for s in sides]
+        logistic_scores = [lmodel.scores(with_bias(s.features)) for s in sides]
         for li, level in enumerate(levels):
             cell = (li * len(decays) + wi) * restarts
             fitted = best_restart(trained[cell : cell + restarts])

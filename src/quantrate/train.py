@@ -52,6 +52,7 @@ def _alike(rows, free: Sequence[str], message: str) -> None:
         raise InvalidSpec(message)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as Diverged
 def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
              value=None, free=slice(None), tolerance=None):
     """The descent loop of both trainers.  Row k of the (K, d) weights W,

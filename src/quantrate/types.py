@@ -250,6 +250,7 @@ class LinearModel:
         typed_fields(self)
 
     def scores(self, dataset_or_matrix) -> np.ndarray:
+        """X @ w of a Dataset's or a matrix's rows X; inf or nan is refused."""
         X = dataset_or_matrix  # a Dataset's features passed the rule when it was built
         X = X.features if isinstance(X, Dataset) else typed_array(X, "features")
         if X.ndim != 2 or X.shape[1] != self.weights.shape[0]:
@@ -257,7 +258,8 @@ class LinearModel:
                 f"feature matrix {X.shape} incompatible with weight dim "
                 f"{self.weights.shape[0]}"
             )
-        return X @ self.weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            return typed_array(X @ self.weights, "scores")
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,6 @@ def test_strong_decay_leaves_only_the_prior_bias():
     assert model.weights[-1] == pytest.approx(logit, abs=2e-3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_fit_raises_diverged():
     d = separable_free_dataset(7)
     with pytest.raises(Diverged):
@@ -201,7 +200,6 @@ def test_the_stop_rule_is_each_rows_1d_norm(point, want):
     assert [hexes(m.weights) for m in models] == want
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lockstep_overflow_raises_diverged_as_a_fit_alone_does():
     d = separable_free_dataset(7)
     message = "training diverged by step 50: weights or scores are not finite"

@@ -1,7 +1,11 @@
 """Command-line interface tests, driven in-process through main()."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +180,32 @@ def test_eval_refuses_overflowing_scores_under_every_metric(tmp_path, capsys):
         assert err == {"kind": "config", "message": "scores must be finite"}
 
 
+def test_overflow_leaves_stderr_empty_from_the_command_line(tmp_path):
+    # numpy writes its warnings to the process's own stderr, which only a
+    # fresh interpreter shows; the package's report goes to stdout
+    model_path, config, _ = train_model(tmp_path)
+    payload = json.loads(model_path.read_text())
+    model_path.write_text(json.dumps(dict(payload, weights=[1e308] * 3)))
+    config_path = tmp_path / "overflow.json"
+    config["train"]["learning_rate"] = 1e308
+    config_path.write_text(json.dumps(config))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for argv, kind, message in (
+        (["eval", "--config", str(model_path)], "config", "scores must be finite"),
+        (["train", "--config", str(config_path), "--out",
+          str(tmp_path / "diverged.json")], "runtime", "training diverged by step "),
+    ):
+        run = subprocess.run([sys.executable, "-m", "quantrate.cli", *argv, "--quiet"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 1
+        err = json.loads(run.stdout)["error"]
+        assert err["kind"] == kind and err["message"].startswith(message), err
+        assert run.stderr == ""
+    assert not (tmp_path / "diverged.json").exists()
+
+
 def test_refusals_give_their_exact_messages(tmp_path, capsys):
     model_path, config, _ = train_model(tmp_path)
     payload = json.loads(model_path.read_text())
@@ -226,7 +256,6 @@ def test_error_kinds(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "config"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_training_is_a_runtime_error(tmp_path, capsys):
     csv_path = write_csv(tmp_path)
     _, config = write_train_config(tmp_path, csv_path)
@@ -247,7 +276,6 @@ def test_overflowing_training_is_a_runtime_error(tmp_path, capsys):
                  str(model_path), "--quiet"]) == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_experiment_writes_no_results(tmp_path, capsys):
     csv_path = write_csv(tmp_path)
     config = {
@@ -275,7 +303,6 @@ def test_overflowing_experiment_writes_no_results(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_worker_error_reports_as_at_one_job(tmp_path, capsys):
     config = {
         "kind": "recall_point",

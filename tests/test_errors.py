@@ -28,6 +28,7 @@ from quantrate import (
     errors,
     estimate,
     estimator_stability,
+    evaluate,
     generate_mixture,
     generate_synthetic,
     logistic_train,
@@ -334,6 +335,15 @@ REFUSALS.update({
         errors.InvalidSpec, "labels must be finite"),
     "array_scores_inf_minus_inf": (
         lambda: estimate(_POINT, [math.inf, -math.inf], 0.5),
+        errors.InvalidSpec, "scores must be finite"),
+    # finite weights whose scores overflow: once counted, or refused
+    # only after numpy's "overflow encountered in matmul"
+    "evaluate_overflowing_scores": (
+        lambda: evaluate(LinearModel([1e308, 1e308], 0.0),
+                         Dataset([[1, 1], [1, -1], [-1, -1]], [1, -1, -1])),
+        errors.InvalidSpec, "scores must be finite"),
+    "scores_overflow": (
+        lambda: LinearModel([1e308, 1e308]).scores([[1.0, 1.0]]),
         errors.InvalidSpec, "scores must be finite"),
     # numpy reads a list that mixes bools and numbers as numbers
     "array_weights_int_and_bool": (

@@ -139,7 +139,6 @@ def diverging_config():
     return config
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_worker_error_matches_the_serial_error():
     messages = []
     for jobs in (1, 2):

@@ -387,7 +387,6 @@ def diverged_step(call):
     return int(re.search(r"step (\d+)", str(info.value)).group(1))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lockstep_divergence_reports_the_first_row_to_overflow():
     # w <- (1 - decay) * w - g: a decay of 1e100 overflows within a few
     # steps, 1e40 later, 0.01 never; the call raises at the earliest
