@@ -22,15 +22,7 @@ from pathlib import Path
 from . import __version__, concentration
 from .config import concentration_spec, read_seed, train_spec
 from .data import GENERATOR_NAME, StandardizeTransform, generate_synthetic, standardize
-from .errors import (
-    DegenerateSplit,
-    InvalidSpec,
-    ParseError,
-    QuantrateError,
-    RaggedRows,
-    SingleClass,
-    UnknownLabel,
-)
+from .errors import DataError, InvalidSpec, QuantrateError
 from .experiment import (
     csv_text,
     json_text,
@@ -52,8 +44,6 @@ from .types import Dataset, LinearModel, constraint_indices, typed_array
 
 MODEL_SCHEMA = "quantrate.model.v1"
 CONCENTRATION_SCHEMA = "quantrate.concentration.v1"
-
-_DATA_ERRORS = (ParseError, RaggedRows, UnknownLabel, DegenerateSplit, SingleClass)
 
 
 def _note(args, message: str) -> None:
@@ -265,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _error_kind(exc: BaseException) -> str:
     if isinstance(exc, OSError):
         return "io"
-    if isinstance(exc, _DATA_ERRORS):
+    if isinstance(exc, DataError):
         return "data"
-    if isinstance(exc, (InvalidSpec, json.JSONDecodeError, KeyError, ValueError)):
+    if isinstance(exc, (KeyError, ValueError)):
         return "config"
     return "runtime"
 
@@ -277,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (QuantrateError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (QuantrateError, OSError, KeyError, ValueError) as exc:
         kind = _error_kind(exc)
         message = str(exc) or exc.__class__.__name__
         sys.stdout.write(

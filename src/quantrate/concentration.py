@@ -68,8 +68,8 @@ class ConcentrationReport:
 
     def __post_init__(self):
         _increasing(self.batch_sizes, "batch_sizes")
-        if any(d < 0 for d in (*self.mean_abs_dev, *self.q95_abs_dev)):
-            raise InvalidSpec("deviations must be nonnegative")
+        if not all(0 <= d < math.inf for d in (*self.mean_abs_dev, *self.q95_abs_dev)):
+            raise InvalidSpec("deviations must be nonnegative and finite")
 
     def to_dict(self) -> dict:
         return plain(self)
@@ -220,6 +220,7 @@ def _model_losses(scores, pen, sub, sign, level, spec) -> np.ndarray:
     ]) / pen.size
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused as not finite
 def loss_uniform_deviation(
     dataset: Dataset,
     constraint: RateConstraint,

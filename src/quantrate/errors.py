@@ -13,6 +13,10 @@ class InvalidSpec(QuantrateError, ValueError):
     """A configuration or spec object failed validation."""
 
 
+class DataError(QuantrateError):
+    """A data file or dataset cannot serve the operation asked of it."""
+
+
 class DimensionError(InvalidSpec):
     """Weight vector and feature dimension disagree."""
 
@@ -57,7 +61,7 @@ class Diverged(QuantrateError):
     """Training drove the weights or the scores to inf or nan."""
 
 
-class ParseError(QuantrateError):
+class ParseError(DataError):
     """A cell in a data file failed to parse.
 
     Carries 1-based row and column of the offending cell.
@@ -75,11 +79,11 @@ class ParseError(QuantrateError):
         return type(self), (self.message, self.row, self.col)
 
 
-class RaggedRows(QuantrateError):
+class RaggedRows(DataError):
     """Rows of a delimited file disagree on column count."""
 
 
-class UnknownLabel(QuantrateError):
+class UnknownLabel(DataError):
     """A label value is outside the declared label mapping."""
 
 
@@ -87,9 +91,9 @@ class NonMonotonicIndex(ParseError):
     """Sparse feature indices are not strictly increasing within a row."""
 
 
-class DegenerateSplit(QuantrateError):
+class DegenerateSplit(DataError):
     """A split would leave the train or test side empty."""
 
 
-class SingleClass(QuantrateError):
+class SingleClass(DataError):
     """An operation requires both classes but the data has only one."""

@@ -168,6 +168,7 @@ def _resolved(spec: SurrogateLossSpec, dataset: Dataset):
     return sub, pen, sign, 1.0 - spec.constraint.target
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused as not finite
 def _dataset_eval(
     weights: np.ndarray,
     dataset: Dataset,

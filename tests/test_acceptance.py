@@ -271,20 +271,20 @@ def test_property_calibration_is_exhaustively_maximal():
     for n in range(1, 13):
         c_grid = sorted({i / 20 for i in range(21)}
                         | {k / n for k in range(n + 1)})
+        levels = [(c, RateConstraint("all", "at_least", c),
+                   RateConstraint("all", "at_most", c)) for c in c_grid]
         for combo in combinations_with_replacement(alphabet, n):
             s = np.array(combo)
             distinct = list(np.unique(s))
             candidates = distinct + [float(np.nextafter(s.min(), -np.inf))]
-            for c in c_grid:
+            for c, at_least, at_most in levels:
                 checked += 1
-                theta = calibrate_threshold(
-                    s, RateConstraint("all", "at_least", c))
+                theta = calibrate_threshold(s, at_least)
                 feasible = [t for t in candidates
                             if np.count_nonzero(s > t) / n >= c]
                 if not feasible or theta != max(feasible):
                     bad_least += 1
-                theta2 = calibrate_threshold(
-                    s, RateConstraint("all", "at_most", c))
+                theta2 = calibrate_threshold(s, at_most)
                 feasible2 = [t for t in distinct
                              if np.count_nonzero(s > t) / n <= c]
                 if (np.count_nonzero(s > theta2) / n > c

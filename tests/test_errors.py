@@ -33,11 +33,13 @@ from quantrate import (
     generate_synthetic,
     logistic_train,
     logloss,
+    loss_gradient,
     loss_uniform_deviation,
     pr_points,
     precision_at_rate,
     rate,
     sgd_train,
+    surrogate_loss,
 )
 from quantrate.cli import _model_scores
 from quantrate.experiment import json_text
@@ -307,6 +309,10 @@ for _arg, (_name, _call) in ARRAY_ARGUMENTS.items():
         REFUSALS[f"array_{_arg}_{_form}"] = (
             functools.partial(_call, _entries), errors.InvalidSpec,
             f"{_name} must be {_want}, got {_dtype} values")
+# a two-class set and a loss whose subset, the positive row, a model
+# of weights [1e308, 1e308] scores at inf
+_THREE = Dataset([[1, 1], [1, -1], [-1, -1]], [1, -1, -1])
+_P_AT_R = SurrogateLossSpec("p_at_r", RateConstraint("positives", "at_least", 0.8), _POINT)
 REFUSALS.update({
     "array_labels_fractional": (
         lambda: Dataset(_X2, [1.5, -1]),
@@ -345,6 +351,19 @@ REFUSALS.update({
     "scores_overflow": (
         lambda: LinearModel([1e308, 1e308]).scores([[1.0, 1.0]]),
         errors.InvalidSpec, "scores must be finite"),
+    "surrogate_loss_overflowing_scores": (
+        lambda: surrogate_loss(LinearModel([1e308, 1e308]), _THREE, _P_AT_R),
+        errors.InvalidSpec, "scores must be finite"),
+    "loss_gradient_overflowing_scores": (
+        lambda: loss_gradient(LinearModel([1e308, 1e308]), _THREE, _P_AT_R),
+        errors.InvalidSpec, "scores must be finite"),
+    # finite scores whose losses overflow: once written out as NaN and
+    # Infinity deviations
+    "deviation_lab_overflowing_losses": (
+        lambda: loss_uniform_deviation(
+            _positive_first(), RateConstraint("positives", "at_least", 0.8),
+            QuantileEstimatorSpec("point"), (10,), 100, 1e308, 3, 0),
+        errors.InvalidSpec, "deviations must be nonnegative and finite"),
     # numpy reads a list that mixes bools and numbers as numbers
     "array_weights_int_and_bool": (
         lambda: LinearModel([1, True]),
