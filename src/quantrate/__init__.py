@@ -8,6 +8,8 @@ and synthesis, the regularized logistic baseline, experiment presets,
 and the concentration-scaling harnesses.
 """
 
+import inspect as _inspect
+
 from .baseline import baseline_with_threshold, logistic_train
 from .concentration import (
     ConcentrationReport,
@@ -95,84 +97,8 @@ from .types import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BatchTooLarge",
-    "ConcentrationReport",
-    "ConstraintBatchEmpty",
-    "ConvexConvergenceReport",
-    "CurvePoint",
-    "DataError",
-    "Dataset",
-    "DegenerateInterval",
-    "DegenerateSplit",
-    "DimensionError",
-    "Diverged",
-    "Direction",
-    "EmptyInput",
-    "EmptyObjective",
-    "EstimatorKind",
-    "EvalReport",
-    "ExperimentResult",
-    "GENERATOR_NAME",
-    "InvalidSpec",
-    "LinearModel",
-    "LossValue",
-    "MethodAggregate",
-    "MixtureComponent",
-    "NoConstraintSubset",
-    "NonMonotonicIndex",
-    "NonpositiveScale",
-    "Objective",
-    "PRPoint",
-    "ParseError",
-    "Penalize",
-    "QuantileEstimatorSpec",
-    "QuantileResult",
-    "QuantrateError",
-    "RaggedRows",
-    "RateConstraint",
-    "SingleClass",
-    "SplitSpec",
-    "StandardizeTransform",
-    "Subset",
-    "SurrogateLossSpec",
-    "SyntheticSpec",
-    "TrainConfig",
-    "TrainResult",
-    "UncalibratedError",
-    "UnknownLabel",
-    "baseline_with_threshold",
-    "calibrate_threshold",
-    "constraint_indices",
-    "convex_sgd_convergence",
-    "estimate",
-    "estimator_stability",
-    "evaluate",
-    "exact_quantile",
-    "generate_mixture",
-    "generate_synthetic",
-    "load_delimited",
-    "load_preset",
-    "load_sparse",
-    "lockstep_train",
-    "logistic_train",
-    "logloss",
-    "loss_gradient",
-    "loss_uniform_deviation",
-    "multi_restart_train",
-    "order_rank",
-    "pr_auc",
-    "pr_points",
-    "precision_at_rate",
-    "precision_at_recall",
-    "preset_names",
-    "published_rows",
-    "published_tables",
-    "rate",
-    "run_experiment",
-    "sgd_train",
-    "split",
-    "standardize",
-    "surrogate_loss",
-    "write_results",
-]
+# every public name bound above, the submodules aside
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not _inspect.ismodule(value)
+)

@@ -83,11 +83,13 @@ class ConcentrationReport:
 
 @dataclass(frozen=True)
 class ConvexConvergenceReport:
-    """Excess loss of SGD solutions against a searched reference model."""
+    """Excess loss of SGD solutions against a searched reference model,
+    per step budget, plus the fitted decay slope."""
 
     t_grid: Tuple[int, ...]
     mean_excess: Tuple[float, ...]
     ref_loss: float
+    fitted_slope: float
     trials: int
     seed: int
 
@@ -102,8 +104,8 @@ class ConvexConvergenceReport:
 def _fit_slope(batch_sizes, mean_devs) -> float:
     """Least-squares slope of log(mean dev) against log(b).
 
-    Batch sizes whose mean deviation is 0 carry no log value and are
-    excluded; fewer than two usable points give nan.
+    Batch sizes (or step budgets) whose mean is not positive carry no
+    log value and are excluded; fewer than two usable points give nan.
     """
     b = np.asarray(batch_sizes, dtype=np.float64)
     d = np.asarray(mean_devs, dtype=np.float64)
@@ -334,11 +336,15 @@ def convex_sgd_convergence(
     Trains with the convex lower-mean estimator on the
     precision-at-recall objective for each step budget in t_grid,
     averaging the gap between the trained model's full-data loss and
-    the best loss found by a dense direction/radius search.  Training
-    uses step size 0.5/sqrt(t), no momentum, and an independent
-    constraint minibatch capped at the positive count.  A step budget's
-    trials train as rows of one lockstep_train call, each step on every
-    row's own fixed-shape minibatch with a 0/1 mask of its negatives.
+    the best loss found by a dense direction/radius search, and fits
+    the log-log slope of the mean gap against t.  Training steps
+    0.5/(|P| sqrt(t)) on the summed loss, P the penalized negatives, so
+    0.5/sqrt(t) on the mean loss, with no momentum; each step takes the
+    next slice of the model's reshuffled queue over the positives as
+    its constraint minibatch, capped at the positive count.  A step
+    budget's trials train as rows of one lockstep_train call, each step
+    on every row's own fixed-shape minibatch with a 0/1 mask of its
+    negatives.
     """
     seed = check_seed(seed)
     check_fraction(c, "recall level")
@@ -352,18 +358,18 @@ def convex_sgd_convergence(
         constraint=RateConstraint("positives", "at_least", c),
         estimator=QuantileEstimatorSpec(kind="lower_mean"),
     )
-    n_pos = dataset.positive_indices().size
+    sub, pen, _, _ = _resolved(loss_spec, dataset)
     _, ref_loss = _searched_reference(dataset, loss_spec, 5.0, seed)
     mean_excess = []
     for t_steps in grid:
         models = [
             (loss_spec, TrainConfig(
-                learning_rate=0.5,
+                learning_rate=0.5 / pen.size,
                 steps=t_steps,
                 seed=seed_of(seed, t_steps, trial),
                 momentum=0.0,
                 batch_size=min(batch_size, dataset.n),
-                constraint_batch_size=min(batch_size, n_pos),
+                constraint_batch_size=min(batch_size, sub.size),
                 eval_every=t_steps,
                 lr_decay="inv_sqrt",
             ))
@@ -376,6 +382,7 @@ def convex_sgd_convergence(
         t_grid=grid,
         mean_excess=tuple(mean_excess),
         ref_loss=ref_loss,
+        fitted_slope=_fit_slope(grid, mean_excess),
         trials=trials,
         seed=seed,
     )

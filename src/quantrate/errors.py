@@ -37,11 +37,11 @@ class DegenerateInterval(InvalidSpec):
     """The interval estimator's index window contains no order statistics."""
 
 
-class NoConstraintSubset(QuantrateError):
+class NoConstraintSubset(DataError):
     """The rate-constraint subset selects no samples from the dataset."""
 
 
-class EmptyObjective(QuantrateError):
+class EmptyObjective(DataError):
     """The penalized side of a surrogate loss selects no samples."""
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, EmptyObjective, InvalidSpec
-from .estimators import _checked, _row_weights, row_dots
+from .estimators import _row_weights, row_dots
 from .types import (
     Dataset,
     LinearModel,
@@ -90,6 +90,13 @@ def _times(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(X, w[:, :, None])[:, :, 0]
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a, unless it holds an inf or nan: then the array rule's refusal."""
+    if not np.isfinite(a).all():
+        raise InvalidSpec("scores must be finite")
+    return a
+
+
 def core_eval(
     w: np.ndarray,
     X_pen: np.ndarray,
@@ -115,18 +122,19 @@ def core_eval(
     per_sample, None), or with want_grad (None, None, grad): K values,
     (K, p) summands, (K, d) gradients; a float, (p,), (d,) for a vector.
     Levels, a float or a float64 K-vector, are checked when a spec is
-    built; core_eval checks only that the subset's scores are finite,
-    and its InvalidSpec is what training reports as Diverged.
+    built; core_eval checks only that the subset's scores and the values
+    are finite, and its InvalidSpec is what training reports as Diverged.
     """
     if X_sub.shape[-1] != w.shape[-1]:
         raise DimensionError(
             f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
     vector, W = w.ndim == 1, np.atleast_2d(w)
-    sub_rows = _checked(_times(X_sub, W))
+    sub_rows = _finite(_times(X_sub, W))
     if not want_grad:
         value, per_sample = _row_values(_times(X_pen, W), sub_rows, sign, level,
                                         est_spec, math.log(base), pen_mask)
+        _finite(value)
         if vector:
             return float(value[0]), per_sample[0], None
         return value, per_sample, None

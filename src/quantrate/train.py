@@ -1,10 +1,12 @@
 """Gradient training of linear models on quantile surrogate losses.
 
 Implements minibatch SGD with heavy-ball momentum and weight decay,
-where each step draws a sample minibatch and a constraint-subset
-minibatch.  The constraint minibatch is either drawn independently from
-the subset (when constraint_batch_size is set) or taken as the
-intersection of the sample minibatch with the subset (when it is full).
+where each step takes a sample minibatch and a constraint-subset
+minibatch.  The constraint minibatch is either the next slice of the
+model's own reshuffled queue over the subset (when
+constraint_batch_size is set), by the rule the sample minibatches
+follow over the dataset, or the intersection of the sample minibatch
+with the subset (when it is full).
 
 Models train in lockstep: one descent loop over a (K, d) weight
 matrix, one model per row, makes one stacked core_eval call per step
@@ -16,11 +18,12 @@ mask of its penalized samples in place of a gather of ragged size.
 The logistic baseline runs on the same loop, _descend.
 
 Determinism contract, per model: one PCG64 generator seeded from that
-model's config.seed drives, in order, its weight initialization, each
-epoch reshuffle and each independent constraint draw.  Identical inputs
-give bitwise identical results, and a model's weights, loss trace and
-final loss are bit for bit the same whether it trains alone or as one
-row of a lockstep call, whatever the other rows hold.
+model's config.seed drives, in order, its weight initialization and
+the reshuffles of its two queues, the minibatch queue's first in a step
+that refills both.  Identical inputs give bitwise identical results,
+and a model's weights, loss trace and final loss are bit for bit the
+same whether it trains alone or as one row of a lockstep call,
+whatever the other rows hold.
 """
 
 from __future__ import annotations
@@ -44,6 +47,16 @@ from .types import (
 Model = Tuple[SurrogateLossSpec, TrainConfig]
 
 
+def _batches(rngs, n: int, size: int):
+    """Endless (K, size) index batches: row k takes the next size entries
+    of rngs[k]'s permutation of range(n), and a tail shorter than size
+    is dropped and the row reshuffles, at the same step for every row."""
+    while True:
+        queue = np.array([rng.permutation(n) for rng in rngs])
+        for start in range(0, n - size + 1, size):
+            yield queue[:, start : start + size]
+
+
 def _alike(rows, free: Sequence[str], message: str) -> None:
     """Raise InvalidSpec(message) unless the lockstep rows, each a tuple
     of records, agree in every field but those named free."""
@@ -62,7 +75,8 @@ def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
     trace takes value(W) after each eval_every-th step and the last.  A
     row freezes after the first step whose 1-d gradient norm is at most
     tolerance.  Returns W and the trace; inf or nan weights raise
-    Diverged, as do scores X @ W.T that turn inf or nan."""
+    Diverged, as do the scores or losses that core_eval refuses as not
+    finite."""
     config = configs[0]
     W = np.stack([c.init_scale * rng.standard_normal(X.shape[1])
                   for c, rng in zip(configs, rngs)])
@@ -91,9 +105,10 @@ def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
                     if live.size == 0:
                         break
     except InvalidSpec as exc:
-        # core_eval raises InvalidSpec on inf or nan subset scores; it
-        # means divergence unless the scores under every row are finite
-        if np.all(np.isfinite(X @ W.T)):
+        # core_eval refuses inf or nan subset scores or values with a
+        # plain InvalidSpec, which here means divergence; a subclass is
+        # the estimator's own refusal
+        if type(exc) is not InvalidSpec:
             raise
         cause = exc
     fitted[live] = W
@@ -143,30 +158,19 @@ def lockstep_train(
     configs = [cfg for _, cfg in models]
     rngs = [np.random.default_rng(c.seed) for c in configs]
     level = np.array([r[3] for r in resolved])
-    queues = np.empty((len(models), 0), dtype=np.int64)
-    cursor = 0
+    # generators: a queue that no step takes from draws nothing
+    batches = _batches(rngs, n, config.batch_size)
+    sub_batches = _batches(rngs, sub.size, config.constraint_batch_size)
 
     def gradient(t, W):
-        nonlocal queues, cursor
         if full_batch:
             pen_rows, mask = X_pen, None
         else:
-            if cursor + config.batch_size > queues.shape[1]:
-                queues = np.array([rng.permutation(n) for rng in rngs])
-                cursor = 0
-            batch = queues[:, cursor : cursor + config.batch_size]
-            cursor += config.batch_size
+            batch = next(batches)
             # take gathers the (K, b) indices 5x faster than X[batch]
             pen_rows, mask = X.take(batch, axis=0), pen_mask[batch]
         if independent:
-            drawn = np.array([
-                rng.choice(
-                    sub.size, size=config.constraint_batch_size,
-                    replace=False,
-                )
-                for rng in rngs
-            ])
-            sub_rows = X_sub.take(drawn, axis=0)
+            sub_rows = X_sub.take(next(sub_batches), axis=0)
         elif full_batch:
             sub_rows = X_sub
         else:  # one model: its minibatch's share of the subset
@@ -213,7 +217,10 @@ def sgd_train(
 
     Per step: draw the next batch_size samples of an epoch shuffle (a
     tail shorter than the batch is discarded and a new epoch begins);
-    build the constraint minibatch; take the loss gradient over the
+    take the constraint minibatch, the next constraint_batch_size
+    entries of a second such queue over the subset (reshuffled after
+    the first in a step that refills both), or when that size is full,
+    the minibatch's share of the subset; take the loss gradient over the
     whole batch with a 0/1 mask of its penalized samples, scaled by
     total-penalized over penalized-in-batch so magnitudes match the
     full objective; then _descend's decay and momentum update.  A batch

@@ -403,7 +403,9 @@ class TrainConfig:
 
     batch_size / constraint_batch_size of None mean full batch; a full
     constraint batch means "intersect the minibatch with the subset"
-    (which collapses to the whole subset under full-batch descent).
+    (which collapses to the whole subset under full-batch descent).  A
+    set constraint_batch_size takes consecutive slices of a reshuffled
+    queue over the subset, as batch_size does over the dataset.
     """
 
     learning_rate: float

@@ -275,8 +275,8 @@ PACKAGE_KINDS = {
     errors.EmptyInput: "config",
     errors.NonpositiveScale: "config",
     errors.DegenerateInterval: "config",
-    errors.NoConstraintSubset: "runtime",
-    errors.EmptyObjective: "runtime",
+    errors.NoConstraintSubset: "data",
+    errors.EmptyObjective: "data",
     errors.ConstraintBatchEmpty: "runtime",
     errors.BatchTooLarge: "config",
     errors.Diverged: "runtime",

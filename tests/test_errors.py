@@ -43,6 +43,7 @@ from quantrate import (
 )
 from quantrate.cli import _model_scores
 from quantrate.experiment import json_text
+from quantrate.losses import core_eval
 from quantrate.types import constraint_indices
 
 ERRORS = [
@@ -356,6 +357,18 @@ REFUSALS.update({
         errors.InvalidSpec, "scores must be finite"),
     "loss_gradient_overflowing_scores": (
         lambda: loss_gradient(LinearModel([1e308, 1e308]), _THREE, _P_AT_R),
+        errors.InvalidSpec, "scores must be finite"),
+    # finite subset scores whose loss is inf (the penalized margins
+    # overflow) or nan (a masked-out margin of inf times 0, as in a
+    # minibatch, run under the errstate of the library's callers): once
+    # returned
+    "surrogate_loss_inf_loss": (
+        lambda: surrogate_loss(LinearModel([1e308, 1e308]), _positive_first(), _P_AT_R),
+        errors.InvalidSpec, "scores must be finite"),
+    "core_eval_nan_loss": (
+        lambda: np.errstate(over="ignore", invalid="ignore")(core_eval)(
+            np.array([1e308]), np.array([[-1.5], [1.0]]), np.array([[1.5]]),
+            -1.0, 0.5, _POINT, 2.0, pen_mask=np.array([0.0, 1.0])),
         errors.InvalidSpec, "scores must be finite"),
     # finite scores whose losses overflow: once written out as NaN and
     # Infinity deviations

@@ -25,7 +25,7 @@ from quantrate import (
     sgd_train,
     surrogate_loss,
 )
-from quantrate import losses
+from quantrate import losses, train
 from quantrate.losses import core_eval
 
 POINT = QuantileEstimatorSpec(kind="point")
@@ -116,8 +116,9 @@ def test_intersection_mode_raises_when_batch_misses_subset():
 
 def test_three_steps_replay_the_epoch_queue_and_momentum_exactly():
     # n=5 with batch 2: steps take perm1[:2], perm1[2:4], then drop the
-    # one-sample tail and reshuffle; constraint batches draw from the
-    # generator after each batch selection
+    # one-sample tail and reshuffle; the 5-sample subset with constraint
+    # batch 3 takes a fresh permutation at every step, drawn after the
+    # minibatch's
     d = small_dataset(seed=19, n=5, dim=3)
     c = 0.4
     spec = fp_spec(c)
@@ -129,17 +130,16 @@ def test_three_steps_replay_the_epoch_queue_and_momentum_exactly():
     rng = np.random.default_rng(23)
     w = config.init_scale * rng.standard_normal(3)
     velocity = np.zeros(3)
-    queue = np.empty(0, dtype=np.int64)
-    cursor = 0
+    unread, sub_unread = [], []  # what is left of each queue's permutation
     trace = []
     for t in (1, 2, 3):
-        if cursor + 2 > queue.size:
-            queue = rng.permutation(5)
-            cursor = 0
-        batch = queue[cursor:cursor + 2]
-        cursor += 2
+        if len(unread) < 2:
+            unread = list(rng.permutation(5))
+        batch, unread = np.array(unread[:2]), unread[2:]
+        if len(sub_unread) < 3:
+            sub_unread = list(rng.permutation(5))
+        drawn, sub_unread = np.array(sub_unread[:3]), sub_unread[3:]
         pen_batch = batch[d.labels[batch] == -1]
-        drawn = rng.choice(5, size=3, replace=False)
         sub_batch = sub[drawn]
         if pen_batch.size > 0:
             _, _, grad = core_eval(w, d.features[pen_batch],
@@ -311,17 +311,19 @@ def test_lockstep_minibatch_models_train_one_by_one():
 
 def penalized_counts(config, n, n_sub, negatives):
     """Negatives in each minibatch of a model, replaying its generator:
-    the init draw, then each epoch shuffle and constraint draw."""
+    the init draw, then the reshuffles of its minibatch queue and of its
+    constraint queue, the minibatch's first in a step that takes both."""
     rng = np.random.default_rng(config.seed)
     rng.standard_normal(3)
-    queue, cursor, counts = np.empty(0, dtype=np.int64), 0, []
+    unread, sub_unread, counts = [], [], []
     for _ in range(config.steps):
-        if cursor + config.batch_size > queue.size:
-            queue, cursor = rng.permutation(n), 0
-        batch = queue[cursor:cursor + config.batch_size]
-        cursor += config.batch_size
+        if len(unread) < config.batch_size:
+            unread = list(rng.permutation(n))
+        batch, unread = unread[:config.batch_size], unread[config.batch_size:]
         counts.append(int(np.isin(batch, negatives).sum()))
-        rng.choice(n_sub, size=config.constraint_batch_size, replace=False)
+        if len(sub_unread) < config.constraint_batch_size:
+            sub_unread = list(rng.permutation(n_sub))
+        sub_unread = sub_unread[config.constraint_batch_size:]
     return counts
 
 
@@ -387,6 +389,17 @@ def diverged_step(call):
     return int(re.search(r"step (\d+)", str(info.value)).group(1))
 
 
+def test_an_overflowing_loss_is_divergence():
+    # one step leaves finite weights and scores whose penalized margins
+    # overflow, so the traced loss is inf; it was once returned as the
+    # final loss
+    rng = np.random.default_rng(0)
+    d = Dataset(rng.standard_normal((30, 2)), np.where(rng.random(30) < 0.5, 1, -1))
+    config = TrainConfig(learning_rate=10.0**305.5, steps=1, seed=1)
+    with pytest.raises(Diverged, match="by step 1:"):
+        sgd_train(d, recall_spec(0.8), config)
+
+
 def test_lockstep_divergence_reports_the_first_row_to_overflow():
     # w <- (1 - decay) * w - g: a decay of 1e100 overflows within a few
     # steps, 1e40 later, 0.01 never; the call raises at the earliest
@@ -410,6 +423,41 @@ def test_lockstep_divergence_reports_the_first_row_to_overflow():
         assert diverged_step(lambda: lockstep_train(d, models)) == min(alone)
         assert diverged_step(
             lambda: lockstep_train(d, models[:2])) == alone[0]
+
+
+def constraint_draws(monkeypatch, d, models):
+    """(steps, K, c): the first feature of each row's constraint batch at
+    each descent step of lockstep_train(d, models)."""
+    drawn = []
+
+    def spy(W, X_pen, X_sub, *args, want_grad=False, **kwargs):
+        if want_grad:
+            drawn.append(X_sub[..., 0].copy())
+        return core_eval(W, X_pen, X_sub, *args, want_grad=want_grad, **kwargs)
+
+    monkeypatch.setattr(train, "core_eval", spy)
+    lockstep_train(d, models)
+    return np.array(drawn)
+
+
+def test_constraint_batches_reshuffle_once_per_pass_over_the_subset(monkeypatch):
+    # 11 positives, the subset, whose first feature is their index;
+    # batches of 4 make passes of 2 steps that drop a tail of 3
+    rng = np.random.default_rng(79)
+    X = np.column_stack([np.arange(24.0), rng.standard_normal(24)])
+    d = Dataset(X, np.where(np.arange(24) < 11, 1, -1))
+    base = TrainConfig(learning_rate=0.001, steps=12, seed=0, batch_size=5,
+                       constraint_batch_size=4)
+    models = [(recall_spec(c), replace(base, seed=seed))
+              for c, seed in ((0.5, 3), (0.8, 4), (0.5, 5))]
+    draws = constraint_draws(monkeypatch, d, models)
+    assert draws.shape == (12, 3, 4)
+    for k in range(3):
+        for passed in draws[:, k].reshape(6, 8):
+            assert np.unique(passed).size == 8 and passed.max() < 11
+        alone = constraint_draws(monkeypatch, d, [models[k]])
+        assert np.array_equal(alone[:, 0], draws[:, k])
+    assert not np.array_equal(draws[:, 0], draws[:, 2])
 
 
 def test_descent_steps_compute_no_loss(monkeypatch):
