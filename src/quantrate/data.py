@@ -122,9 +122,6 @@ class StandardizeTransform:
     def apply(self, features) -> np.ndarray:
         return (typed_array(features, "features") - self.mean) / self.std
 
-    def inverse(self, features) -> np.ndarray:
-        return typed_array(features, "features") * self.std + self.mean
-
 
 def _parsed(read, text: str, what: str, row: int, col: int):
     """read(text), the one reading of a data cell: a ValueError becomes

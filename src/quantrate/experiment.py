@@ -42,7 +42,7 @@ from .data import generate_mixture, seed_of, split, standardize
 from .errors import InvalidSpec
 from .metrics import precision_at_rate, precision_at_recall
 from .presets import published_rows
-from .train import best_restart, lockstep_train, restart_models
+from .train import lockstep_train
 from .types import Dataset, RateConstraint, SurrogateLossSpec, plain
 
 METHOD_QUANTILE = "quantile"
@@ -141,9 +141,9 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
     models with (seed, rep), (seed, rep, wi) and (seed, rep, li, wi);
     recall_point draws its mixture with (seed, rep) and tags the rest
     (seed, rep, 0), (seed, rep, 1, wi) and (seed, rep, 2, li, wi).
-    A repetition's quantile models, every (level, decay, restart), and
-    its logistic fits, one per decay, train in one lockstep call each;
-    a (level, decay) cell keeps the restart multi_restart_train picks.
+    A repetition's quantile models, one per (level, decay), and its
+    logistic fits, one per decay, train in one lockstep call each; the
+    quantile call keeps each model's best restart.
 
     Returns values[method, side, level, decay] with sides (test, train)
     and curves[method, decay, grid point], which follow the first level.
@@ -155,7 +155,6 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
         metric, objective, subset = precision_at_recall, "p_at_r", "positives"
         split_tag, logistic_tag, quantile_tag = (0,), (1,), (2,)
     levels, decays, grid = spec.levels, spec.weight_decays, spec.curve_grid
-    restarts = spec.train.restarts
     if dataset is None:
         dataset = generate_mixture(
             spec.components, spec.n_samples, seed_of(seed, rep)
@@ -167,13 +166,8 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
     sides = (test_set, train_set)
     values = np.empty((2, 2, len(levels), len(decays)))
     curves = np.empty((2, len(decays), len(grid)))
-    # every (level, decay, restart) model of the repetition in one
-    # call, restarts innermost
     models = [
-        model
-        for li, level in enumerate(levels)
-        for wi, wd in enumerate(decays)
-        for model in restart_models(
+        (
             SurrogateLossSpec(
                 objective=objective,
                 constraint=RateConstraint(subset, "at_least", level),
@@ -185,6 +179,8 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
                 weight_decay=wd,
             ),
         )
+        for li, level in enumerate(levels)
+        for wi, wd in enumerate(decays)
     ]
     trained = lockstep_train(train_set, models)
     logistic = lockstep_logistic_train(train_set, [
@@ -193,8 +189,7 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
     for wi, lmodel in enumerate(logistic):
         logistic_scores = [lmodel.scores(with_bias(s.features)) for s in sides]
         for li, level in enumerate(levels):
-            cell = (li * len(decays) + wi) * restarts
-            fitted = best_restart(trained[cell : cell + restarts])
+            fitted = trained[li * len(decays) + wi]
             quantile_scores = [fitted.model.scores(s) for s in sides]
             for m, scores in enumerate((quantile_scores, logistic_scores)):
                 for si, side in enumerate(sides):

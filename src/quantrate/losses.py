@@ -90,10 +90,10 @@ def _times(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(X, w[:, :, None])[:, :, 0]
 
 
-def _finite(a: np.ndarray) -> np.ndarray:
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
     """a, unless it holds an inf or nan: then the array rule's refusal."""
     if not np.isfinite(a).all():
-        raise InvalidSpec("scores must be finite")
+        raise InvalidSpec(f"{name} must be finite")
     return a
 
 
@@ -130,11 +130,11 @@ def core_eval(
             f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
     vector, W = w.ndim == 1, np.atleast_2d(w)
-    sub_rows = _finite(_times(X_sub, W))
+    sub_rows = _finite(_times(X_sub, W), "scores")
     if not want_grad:
         value, per_sample = _row_values(_times(X_pen, W), sub_rows, sign, level,
                                         est_spec, math.log(base), pen_mask)
-        _finite(value)
+        _finite(value, "losses")
         if vector:
             return float(value[0]), per_sample[0], None
         return value, per_sample, None

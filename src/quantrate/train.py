@@ -9,19 +9,20 @@ follow over the dataset, or the intersection of the sample minibatch
 with the subset (when it is full).
 
 Models train in lockstep: one descent loop over a (K, d) weight
-matrix, one model per row, makes one stacked core_eval call per step
-for all K; a single model is the case K=1.  The rows share the dataset
-and every setting of their loss specs and configs but the level
-(constraint target), the weight decay and the seed.  A minibatch step
-takes each row's own batch, a (K, batch_size, d) stack, with a 0/1
-mask of its penalized samples in place of a gather of ragged size.
+matrix, one run per row, makes one stacked core_eval call per step
+for all K; a single run is the case K=1, and lockstep_train trains a
+model's restarts as its rows and keeps the best.  The rows share the
+dataset and every setting of their loss specs and configs but the
+level (constraint target), the weight decay and the seed.  A minibatch
+step takes each row's own batch, a (K, batch_size, d) stack, with a
+0/1 mask of its penalized samples in place of a gather of ragged size.
 The logistic baseline runs on the same loop, _descend.
 
-Determinism contract, per model: one PCG64 generator seeded from that
-model's config.seed drives, in order, its weight initialization and
-the reshuffles of its two queues, the minibatch queue's first in a step
+Determinism contract, per row: one PCG64 generator seeded from that
+row's seed drives, in order, its weight initialization and the
+reshuffles of its two queues, the minibatch queue's first in a step
 that refills both.  Identical inputs give bitwise identical results,
-and a model's weights, loss trace and final loss are bit for bit the
+and a run's weights, loss trace and final loss are bit for bit the
 same whether it trains alone or as one row of a lockstep call,
 whatever the other rows hold.
 """
@@ -113,34 +114,31 @@ def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
         cause = exc
     fitted[live] = W
     if cause is not None or not np.all(np.isfinite(fitted)):
-        raise Diverged(
-            f"training diverged by step {t}: weights or scores are not finite"
-        ) from cause
+        raise Diverged(f"training diverged by step {t}: "
+                       "weights, scores or losses are not finite") from cause
     return fitted, trace
 
 
-def lockstep_train(
-    dataset: Dataset, models: Sequence[Model]
-) -> List[TrainResult]:
-    """Train each (loss_spec, config) model; result k is sgd_train's.
+def _train_rows(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
+    """Train each (loss_spec, config) row, one run at config.seed.
 
-    The models, one or more, must agree on all but the constraint target,
+    The rows, one or more, must agree on all but the constraint target,
     the weight decay and the seed.  They train in one lockstep loop, and a
-    model that overflows raises Diverged for the whole call, at the first
-    step any row overflowed.  Minibatch models with no
+    row that overflows raises Diverged for the whole call, at the first
+    step any row overflowed.  Minibatch rows with no
     constraint_batch_size train one per loop, in order, since their
     constraint batch, the minibatch's share of the subset, differs in size
     from row to row; the first of them to overflow raises.  A batch larger
     than its data, the dataset or the subset, raises BatchTooLarge.
     """
     _alike([(spec, spec.constraint, cfg) for spec, cfg in models],
-           ["constraint", "target", "seed", "weight_decay", "restarts"],
-           "lockstep models may differ only in target, weight_decay and seed")
+           ["constraint", "target", "seed", "weight_decay"],
+           "lockstep models may differ only in target, weight_decay, seed and restarts")
     loss_spec, config = models[0]
     full_batch = config.batch_size is None
     independent = config.constraint_batch_size is not None
     if len(models) > 1 and not (full_batch or independent):
-        return [lockstep_train(dataset, [m])[0] for m in models]
+        return [_train_rows(dataset, [m])[0] for m in models]
     X, n = dataset.features, dataset.n
     if not full_batch and config.batch_size > n:
         raise BatchTooLarge(f"batch_size {config.batch_size} > n={n}")
@@ -210,6 +208,21 @@ def lockstep_train(
     ]
 
 
+def lockstep_train(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
+    """Train each (loss_spec, config) model as config.restarts rows of one
+    _train_rows call, restart r seeded config.seed + r, restarts innermost,
+    so the models may differ in restarts too.  Result m is model m's row
+    of lowest full-dataset loss, ties going to the lowest r, marked
+    restart_index r; each row is bit for bit sgd_train's at its seed."""
+    rows = [(spec, dataclasses.replace(cfg, seed=cfg.seed + r, restarts=1))
+            for spec, cfg in models for r in range(cfg.restarts)]
+    runs = iter(_train_rows(dataset, rows))
+    best = [min([next(runs) for _ in range(cfg.restarts)],
+                key=lambda run: run.final_train_loss) for _, cfg in models]
+    return [dataclasses.replace(run, restart_index=run.seed_used - cfg.seed)
+            for run, (_, cfg) in zip(best, models)]
+
+
 def sgd_train(
     dataset: Dataset, loss_spec: SurrogateLossSpec, config: TrainConfig
 ) -> TrainResult:
@@ -228,34 +241,14 @@ def sgd_train(
 
     The loss trace records the full-dataset surrogate loss (no decay
     term) after every eval_every-th step and after the final step.
-    Weights or scores that overflow to inf or nan raise Diverged.
+    Weights, scores or losses that overflow to inf or nan raise
+    Diverged.  One run at config.seed: restarts is not read.
     """
-    return lockstep_train(dataset, [(loss_spec, config)])[0]
-
-
-def best_restart(results: Sequence[TrainResult]) -> TrainResult:
-    """The result with the lowest final loss, ties going to the lowest
-    index, marked as restart that index."""
-    r = min(range(len(results)), key=lambda i: results[i].final_train_loss)
-    return dataclasses.replace(results[r], restart_index=r)
-
-
-def restart_models(loss_spec: SurrogateLossSpec, config: TrainConfig) -> List[Model]:
-    """The config.restarts single-restart models of a spec; restart r
-    adds r to config.seed."""
-    return [
-        (loss_spec, dataclasses.replace(config, seed=config.seed + r, restarts=1))
-        for r in range(config.restarts)
-    ]
+    return _train_rows(dataset, [(loss_spec, config)])[0]
 
 
 def multi_restart_train(
     dataset: Dataset, loss_spec: SurrogateLossSpec, config: TrainConfig
 ) -> TrainResult:
-    """Best-of-restarts training.
-
-    The restart_models train in one lockstep_train call; the result
-    with the lowest full-dataset loss wins, ties going to the lowest
-    restart index.
-    """
-    return best_restart(lockstep_train(dataset, restart_models(loss_spec, config)))
+    """Best-of-restarts training: lockstep_train of the one model."""
+    return lockstep_train(dataset, [(loss_spec, config)])[0]

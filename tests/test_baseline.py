@@ -202,7 +202,7 @@ def test_the_stop_rule_is_each_rows_1d_norm(point, want):
 
 def test_lockstep_overflow_raises_diverged_as_a_fit_alone_does():
     d = separable_free_dataset(7)
-    message = "training diverged by step 50: weights or scores are not finite"
+    message = "training diverged by step 50: weights, scores or losses are not finite"
     huge_lr = fit_config(steps=50, lr=1e308)
     with pytest.raises(Diverged, match=message):
         lockstep_logistic_train(d, [(0.7, huge_lr), (0.0, replace(huge_lr, seed=4))])

@@ -364,12 +364,12 @@ REFUSALS.update({
     # returned
     "surrogate_loss_inf_loss": (
         lambda: surrogate_loss(LinearModel([1e308, 1e308]), _positive_first(), _P_AT_R),
-        errors.InvalidSpec, "scores must be finite"),
+        errors.InvalidSpec, "losses must be finite"),
     "core_eval_nan_loss": (
         lambda: np.errstate(over="ignore", invalid="ignore")(core_eval)(
             np.array([1e308]), np.array([[-1.5], [1.0]]), np.array([[1.5]]),
             -1.0, 0.5, _POINT, 2.0, pen_mask=np.array([0.0, 1.0])),
-        errors.InvalidSpec, "scores must be finite"),
+        errors.InvalidSpec, "losses must be finite"),
     # finite scores whose losses overflow: once written out as NaN and
     # Infinity deviations
     "deviation_lab_overflowing_losses": (

@@ -362,6 +362,32 @@ def test_minibatch_lockstep_rows_equal_their_single_model_runs(estimator):
         assert got.final_train_loss == alone.final_train_loss
 
 
+@pytest.mark.parametrize("batches", [
+    pytest.param({}, id="full-batch"),
+    pytest.param({"batch_size": 7, "constraint_batch_size": 5}, id="minibatch"),
+    # no constraint_batch_size: one loop per run
+    pytest.param({"batch_size": 7}, id="intersection"),
+])
+def test_lockstep_models_with_mixed_restarts_equal_their_best_alone(batches):
+    # models of 1, 3 and 2 restarts at mixed levels and decays in one
+    # call; each result is bit for bit multi_restart_train's of it alone
+    d = small_dataset(seed=59, n=40, dim=4)
+    models = [(spec, replace(config, restarts=r)) for (spec, config), r
+              in zip(lockstep_models(POINT, K=3, **batches), (1, 3, 2))]
+    assert len({m[0].constraint.target for m in models}) > 1
+    assert len({m[1].weight_decay for m in models}) > 1
+    results = lockstep_train(d, models)
+    assert len(results) == 3
+    for (spec, config), got in zip(models, results):
+        alone = multi_restart_train(d, spec, config)
+        assert got.model.weights.tobytes() == alone.model.weights.tobytes()
+        assert got.loss_trace == alone.loss_trace
+        assert got.restart_index == alone.restart_index
+        assert got.seed_used == alone.seed_used == config.seed + got.restart_index
+    # some model's best restart is not its first
+    assert any(got.restart_index > 0 for got in results)
+
+
 def test_lockstep_models_must_share_all_but_level_decay_and_seed():
     d = small_dataset(seed=67)
     models = lockstep_models(POINT, K=3)

@@ -7,17 +7,18 @@ perfbench generates at seed 1: the preset's stratified 30% training
 split, standardized (105 rows, 34 features).  Then it times, each as
 the fastest of 7 calls:
 
-* quantile K=60: one lockstep_train call of the preset's 60 models
-  (5 levels x 4 decays x 3 restarts, 300 full-batch steps);
-* quantile K=4: the 4 decays at the first level, one restart;
+* quantile K=60: one lockstep_train call of the preset's 20 models
+  (5 levels x 4 decays), which trains their 3 restarts each as 60 rows
+  of 300 full-batch steps;
+* quantile K=4: the 4 decays at the first level, one restart each;
 * quantile K=1: one sgd_train call per decay at the first level, summed;
 * logistic K=4: the preset's 4 logistic fits (500 steps), in one
   lockstep_logistic_train call;
 * logistic K=1: one logistic_train call per decay, summed.
 
-Each time is divided by the call's model-steps (models x steps).  It
+Each time is divided by the call's model-steps (rows x steps).  It
 also times one kernel estimate call at the two quantile shapes, the
-preset's estimator on the (105, K) scores of K seeded models at their
+preset's estimator on the (105, K) scores of K seeded rows at their
 levels (K=4 and K=60), as the fastest of 7 runs of 100 calls.
 
 It also times one value call of the loss-deviation lab at the
@@ -87,22 +88,21 @@ def main() -> int:
                 constraint=RateConstraint("all", "at_least", level),
                 estimator=spec.estimator,
             ),
-            replace(spec.train, seed=1000 * li + 10 * wi + r, weight_decay=wd,
-                    restarts=1),
+            replace(spec.train, seed=1000 * li + 10 * wi, weight_decay=wd),
         )
         for li, level in enumerate(spec.levels)
         for wi, wd in enumerate(spec.weight_decays)
-        for r in range(spec.train.restarts)
     ]
-    per_level = len(spec.weight_decays) * spec.train.restarts
-    first_level = models[:per_level:spec.train.restarts]
+    rows = len(models) * spec.train.restarts
+    first_level = [(loss, replace(c, restarts=1))
+                   for loss, c in models[:len(spec.weight_decays)]]
     fits = [(wd, replace(spec.logistic, seed=wi))
             for wi, wd in enumerate(spec.weight_decays)]
     q_steps, l_steps = spec.train.steps, spec.logistic.steps
     us = {
         "quantile_k60_us_per_model_step": fastest(
             lambda: lockstep_train(train_set, models)
-        ) / (len(models) * q_steps),
+        ) / (rows * q_steps),
         "quantile_k4_us_per_model_step": fastest(
             lambda: lockstep_train(train_set, first_level)
         ) / (len(first_level) * q_steps),
@@ -118,10 +118,11 @@ def main() -> int:
         ) / (len(fits) * l_steps),
     }
     for group in (first_level, models):
-        W = np.random.default_rng(SEED).standard_normal((len(group), train_set.dim))
+        levels = np.array([1.0 - loss.constraint.target
+                           for loss, c in group for _ in range(c.restarts)])
+        W = np.random.default_rng(SEED).standard_normal((levels.size, train_set.dim))
         scores = train_set.features @ W.T
-        levels = np.array([1.0 - loss.constraint.target for loss, _ in group])
-        us[f"kernel_estimate_k{len(group)}_us_per_call"] = fastest(
+        us[f"kernel_estimate_k{levels.size}_us_per_call"] = fastest(
             lambda: [estimate(spec.estimator, scores, levels) for _ in range(CALLS)]
         ) / CALLS
     lab = presets.load_preset("loss_deviation")
