@@ -19,10 +19,10 @@ mean train metric.  Aggregates are mean and sample standard deviation
 selected decay.
 
 Every repetition derives its seeds from the experiment seed through
-named streams (data.seed_of), so repetitions can run in worker
-processes (--jobs) without affecting any output byte.  Wall-clock
-timing is returned to the caller for console display and never
-written to result files.
+named streams (data.seed_of), so each method of each repetition can
+run as its own task in a worker process (--jobs) without affecting any
+output byte.  Wall-clock timing is returned to the caller for console
+display and never written to result files.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import InvalidSpec
 from .metrics import precision_at_rate, precision_at_recall
 from .presets import published_rows
 from .train import lockstep_train
-from .types import Dataset, RateConstraint, SurrogateLossSpec, plain
+from .types import Dataset, RateConstraint, SurrogateLossSpec, plain, typed
 
 METHOD_QUANTILE = "quantile"
 METHOD_LOGISTIC = "logistic"
@@ -132,21 +132,23 @@ def _select_and_aggregate(
     return out
 
 
-def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: int):
-    """One repetition's metric values and curves; a module-level function
-    of picklable arguments, so a worker process can run it.
+def _one_rep(
+    spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: int, method: str
+):
+    """One method's metric values and curves in one repetition; a pool
+    task of picklable arguments, so a worker process can run it.
 
     Per kind: the objective and its constraint subset, the metric, and
     the seed tags.  rate_table seeds the split, logistic and quantile
     models with (seed, rep), (seed, rep, wi) and (seed, rep, li, wi);
     recall_point draws its mixture with (seed, rep) and tags the rest
-    (seed, rep, 0), (seed, rep, 1, wi) and (seed, rep, 2, li, wi).
-    A repetition's quantile models, one per (level, decay), and its
-    logistic fits, one per decay, train in one lockstep call each; the
-    quantile call keeps each model's best restart.
+    (seed, rep, 0), (seed, rep, 1, wi) and (seed, rep, 2, li, wi), so
+    both methods of a repetition see the same data.  Its quantile models,
+    one per (level, decay), train in one lockstep call that keeps each
+    model's best restart; its logistic fits, one per decay, in another.
 
-    Returns values[method, side, level, decay] with sides (test, train)
-    and curves[method, decay, grid point], which follow the first level.
+    Returns values[side, level, decay] with sides (test, train) and
+    curves[decay, grid point], which follow the first level.
     """
     if spec.kind == "rate_table":
         metric, objective, subset = precision_at_rate, "p_at_ppr_fp", "all"
@@ -164,40 +166,30 @@ def _one_rep(spec: ExperimentSpec, dataset: Optional[Dataset], seed: int, rep: i
     if spec.standardize:
         train_set, test_set, _ = standardize(train_set, test_set)
     sides = (test_set, train_set)
-    values = np.empty((2, 2, len(levels), len(decays)))
-    curves = np.empty((2, len(decays), len(grid)))
-    models = [
-        (
-            SurrogateLossSpec(
-                objective=objective,
-                constraint=RateConstraint(subset, "at_least", level),
-                estimator=spec.estimator,
-            ),
-            replace(
-                spec.train,
-                seed=seed_of(seed, rep, *quantile_tag, li, wi),
-                weight_decay=wd,
-            ),
-        )
-        for li, level in enumerate(levels)
-        for wi, wd in enumerate(decays)
-    ]
-    trained = lockstep_train(train_set, models)
-    logistic = lockstep_logistic_train(train_set, [
-        (wd, replace(spec.logistic, seed=seed_of(seed, rep, *logistic_tag, wi)))
-        for wi, wd in enumerate(decays)])
-    for wi, lmodel in enumerate(logistic):
-        logistic_scores = [lmodel.scores(with_bias(s.features)) for s in sides]
-        for li, level in enumerate(levels):
-            fitted = trained[li * len(decays) + wi]
-            quantile_scores = [fitted.model.scores(s) for s in sides]
-            for m, scores in enumerate((quantile_scores, logistic_scores)):
-                for si, side in enumerate(sides):
-                    values[m, si, li, wi] = metric(scores[si], side.labels, level)
-                if li == 0:
-                    curves[m, wi] = [
-                        metric(scores[0], test_set.labels, g) for g in grid
-                    ]
+    if method == METHOD_QUANTILE:
+        trained = lockstep_train(train_set, [
+            (SurrogateLossSpec(objective, RateConstraint(subset, "at_least", level),
+                               spec.estimator),
+             replace(spec.train, seed=seed_of(seed, rep, *quantile_tag, li, wi),
+                     weight_decay=wd))
+            for li, level in enumerate(levels) for wi, wd in enumerate(decays)])
+        scores = [[fitted.model.scores(s) for s in sides] for fitted in trained]
+    else:
+        logistic = lockstep_logistic_train(train_set, [
+            (wd, replace(spec.logistic, seed=seed_of(seed, rep, *logistic_tag, wi)))
+            for wi, wd in enumerate(decays)])
+        # one fit per decay serves every level
+        scores = [[f.scores(with_bias(s.features)) for s in sides] for f in logistic]
+        scores *= len(levels)
+    values = np.empty((2, len(levels), len(decays)))
+    curves = np.empty((len(decays), len(grid)))
+    for li, level in enumerate(levels):
+        for wi in range(len(decays)):
+            cell = scores[li * len(decays) + wi]  # (test, train) scores
+            for si, side in enumerate(sides):
+                values[si, li, wi] = metric(cell[si], side.labels, level)
+            if li == 0:
+                curves[wi] = [metric(cell[0], test_set.labels, g) for g in grid]
     return values, curves
 
 
@@ -239,16 +231,18 @@ def _run(
     seed: int,
     jobs: int,
 ) -> ExperimentResult:
-    """The experiment loop shared by both kinds: the repetitions (see
-    _one_rep), then selection and aggregation."""
+    """The experiment loop shared by both kinds: a task per method of each
+    repetition (see _one_rep), quantile tasks first as the longest, on at
+    most one worker per repetition; then selection and aggregation."""
     levels, decays, grid = spec.levels, spec.weight_decays, spec.curve_grid
     methods = (METHOD_QUANTILE, METHOD_LOGISTIC)
-    reps = _map_reps(
-        _one_rep, [(spec, dataset, seed, rep) for rep in range(spec.reps)], jobs
-    )
+    tasks = [(spec, dataset, seed, rep, m) for m in methods for rep in range(spec.reps)]
+    done = _map_reps(_one_rep, tasks, min(jobs, spec.reps))
+    # done is method-major; regrouped by rep, it gives
     # values[rep, method, side, level, decay]; curves[rep, method, decay, point]
-    values = np.stack([v for v, _ in reps])
-    curves = np.stack([c for _, c in reps])
+    values, curves = (
+        np.stack(np.split(np.array(part), len(methods)), axis=1) for part in zip(*done)
+    )
 
     aggregates = []
     for m, method in enumerate(methods):
@@ -294,6 +288,7 @@ def run_experiment(
     files byte-for-byte.
     """
     used_seed = run_seed(config, seed)
+    jobs = typed(int, jobs, "jobs")
     if jobs < 1:
         raise InvalidSpec("jobs must be positive")
     started = time.perf_counter()

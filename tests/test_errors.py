@@ -31,6 +31,7 @@ from quantrate import (
     evaluate,
     generate_mixture,
     generate_synthetic,
+    load_preset,
     logistic_train,
     logloss,
     loss_gradient,
@@ -38,6 +39,7 @@ from quantrate import (
     pr_points,
     precision_at_rate,
     rate,
+    run_experiment,
     sgd_train,
     surrogate_loss,
 )
@@ -410,6 +412,14 @@ for _lab, _call in _LAB_CALLS.items():
         if _lab != "mixture" or _form == "negative":  # it read the other forms already
             REFUSALS[f"{_lab}_seed_{_form}"] = (
                 functools.partial(_call, _seed), errors.InvalidSpec, _message)
+
+
+for _form, _jobs in {"string": "2", "float": 2.0, "fractional": 2.5,
+                     "bool": True}.items():
+    # refused before the experiment starts, so no worker is asked for
+    REFUSALS[f"experiment_jobs_{_form}"] = (
+        functools.partial(run_experiment, load_preset("synthetic"), jobs=_jobs),
+        errors.InvalidSpec, f"jobs must be an integer, got {_jobs!r}")
 
 
 @pytest.mark.parametrize("lab", ["stability", "deviation", "convex"])

@@ -151,6 +151,36 @@ def test_a_worker_error_matches_the_serial_error():
     assert messages[0] == messages[1]
 
 
+def test_a_logistic_worker_error_matches_the_serial_error():
+    # the quantile models train as in tiny_recall_config; the logistic
+    # fits overflow, so the error comes from a logistic task
+    config = tiny_recall_config()
+    config["logistic"] = dict(config["logistic"], learning_rate=1e300)
+    reports = []
+    for jobs in (1, 2):
+        with pytest.raises(Diverged) as info:
+            run_experiment(config, jobs=jobs)
+        reports.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert reports[0][0] is Diverged
+    assert "diverged" in reports[0][1]
+    assert reports[1] == reports[0]
+
+
+def test_rate_table_results_and_bytes_do_not_depend_on_jobs(tmp_path):
+    config = dict(tiny_rate_config(tiny_csv(tmp_path)), reps=3)
+    results, files = [], []
+    for jobs in (1, 2):
+        result, _ = run_experiment(config, jobs=jobs)
+        assert multiprocessing.active_children() == []
+        paths = write_results(result, tmp_path / f"jobs{jobs}")
+        results.append(result.to_dict())
+        files.append({p.name: p.read_bytes() for p in paths})
+    assert results[0] == results[1]
+    assert sorted(files[0]) == ["pr_points.csv", "results.json", "summary.csv"]
+    assert files[0] == files[1]
+
+
 def test_a_serial_run_never_loads_the_process_pool():
     script = "\n".join([
         "import json, sys",

@@ -21,6 +21,9 @@ path a config echoes is the same relative one on every run:
   `convex_convergence`;
 * `experiment ionosphere` at reps 3 on the 351x34 file that
   perfbench.workloads.write_ionosphere writes at seed 1;
+* both experiments again at `--jobs 2`, into `synthetic_jobs2` and
+  `ionosphere_jobs2`: their files must match the `--jobs 1` ones, or
+  the tool stops with an error;
 * one full-size call of each perfbench workload: its setup at seed 1,
   then one run at call seed 7, hashed as the call's Outcome.output
   under the name `perfbench/<workload>`.
@@ -32,7 +35,7 @@ output whose digest differs, or that is missing on one side, and
 exits 1 if there is any.  Some outputs also depend on the SIMD loop
 numpy dispatches float64 exp and log1p to; the environment records
 both targets under "dispatch", and --check notes when they differ.  It
-takes about 11 s on a 2-core x86-64 host.
+takes about 5 s on a 2-core x86-64 host.
 
 No output may depend on the BLAS thread count.  To check, write the
 manifest at one thread and check it at two (the --check note on the
@@ -72,6 +75,7 @@ EVALS = (
 )
 INPUTS = {"toy.csv", "train_config.json", "minibatch_config.json", "ionosphere.json",
           "ionosphere.data"}
+JOBS2 = "_jobs2"  # the suffix of an experiment's --jobs 2 output directory
 CONCENTRATION_PRESETS = (
     "stability_kernel", "stability_interval", "loss_deviation", "convex_convergence",
 )
@@ -101,11 +105,13 @@ def commands() -> list:
     runs += [["train", "--config", "minibatch_config.json", "--out", "minibatch.json"],
              ["eval", "--config", "minibatch.json", "--data", str(csv_path),
               "--metric", "report", "--out", "eval_minibatch_report.json"]]
-    runs.append(["experiment", "--config", "synthetic", "--out", "synthetic"])
     runs += [["concentration", "--config", name, "--out", name]
              for name in CONCENTRATION_PRESETS]
-    runs.append(["experiment", "--config", "ionosphere.json",
-                 "--data", "ionosphere.data", "--out", "ionosphere"])
+    for name, args in (("synthetic", ["--config", "synthetic"]),
+                       ("ionosphere", ["--config", "ionosphere.json",
+                                       "--data", "ionosphere.data"])):
+        runs += [["experiment", *args, "--out", name],
+                 ["experiment", *args, "--out", f"{name}{JOBS2}", "--jobs", "2"]]
     return runs
 
 
@@ -125,11 +131,17 @@ def digests() -> dict:
                       + " ".join(argv), file=sys.stderr)
                 if code != 0:
                     raise SystemExit(f"digests: `{' '.join(argv)}` exited {code}")
-            return {
+            outputs = {
                 str(p): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(Path(".").rglob("*"))
                 if p.is_file() and p.name not in INPUTS
             }
+            for path, digest in outputs.items():
+                top, _, rest = path.partition("/")
+                if top.endswith(JOBS2) and outputs.get(
+                        f"{top[:-len(JOBS2)]}/{rest}") != digest:
+                    raise SystemExit(f"digests: {path} differs from its --jobs 1 run")
+            return outputs
         finally:
             os.chdir(home)
 
