@@ -71,7 +71,7 @@ def lockstep_logistic_train(
     X_aug = with_bias(dataset.features)
     neg_y = -dataset.labels.astype(np.float64)
 
-    def gradient(t, W):
+    def gradient(t, live, W):
         # d/ds log(1+e^(-s)) = -sigmoid(-s) at margin s; -s = -y w.x~ exactly
         return _times(X_aug.T, neg_y * _sigmoid(neg_y * _times(X_aug, W)))
 

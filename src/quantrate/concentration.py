@@ -341,10 +341,10 @@ def convex_sgd_convergence(
     0.5/(|P| sqrt(t)) on the summed loss, P the penalized negatives, so
     0.5/sqrt(t) on the mean loss, with no momentum; each step takes the
     next slice of the model's reshuffled queue over the positives as
-    its constraint minibatch, capped at the positive count.  A step
-    budget's trials train as rows of one lockstep_train call, each step
-    on every row's own fixed-shape minibatch with a 0/1 mask of its
-    negatives.
+    its constraint minibatch, capped at the positive count.  Every
+    (budget, trial) run trains as a row of one lockstep_train call, each
+    row stopping after its own budget and each step on every live row's
+    own fixed-shape minibatch with a 0/1 mask of its negatives.
     """
     seed = check_seed(seed)
     check_fraction(c, "recall level")
@@ -360,24 +360,22 @@ def convex_sgd_convergence(
     )
     sub, pen, _, _ = _resolved(loss_spec, dataset)
     _, ref_loss = _searched_reference(dataset, loss_spec, 5.0, seed)
-    mean_excess = []
-    for t_steps in grid:
-        models = [
-            (loss_spec, TrainConfig(
-                learning_rate=0.5 / pen.size,
-                steps=t_steps,
-                seed=seed_of(seed, t_steps, trial),
-                momentum=0.0,
-                batch_size=min(batch_size, dataset.n),
-                constraint_batch_size=min(batch_size, sub.size),
-                eval_every=t_steps,
-                lr_decay="inv_sqrt",
-            ))
-            for trial in range(trials)
-        ]
-        results = lockstep_train(dataset, models)
-        gaps = np.array([r.final_train_loss for r in results]) - ref_loss
-        mean_excess.append(float(gaps.mean()))
+    models = [
+        (loss_spec, TrainConfig(
+            learning_rate=0.5 / pen.size,
+            steps=t_steps,
+            seed=seed_of(seed, t_steps, trial),
+            momentum=0.0,
+            batch_size=min(batch_size, dataset.n),
+            constraint_batch_size=min(batch_size, sub.size),
+            eval_every=t_steps,
+            lr_decay="inv_sqrt",
+        ))
+        for t_steps in grid for trial in range(trials)
+    ]
+    finals = np.array([r.final_train_loss for r in lockstep_train(dataset, models)])
+    gaps = finals.reshape(len(grid), trials) - ref_loss
+    mean_excess = [float(row.mean()) for row in gaps]
     return ConvexConvergenceReport(
         t_grid=grid,
         mean_excess=tuple(mean_excess),

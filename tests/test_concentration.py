@@ -182,6 +182,19 @@ def test_convex_convergence_shapes_and_determinism():
     assert d_dict["t_grid"] == [5, 10] and d_dict["trials"] == 2
 
 
+def test_convex_lab_trains_every_budget_in_one_lockstep_call(monkeypatch):
+    # the 2 budgets x 3 trials are the 6 rows of one call, each row
+    # stopping after its own budget
+    calls, lockstep = [], concentration.lockstep_train
+    monkeypatch.setattr(
+        concentration, "lockstep_train",
+        lambda d, models: calls.append([c.steps for _, c in models])
+        or lockstep(d, models))
+    convex_sgd_convergence(small_dataset(seed=17, n=80), c=0.8, batch_size=20,
+                           t_grid=[5, 10], trials=3, seed=31)
+    assert calls == [[5, 5, 5, 10, 10, 10]]
+
+
 def test_convex_preset_excess_falls_at_every_step():
     # a step of 0.5/sqrt(t) on the summed loss, about 190x the mean
     # loss's, read 931, 1078, 475, 2.72, 1.82: a transient, not a rate
