@@ -4,8 +4,8 @@ Three harnesses measure how quantile estimates, surrogate losses, and
 SGD solutions behave as the subsample size b grows: deviations should
 shrink like O(sqrt(1/b)), i.e. a log-log slope near -0.5.  Trial t at
 batch size b draws from its own stream, data.stream(seed, b, t), and
-the convex lab seeds trial t at step budget T with data.seed_of(seed,
-T, t), so trial order never matters and runs reproduce bitwise.
+the convex lab seeds trial t with data.seed_of(seed, max(t_grid), t),
+so trial order never matters and runs reproduce bitwise.
 
 Reported q95 deviations stand in for the failure probability delta of
 the underlying bounds; the bounds' constants are never instantiated.
@@ -341,10 +341,14 @@ def convex_sgd_convergence(
     0.5/(|P| sqrt(t)) on the summed loss, P the penalized negatives, so
     0.5/sqrt(t) on the mean loss, with no momentum; each step takes the
     next slice of the model's reshuffled queue over the positives as
-    its constraint minibatch, capped at the positive count.  Every
-    (budget, trial) run trains as a row of one lockstep_train call, each
-    row stopping after its own budget and each step on every live row's
-    own fixed-shape minibatch with a 0/1 mask of its negatives.
+    its constraint minibatch, capped at the positive count.  Neither
+    the step size nor a run's draws depend on its budget, so a T-step
+    run is the first T steps of a longer one at the same seed: each
+    trial trains once, as a row of one lockstep_train call, for
+    max(t_grid) steps, and budget T reads its loss off the row's trace,
+    evaluated every gcd(t_grid) steps: max(t_grid) / gcd(t_grid)
+    full-data value calls per row, 16 on the preset, max(t_grid) on a
+    coprime grid.
     """
     seed = check_seed(seed)
     check_fraction(c, "recall level")
@@ -360,22 +364,24 @@ def convex_sgd_convergence(
     )
     sub, pen, _, _ = _resolved(loss_spec, dataset)
     _, ref_loss = _searched_reference(dataset, loss_spec, 5.0, seed)
+    every = math.gcd(*grid)
     models = [
         (loss_spec, TrainConfig(
             learning_rate=0.5 / pen.size,
-            steps=t_steps,
-            seed=seed_of(seed, t_steps, trial),
+            steps=grid[-1],
+            seed=seed_of(seed, grid[-1], trial),
             momentum=0.0,
             batch_size=min(batch_size, dataset.n),
             constraint_batch_size=min(batch_size, sub.size),
-            eval_every=t_steps,
+            eval_every=every,
             lr_decay="inv_sqrt",
         ))
-        for t_steps in grid for trial in range(trials)
+        for trial in range(trials)
     ]
-    finals = np.array([r.final_train_loss for r in lockstep_train(dataset, models)])
-    gaps = finals.reshape(len(grid), trials) - ref_loss
-    mean_excess = [float(row.mean()) for row in gaps]
+    traces = np.array([r.loss_trace for r in lockstep_train(dataset, models)])
+    # (trials, budgets): each trial's loss after T steps, for each T
+    gaps = traces[:, [t // every - 1 for t in grid]] - ref_loss
+    mean_excess = [float(column.mean()) for column in gaps.T]
     return ConvexConvergenceReport(
         t_grid=grid,
         mean_excess=tuple(mean_excess),

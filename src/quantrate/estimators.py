@@ -176,9 +176,8 @@ def _window_weights(rows: np.ndarray, lo_hi) -> np.ndarray:
         # long at n = 20 000
         part[:, :hi].partition(lo, axis=-1)
         v_lo = part[:, lo]
-    np.copyto(part, _stable_window(rows, lo, hi, v_lo, v_hi))
-    part *= 1.0 / (hi - lo)
-    return part
+    return np.multiply(_stable_window(rows, lo, hi, v_lo, v_hi), 1.0 / (hi - lo),
+                       out=part)
 
 
 def _point_weights(rows: np.ndarray, k: int) -> np.ndarray:
@@ -196,7 +195,7 @@ def _point_weights(rows: np.ndarray, k: int) -> np.ndarray:
 def _plan(spec: QuantileEstimatorSpec, rows: np.ndarray, c):
     """(weights_of, params) of a partition-based kind over (K, n) score
     rows: weights_of(block, params[j]) weighs each of a block of rows by
-    row j's params.
+    row j's params; c is a K-vector of levels.
 
     point puts a one-hot on rank k = max(1, max{k : k/N <= c});
     lower_mean averages ranks 0..k-1, so it lower-bounds the point
@@ -215,7 +214,7 @@ def _plan(spec: QuantileEstimatorSpec, rows: np.ndarray, c):
                 f"for n={n}"
             )
         return _window_weights, [(lo, hi)] * columns
-    levels = np.full(columns, c).tolist()
+    levels = c.tolist()
     ranks = {v: max(1, order_rank(n, v)) for v in set(levels)}
     ks = [ranks[v] for v in levels]
     if spec.kind is EstimatorKind.POINT:
@@ -256,13 +255,14 @@ def _kernel_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndar
     h, normalize, c = spec.bandwidth, spec.normalize, np.atleast_1d(c)
     n_rows, n = rows.shape
     order = np.argsort(rows, axis=1)  # ties share a weight: any order
-    order += n * np.arange(n_rows)[:, None]  # flat indices into rows
+    order += np.arange(0, n * n_rows, n)[:, None]  # flat indices into rows
     ranked = rows.ravel()[order]
-    run_end = np.ones(rows.shape, dtype=bool)  # last of a run of ties
-    run_end[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
-    if run_end.all() and n * c.size <= _TABLE_MAX:
+    distinct = ranked[:, 1:] != ranked[:, :-1]
+    if distinct.all() and n * c.size <= _TABLE_MAX:
         w = _sorted_table(n, c.tobytes(), h, normalize)
     else:  # tied, or too large to keep: rank i* is that of its run's end
+        run_end = np.ones(rows.shape, dtype=bool)  # last of a run of ties
+        run_end[:, :-1] = distinct
         ends = np.where(run_end, np.arange(n), n)
         ranks = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1] + 1
         w = _kernel_at(ranks, n, c, h, normalize)
@@ -276,6 +276,13 @@ def _row_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndarray
     c[j] of a float64 K-vector; unchecked (see estimate and core_eval)."""
     if spec.kind is EstimatorKind.KERNEL:
         return _kernel_weights(spec, rows, c)
+    if spec.kind is not EstimatorKind.INTERVAL:
+        level = c if np.ndim(c) == 0 else c[0] if len(c) and (c == c[0]).all() else None
+        if level is not None:  # one level for every row: no plan
+            k = max(1, order_rank(rows.shape[1], float(level)))
+            if spec.kind is EstimatorKind.POINT:
+                return _point_weights(rows, k)
+            return _window_weights(rows, (0, k))
     weights_of, params = _plan(spec, rows, c)
     if len(set(params)) == 1:  # no gather and scatter
         return weights_of(rows, params[0])

@@ -129,7 +129,8 @@ def core_eval(
         raise DimensionError(
             f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
-    vector, W = w.ndim == 1, np.atleast_2d(w)
+    vector = w.ndim == 1
+    W = w[None] if vector else w
     sub_rows = _finite(_times(X_sub, W), "scores")
     if not want_grad:
         value, per_sample = _row_values(_times(X_pen, W), sub_rows, sign, level,
@@ -139,7 +140,9 @@ def core_eval(
             return float(value[0]), per_sample[0], None
         return value, per_sample, None
     q_weights = _row_weights(est_spec, sub_rows, level)  # C-ordered (K, m)
-    z = sign * (_times(X_pen, W) - row_dots(q_weights, sub_rows)[:, None])
+    pen_rows, theta = _times(X_pen, W), row_dots(q_weights, sub_rows)[:, None]
+    # sign * (pen - theta) but for a zero's sign, which _sigmoid ignores
+    z = pen_rows - theta if sign > 0 else theta - pen_rows
     a = _sigmoid(z)
     if pen_mask is not None:
         a *= pen_mask

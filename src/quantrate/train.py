@@ -114,8 +114,9 @@ def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
             grad = gradient(t, live, W)
             if decayed:
                 grad[:, free] += decay * W[:, free]
-            velocity = config.momentum * velocity - config.lr_at(t) * grad
-            W = W + velocity
+            velocity *= config.momentum
+            velocity -= config.lr_at(t) * grad
+            W += velocity
             if value is not None and t in evals:
                 due = np.isin(live, evals[t])
                 for k, loss in zip(live[due].tolist(), value(live[due], W[due]).tolist()):

@@ -14,17 +14,19 @@ from quantrate import (
     QuantileEstimatorSpec,
     RateConstraint,
     SurrogateLossSpec,
+    TrainConfig,
     concentration,
     convex_sgd_convergence,
     estimator_stability,
     generate_synthetic,
     load_preset,
     loss_uniform_deviation,
+    sgd_train,
     surrogate_loss,
 )
 from quantrate.config import concentration_spec
 from quantrate.concentration import _fit_slope, _searched_reference
-from quantrate.data import stream
+from quantrate.data import seed_of, stream
 from simd import by_dispatch
 
 KERNEL = QuantileEstimatorSpec(kind="kernel", bandwidth=0.05)
@@ -182,9 +184,9 @@ def test_convex_convergence_shapes_and_determinism():
     assert d_dict["t_grid"] == [5, 10] and d_dict["trials"] == 2
 
 
-def test_convex_lab_trains_every_budget_in_one_lockstep_call(monkeypatch):
-    # the 2 budgets x 3 trials are the 6 rows of one call, each row
-    # stopping after its own budget
+def test_convex_lab_trains_each_trial_once_in_one_lockstep_call(monkeypatch):
+    # the 3 trials are the 3 rows of one call, each running to the
+    # largest budget; both budgets read their losses off its trace
     calls, lockstep = [], concentration.lockstep_train
     monkeypatch.setattr(
         concentration, "lockstep_train",
@@ -192,7 +194,32 @@ def test_convex_lab_trains_every_budget_in_one_lockstep_call(monkeypatch):
         or lockstep(d, models))
     convex_sgd_convergence(small_dataset(seed=17, n=80), c=0.8, batch_size=20,
                            t_grid=[5, 10], trials=3, seed=31)
-    assert calls == [[5, 5, 5, 10, 10, 10]]
+    assert calls == [[10, 10, 10]]
+
+
+@pytest.mark.parametrize("t_grid", [[5, 10], [4, 6, 9]])
+def test_convex_lab_equals_its_lone_runs(t_grid):
+    # budget T's mean excess is the mean over trials of the lone T-step
+    # run at the trial's seed, seed_of(seed, max(t_grid), trial), less the
+    # reference loss, bit for bit
+    d, c, batch_size, trials, seed = small_dataset(seed=17, n=80), 0.8, 20, 3, 31
+    r = convex_sgd_convergence(d, c=c, batch_size=batch_size, t_grid=t_grid,
+                               trials=trials, seed=seed)
+    spec = SurrogateLossSpec("p_at_r", RateConstraint("positives", "at_least", c),
+                             QuantileEstimatorSpec(kind="lower_mean"))
+    n_pos, n_neg = np.count_nonzero(d.labels == 1), np.count_nonzero(d.labels == -1)
+    _, ref_loss = _searched_reference(d, spec, 5.0, seed)
+    assert r.ref_loss == ref_loss
+    want = []
+    for T in t_grid:
+        gaps = [sgd_train(d, spec, TrainConfig(
+            learning_rate=0.5 / n_neg, steps=T, momentum=0.0,
+            seed=seed_of(seed, t_grid[-1], trial),
+            batch_size=batch_size, constraint_batch_size=min(batch_size, n_pos),
+            lr_decay="inv_sqrt")).final_train_loss - ref_loss
+            for trial in range(trials)]
+        want.append(float(np.mean(gaps)))
+    assert r.mean_excess == tuple(want)
 
 
 def test_convex_preset_excess_falls_at_every_step():
@@ -236,7 +263,9 @@ def test_convex_convergence_validation(monkeypatch):
 # The stability reports must match exactly; the deviation lab sums its
 # K columns in another order, so it may move by 1e-12.  The convex
 # report was recorded again when its constraint batches came from a
-# reshuffled queue and its step from the mean loss.
+# reshuffled queue and its step from the mean loss, and its T=5 entry
+# and slope again when every budget read its trials' losses off the
+# largest budget's runs.
 GOLDEN_STABILITY = {
     "interval": {
         "batch_sizes": [20, 80, 320],
@@ -266,8 +295,8 @@ GOLDEN_LOSS_DEVIATION = {
     },
 }
 GOLDEN_CONVEX = {
-    "t_grid": [5, 10], "mean_excess": [4.364659391161193, 8.551273487844819],
-    "ref_loss": 41.0, "fitted_slope": 0.9702702142150358, "trials": 3, "seed": 31,
+    "t_grid": [5, 10], "mean_excess": [7.18634951087981, 8.551273487844819],
+    "ref_loss": 41.0, "fitted_slope": 0.25088018449977595, "trials": 3, "seed": 31,
 }
 
 # the kernel report and the convex report on numpy's AVX2 and baseline
@@ -279,8 +308,8 @@ GOLDEN_STABILITY_NO_AVX512 = dict(GOLDEN_STABILITY, kernel={
     "fitted_slope": -0.9082413102067666, "trials": 100, "seed": 4,
 })
 GOLDEN_CONVEX_NO_AVX512 = dict(
-    GOLDEN_CONVEX, mean_excess=[4.36465939116119, 8.551273487844817],
-    fitted_slope=0.9702702142150371)
+    GOLDEN_CONVEX, mean_excess=[7.186349510879808, 8.551273487844817],
+    fitted_slope=0.2508801844997768)
 
 
 def test_golden_stability_reports():

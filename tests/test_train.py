@@ -419,6 +419,25 @@ def test_lockstep_rows_with_mixed_budgets_equal_their_single_model_runs(
         assert got.final_train_loss == alone.final_train_loss
 
 
+@pytest.mark.parametrize("lr_decay", ["constant", "inv_sqrt"])
+@pytest.mark.parametrize("batches", [
+    pytest.param({}, id="full-batch"),
+    pytest.param({"batch_size": 7, "constraint_batch_size": 5}, id="minibatch"),
+    pytest.param({"batch_size": 7}, id="intersection"),
+])
+def test_a_run_is_the_prefix_of_any_longer_run(batches, lr_decay):
+    # no step reads the budget: a T-step run ends where the same seed's
+    # 20-step run is after step T, across the queues' refills; the
+    # convex lab reads every budget off one run on this
+    d = small_dataset(seed=59, n=40, dim=4)
+    [(spec, config)] = lockstep_models(QuantileEstimatorSpec(kind="lower_mean"),
+                                       K=1, lr_decay=lr_decay, **batches)
+    long = sgd_train(d, spec, replace(config, steps=20, eval_every=1))
+    for T in range(1, 21):
+        short = sgd_train(d, spec, replace(config, steps=T))
+        assert short.final_train_loss == long.loss_trace[T - 1]
+
+
 def test_lockstep_models_must_share_all_but_level_decay_and_seed():
     d = small_dataset(seed=67)
     models = lockstep_models(POINT, K=3)
