@@ -10,7 +10,7 @@ and the concentration-scaling harnesses.
 
 import inspect as _inspect
 
-from .baseline import baseline_with_threshold, logistic_train
+from .baseline import logistic_train
 from .concentration import (
     ConcentrationReport,
     ConvexConvergenceReport,

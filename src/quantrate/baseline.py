@@ -1,8 +1,8 @@
-"""Maximum-likelihood logistic regression plus threshold adjustment.
+"""Maximum-likelihood logistic regression, the comparison baseline.
 
-The comparison pipeline the quantile method is measured against: fit a
-regularized logistic model, then move its decision threshold until the
-rate constraint holds.  The bias enters as an appended constant-1
+The model the quantile method is measured against: a regularized
+logistic fit, whose decision threshold the experiment's metrics then
+set at the rate constraint.  The bias enters as an appended constant-1
 feature; weight decay applies to the feature weights only, so in the
 strong-decay limit the bias still carries the class prior.
 
@@ -19,15 +19,8 @@ import numpy as np
 
 from .errors import SingleClass
 from .losses import _sigmoid, _softplus, _times
-from .metrics import calibrate_threshold
 from .train import _alike, _descend
-from .types import (
-    Dataset,
-    LinearModel,
-    RateConstraint,
-    TrainConfig,
-    constraint_indices,
-)
+from .types import Dataset, LinearModel, TrainConfig
 
 
 def with_bias(features) -> np.ndarray:
@@ -71,7 +64,7 @@ def lockstep_logistic_train(
     X_aug = with_bias(dataset.features)
     neg_y = -dataset.labels.astype(np.float64)
 
-    def gradient(t, live, W):
+    def gradient(t, W):
         # d/ds log(1+e^(-s)) = -sigmoid(-s) at margin s; -s = -y w.x~ exactly
         return _times(X_aug.T, neg_y * _sigmoid(neg_y * _times(X_aug, W)))
 
@@ -80,21 +73,3 @@ def lockstep_logistic_train(
                     tolerance=1e-6)
     return [LinearModel(w) for w in W]
 
-
-def baseline_with_threshold(
-    dataset: Dataset,
-    constraint: RateConstraint,
-    weight_decay: float,
-    config: TrainConfig,
-) -> LinearModel:
-    """Logistic fit carrying its exactly calibrated threshold.
-
-    The threshold is calibrated on the constraint subset's scores of
-    the training data, so the constraint holds there by construction.
-    The weights live in the bias-augmented feature space (bias last);
-    score inputs with with_bias before comparing against the threshold.
-    """
-    fitted = logistic_train(dataset, weight_decay, config)
-    sub = constraint_indices(dataset, constraint)
-    scores = fitted.scores(with_bias(dataset.features[sub]))
-    return LinearModel(fitted.weights, calibrate_threshold(scores, constraint))

@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(exp_p, data=True, seed=True)
     exp_p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the repetitions (at most reps)",
+        help="worker processes for the tasks, two per repetition",
     )
     exp_p.set_defaults(fn=cmd_experiment)
 

@@ -163,11 +163,10 @@ def _stable_window(rows: np.ndarray, lo: int, hi: int, v_lo, v_hi) -> np.ndarray
     return inside
 
 
-def _window_weights(rows: np.ndarray, lo_hi) -> np.ndarray:
+def _window_weights(rows: np.ndarray, hi: int, lo: int = 0) -> np.ndarray:
     """Weight 1/(hi - lo) on the stable ranks lo..hi-1 of each row,
     written over a partitioned copy of the rows once it has given each
     row's scores at ranks lo (-inf when lo is 0) and hi - 1."""
-    lo, hi = lo_hi
     part = np.partition(rows, hi - 1, axis=-1)
     v_lo, v_hi = np.full(len(rows), -np.inf), part[:, hi - 1]
     if lo:
@@ -190,36 +189,6 @@ def _point_weights(rows: np.ndarray, k: int) -> np.ndarray:
     v = np.partition(rows, k - 1, axis=1)[:, k - 1 : k]
     last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] == v, axis=1)
     return (np.arange(rows.shape[1]) == last[:, None]) * 1.0
-
-
-def _plan(spec: QuantileEstimatorSpec, rows: np.ndarray, c):
-    """(weights_of, params) of a partition-based kind over (K, n) score
-    rows: weights_of(block, params[j]) weighs each of a block of rows by
-    row j's params; c is a K-vector of levels.
-
-    point puts a one-hot on rank k = max(1, max{k : k/N <= c});
-    lower_mean averages ranks 0..k-1, so it lower-bounds the point
-    estimate and makes the downstream loss convex for linear models
-    (c < 1/N falls back to k=1, the minimum, so small constraint
-    minibatches never abort training); interval averages the ascending
-    order statistics at 1-based indices lo+1 through hi inclusive, with
-    lo and hi the largest k with k/N <= k1 and k/N <= k2, and ignores c.
-    """
-    columns, n = rows.shape
-    if spec.kind is EstimatorKind.INTERVAL:
-        lo, hi = order_rank(n, spec.k1), order_rank(n, spec.k2)
-        if hi <= lo:
-            raise DegenerateInterval(
-                f"window ({spec.k1}, {spec.k2}] selects no order statistics "
-                f"for n={n}"
-            )
-        return _window_weights, [(lo, hi)] * columns
-    levels = c.tolist()
-    ranks = {v: max(1, order_rank(n, v)) for v in set(levels)}
-    ks = [ranks[v] for v in levels]
-    if spec.kind is EstimatorKind.POINT:
-        return _point_weights, ks
-    return _window_weights, [(0, k) for k in ks]
 
 
 def _kernel_at(ranks: np.ndarray, n: int, c, h: float, normalize: bool):
@@ -273,24 +242,39 @@ def _kernel_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndar
 
 def _row_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndarray:
     """Weights of C-ordered (K, n) finite scores, row j at level c or
-    c[j] of a float64 K-vector; unchecked (see estimate and core_eval)."""
+    c[j] of a float64 K-vector; unchecked (see estimate and core_eval).
+
+    point puts a one-hot on rank k = max(1, max{k : k/N <= c});
+    lower_mean averages ranks 0..k-1, so it lower-bounds the point
+    estimate and makes the downstream loss convex for linear models
+    (c < 1/N falls back to k=1, the minimum, so small constraint
+    minibatches never abort training); the rows of one rank are weighed
+    at once.  interval averages the ascending order statistics at
+    1-based indices lo+1 through hi inclusive, with lo and hi the
+    largest k with k/N <= k1 and k/N <= k2, and ignores c.
+    """
     if spec.kind is EstimatorKind.KERNEL:
         return _kernel_weights(spec, rows, c)
-    if spec.kind is not EstimatorKind.INTERVAL:
-        level = c if np.ndim(c) == 0 else c[0] if len(c) and (c == c[0]).all() else None
-        if level is not None:  # one level for every row: no plan
-            k = max(1, order_rank(rows.shape[1], float(level)))
-            if spec.kind is EstimatorKind.POINT:
-                return _point_weights(rows, k)
-            return _window_weights(rows, (0, k))
-    weights_of, params = _plan(spec, rows, c)
-    if len(set(params)) == 1:  # no gather and scatter
-        return weights_of(rows, params[0])
-    w = np.empty(rows.shape)
-    for p in set(params):  # the rows sharing a rank window at once
-        idx = [j for j, q in enumerate(params) if q == p]
-        w[idx] = weights_of(rows[idx], p)
-    return w
+    n = rows.shape[1]
+    if spec.kind is EstimatorKind.INTERVAL:
+        lo, hi = order_rank(n, spec.k1), order_rank(n, spec.k2)
+        if hi <= lo:
+            raise DegenerateInterval(
+                f"window ({spec.k1}, {spec.k2}] selects no order statistics "
+                f"for n={n}"
+            )
+        return _window_weights(rows, hi, lo)
+    weigh = _point_weights if spec.kind is EstimatorKind.POINT else _window_weights
+    if np.ndim(c):
+        if not (c == c[0]).all():  # the rows sharing a rank at once
+            ranks = np.array([max(1, order_rank(n, v)) for v in c.tolist()])
+            w = np.empty(rows.shape)
+            for k in np.unique(ranks).tolist():
+                at = ranks == k
+                w[at] = weigh(rows[at], k)
+            return w
+        c = c[0]
+    return weigh(rows, max(1, order_rank(n, float(c))))
 
 
 def estimate(spec: QuantileEstimatorSpec, scores, c) -> QuantileResult:

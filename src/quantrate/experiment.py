@@ -233,11 +233,11 @@ def _run(
 ) -> ExperimentResult:
     """The experiment loop shared by both kinds: a task per method of each
     repetition (see _one_rep), quantile tasks first as the longest, on at
-    most one worker per repetition; then selection and aggregation."""
+    most jobs workers; then selection and aggregation."""
     levels, decays, grid = spec.levels, spec.weight_decays, spec.curve_grid
     methods = (METHOD_QUANTILE, METHOD_LOGISTIC)
     tasks = [(spec, dataset, seed, rep, m) for m in methods for rep in range(spec.reps)]
-    done = _map_reps(_one_rep, tasks, min(jobs, spec.reps))
+    done = _map_reps(_one_rep, tasks, jobs)
     # done is method-major; regrouped by rep, it gives
     # values[rep, method, side, level, decay]; curves[rep, method, decay, point]
     values, curves = (

@@ -9,16 +9,15 @@ follow over the dataset, or the intersection of the sample minibatch
 with the subset (when it is full).
 
 Models train in lockstep: one descent loop over a (K, d) weight
-matrix, one run per row, makes one stacked core_eval call per step
-for the live rows; a single run is the case K=1, and lockstep_train
-trains a model's restarts as its rows and keeps the best.  The rows
-share the dataset and every setting of their loss specs and configs
-but the level (constraint target), the weight decay, the seed, steps
-and eval_every; the loop runs to the largest steps, and a row leaves
-it after its own.  A minibatch step takes each live row's own batch, a
-(live, batch_size, d) stack, with a 0/1 mask of its penalized samples
-in place of a gather of ragged size.  The logistic baseline runs on
-the same loop, _descend.
+matrix, one run per row, makes one stacked core_eval call per step;
+a single run is the case K=1, and lockstep_train trains a model's
+restarts as its rows and keeps the best.  The rows share the dataset
+and every setting of their loss specs and configs, steps and
+eval_every among them, but the level (constraint target), the weight
+decay and the seed.  A minibatch step takes each row's own batch, a
+(K, batch_size, d) stack, with a 0/1 mask of its penalized samples in
+place of a gather of ragged size.  The logistic baseline runs on the
+same loop, _descend.
 
 Determinism contract, per row: one PCG64 generator seeded from that
 row's seed drives, in order, its weight initialization and the
@@ -51,21 +50,20 @@ Model = Tuple[SurrogateLossSpec, TrainConfig]
 
 
 def _batches(rngs, n: int, size: int):
-    """A function of step t and the live rows, a sorted index array, giving
-    their (live, size) index batches: row k takes the next size entries
-    of rngs[k]'s permutation of range(n), and a tail shorter than size is
-    dropped and the live rows reshuffle, at the same step for every row.
-    A row left out of live draws nothing more."""
+    """A function of step t giving the rows' (K, size) index batches: row
+    k takes the next size entries of rngs[k]'s permutation of range(n),
+    and a tail shorter than size is dropped and every row reshuffles, at
+    the same step."""
     queue, per_pass = np.empty((len(rngs), n), dtype=int), n // size
 
-    def take(t, live):
+    def take(t):
         start = (t - 1) % per_pass * size
         if start == 0:
             # rng.permutation(n) is rng.shuffle of a fresh arange(n)
-            queue[live] = np.arange(n)
-            for k in live.tolist():
-                rngs[k].shuffle(queue[k])
-        return queue[live, start : start + size]
+            queue[:] = np.arange(n)
+            for rng, row in zip(rngs, queue):
+                rng.shuffle(row)
+        return queue[:, start : start + size]
 
     return take
 
@@ -83,16 +81,16 @@ def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
              value=None, free=slice(None), tolerance=None):
     """The descent loop of both trainers.  Row k of the (K, d) weights,
     d the width of X, starts at configs[k].init_scale times rngs[k]'s
-    first normals and runs at most configs[k].steps steps.  Step t takes
-    W, the weights of the live rows (the sorted index array live), adds
-    weight_decay * W in the columns free to gradient(t, live, W) and sets
-    v <- momentum * v - lr_t * g, W <- W + v; row k's trace takes
-    value(rows, W of rows) after each of its eval_every-th steps and its
-    last.  A row leaves the live rows, its weights fixed, after its last
-    step or after the first step whose 1-d gradient norm is at most
-    tolerance.  Returns the weights and the K traces; inf or nan weights
-    raise Diverged, as do the scores or losses that core_eval refuses as
-    not finite."""
+    first normals; the rows share configs[0]'s steps, eval_every and
+    update rule.  Step t adds weight_decay * W in the columns free to
+    gradient(t, W) and sets v <- momentum * v - lr_t * g, W <- W + v;
+    after each eval_every-th step and the last, the trace takes the
+    K-vector value(W).  With a tolerance, a row leaves the loop, its
+    weights fixed, after the first step whose 1-d gradient norm is at
+    most tolerance, and W and the gradient hold the rows still in it; no
+    caller passes value with a tolerance.  Returns the weights and the
+    (K, evals) trace; inf or nan weights raise Diverged, as do the
+    scores or losses that core_eval refuses as not finite."""
     config = configs[0]
     W = np.stack([c.init_scale * rng.standard_normal(X.shape[1])
                   for c, rng in zip(configs, rngs)])
@@ -101,35 +99,25 @@ def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
     # which can only turn a -0.0 entry into +0.0, and the velocity and
     # weight updates treat both zeros alike
     decayed = decay.any()
-    budget = np.array([c.steps for c in configs])
-    ends, evals = set(budget.tolist()), {}
-    for k, c in enumerate(configs):
-        for s in (*range(c.eval_every, c.steps, c.eval_every), c.steps):
-            evals.setdefault(s, []).append(k)
     velocity, fitted = np.zeros_like(W), np.empty_like(W)
-    live, traces = np.arange(len(configs)), [[] for _ in configs]
-    cause = None
+    live, trace, cause = np.arange(len(configs)), [], None
     try:
-        for t in range(1, budget.max() + 1):
-            grad = gradient(t, live, W)
+        for t in range(1, config.steps + 1):
+            grad = gradient(t, W)
             if decayed:
                 grad[:, free] += decay * W[:, free]
             velocity *= config.momentum
             velocity -= config.lr_at(t) * grad
             W += velocity
-            if value is not None and t in evals:
-                due = np.isin(live, evals[t])
-                for k, loss in zip(live[due].tolist(), value(live[due], W[due]).tolist()):
-                    traces[k].append(loss)
-            stop = budget[live] == t if t in ends else None
+            if value is not None and (t % config.eval_every == 0 or t == config.steps):
+                trace.append(value(W))
             if tolerance is not None:
-                flat = np.sqrt(row_dots(grad, grad)) <= tolerance
-                stop = flat if stop is None else stop | flat
-            if stop is not None and stop.any():
-                fitted[live[stop]] = W[stop]
-                live, W, velocity, decay = (a[~stop] for a in (live, W, velocity, decay))
-                if live.size == 0:
-                    break
+                stop = np.sqrt(row_dots(grad, grad)) <= tolerance
+                if stop.any():
+                    fitted[live[stop]] = W[stop]
+                    live, W, velocity, decay = (a[~stop] for a in (live, W, velocity, decay))
+                    if live.size == 0:
+                        break
     except InvalidSpec as exc:
         # core_eval refuses inf or nan subset scores or values with a
         # plain InvalidSpec, which here means divergence; a subclass is
@@ -141,26 +129,25 @@ def _descend(configs: Sequence[TrainConfig], rngs, X: np.ndarray, gradient,
     if cause is not None or not np.all(np.isfinite(fitted)):
         raise Diverged(f"training diverged by step {t}: "
                        "weights, scores or losses are not finite") from cause
-    return fitted, traces
+    return fitted, np.transpose(trace)
 
 
 def _train_rows(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
     """Train each (loss_spec, config) row, one run at config.seed.
 
     The rows, one or more, must agree on all but the constraint target,
-    the weight decay, the seed, steps and eval_every.  They train in one
-    lockstep loop, each row stopping after its own steps, and a row that
-    overflows within its steps raises Diverged for the whole call, at the
-    first step any row overflowed.  Minibatch rows with no
+    the weight decay and the seed.  They train in one lockstep loop, and
+    a row that overflows raises Diverged for the whole call, at the first
+    step any row overflowed.  Minibatch rows with no
     constraint_batch_size train one per loop, in order, since their
     constraint batch, the minibatch's share of the subset, differs in size
     from row to row; the first of them to overflow raises.  A batch larger
     than its data, the dataset or the subset, raises BatchTooLarge.
     """
     _alike([(spec, spec.constraint, cfg) for spec, cfg in models],
-           ["constraint", "target", "seed", "weight_decay", "steps", "eval_every"],
-           "lockstep models may differ only in target, weight_decay, seed, "
-           "steps, eval_every and restarts")
+           ["constraint", "target", "seed", "weight_decay"],
+           "lockstep models may differ only in target, weight_decay, seed "
+           "and restarts")
     loss_spec, config = models[0]
     full_batch = config.batch_size is None
     independent = config.constraint_batch_size is not None
@@ -187,15 +174,15 @@ def _train_rows(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
     sub_batches = (_batches(rngs, sub.size, config.constraint_batch_size)
                    if independent else None)
 
-    def gradient(t, live, W):
+    def gradient(t, W):
         if full_batch:
             pen_rows, mask = X_pen, None
         else:
-            batch = batches(t, live)
+            batch = batches(t)
             # take gathers the (K, b) indices 5x faster than X[batch]
             pen_rows, mask = X.take(batch, axis=0), pen_mask[batch]
         if independent:
-            sub_rows = X_sub.take(sub_batches(t, live), axis=0)
+            sub_rows = X_sub.take(sub_batches(t), axis=0)
         elif full_batch:
             sub_rows = X_sub
         else:  # one model: its minibatch's share of the subset
@@ -208,7 +195,7 @@ def _train_rows(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
                 )
             sub_rows = X[sub_batch]
         _, _, grad = core_eval(
-            W, pen_rows, sub_rows, sign, level[live], loss_spec.estimator,
+            W, pen_rows, sub_rows, sign, level, loss_spec.estimator,
             loss_spec.logloss_base, want_grad=True, pen_mask=mask,
         )
         if full_batch:
@@ -217,8 +204,8 @@ def _train_rows(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
         in_batch = np.maximum(mask.sum(axis=1), 1.0)
         return (pen.size / in_batch)[:, None] * grad
 
-    def value(rows, W):
-        return core_eval(W, X_pen, X_sub, sign, level[rows], loss_spec.estimator,
+    def value(W):
+        return core_eval(W, X_pen, X_sub, sign, level, loss_spec.estimator,
                          loss_spec.logloss_base)[0]
 
     W, traces = _descend(configs, rngs, X, gradient, value)
@@ -230,7 +217,7 @@ def _train_rows(dataset: Dataset, models: Sequence[Model]) -> List[TrainResult]:
             restart_index=0,
             seed_used=cfg.seed,
         )
-        for k, (cfg, trace) in enumerate(zip(configs, traces))
+        for k, (cfg, trace) in enumerate(zip(configs, traces.tolist()))
     ]
 
 

@@ -11,13 +11,9 @@ from quantrate import (
     Diverged,
     InvalidSpec,
     LinearModel,
-    RateConstraint,
     SingleClass,
     TrainConfig,
-    baseline_with_threshold,
-    calibrate_threshold,
     logistic_train,
-    rate,
 )
 from quantrate import baseline, losses
 from quantrate.baseline import lockstep_logistic_train, with_bias
@@ -81,24 +77,6 @@ def test_single_class_raises():
     d = Dataset([[1.0], [2.0]], [1, 1])
     with pytest.raises(SingleClass):
         logistic_train(d, 0.1, fit_config(steps=10))
-
-
-def test_baseline_threshold_is_the_calibrated_one():
-    d = separable_free_dataset(13)
-    constraint = RateConstraint("positives", "at_least", 0.8)
-    model = baseline_with_threshold(d, constraint, 0.5, fit_config())
-    pos_scores = with_bias(d.features[d.positive_indices()]) @ model.weights
-    assert model.threshold == calibrate_threshold(pos_scores, constraint)
-    # the constraint holds on the training subset by construction
-    assert rate(pos_scores, model.threshold) >= 0.8
-
-
-def test_baseline_at_most_constraint_holds():
-    d = separable_free_dataset(17)
-    constraint = RateConstraint("negatives", "at_most", 0.1)
-    model = baseline_with_threshold(d, constraint, 0.5, fit_config())
-    neg_scores = with_bias(d.features[d.negative_indices()]) @ model.weights
-    assert rate(neg_scores, model.threshold) <= 0.1
 
 
 def test_fit_is_deterministic():

@@ -125,10 +125,18 @@ def test_jobs_do_not_change_results():
     assert multiprocessing.active_children() == []
 
 
-def test_more_jobs_than_reps_runs_one_worker_per_rep():
-    r1, _ = run_experiment(tiny_recall_config(reps=3), jobs=1)
-    r8, _ = run_experiment(tiny_recall_config(reps=3), jobs=8)
-    assert r1.to_dict() == r8.to_dict()
+def test_more_jobs_than_tasks_runs_one_worker_per_task(monkeypatch):
+    # a repetition is two tasks, one per method, so one repetition at
+    # --jobs 2 keeps two workers busy
+    import concurrent.futures
+    pool, workers = concurrent.futures.ProcessPoolExecutor, []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda n, **kw: workers.append(n) or pool(n, **kw))
+    for reps, jobs in ((1, 2), (3, 8)):
+        serial, _ = run_experiment(tiny_recall_config(reps=reps), jobs=1)
+        pooled, _ = run_experiment(tiny_recall_config(reps=reps), jobs=jobs)
+        assert serial.to_dict() == pooled.to_dict()
+    assert workers == [2, 6]
     assert multiprocessing.active_children() == []
 
 
@@ -187,7 +195,6 @@ def test_a_serial_run_never_loads_the_process_pool():
         "from quantrate import run_experiment",
         f"config = json.loads({json.dumps(tiny_recall_config())!r})",
         "run_experiment(config, jobs=1)",
-        "run_experiment(dict(config, reps=1), jobs=2)",
         "print(sorted(m for m in sys.modules",
         "             if m.startswith(('concurrent.futures.', 'multiprocessing'))))",
     ])

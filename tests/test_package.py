@@ -11,7 +11,7 @@ MixtureComponent NoConstraintSubset NonMonotonicIndex NonpositiveScale Objective
 PRPoint ParseError Penalize QuantileEstimatorSpec QuantileResult QuantrateError
 RaggedRows RateConstraint SingleClass SplitSpec StandardizeTransform Subset
 SurrogateLossSpec SyntheticSpec TrainConfig TrainResult UncalibratedError
-UnknownLabel baseline_with_threshold calibrate_threshold constraint_indices
+UnknownLabel calibrate_threshold constraint_indices
 convex_sgd_convergence estimate estimator_stability evaluate exact_quantile
 generate_mixture generate_synthetic load_delimited load_preset load_sparse
 lockstep_train logistic_train logloss loss_gradient loss_uniform_deviation
@@ -22,6 +22,6 @@ run_experiment sgd_train split standardize surrogate_loss write_results
 
 
 def test_all_names_the_public_surface_and_no_submodule():
-    assert len(PUBLIC) == 79
+    assert len(PUBLIC) == 78
     assert quantrate.__all__ == sorted(PUBLIC)
     assert "train" not in quantrate.__all__ and "types" not in quantrate.__all__

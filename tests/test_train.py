@@ -388,37 +388,6 @@ def test_lockstep_models_with_mixed_restarts_equal_their_best_alone(batches):
     assert any(got.restart_index > 0 for got in results)
 
 
-@pytest.mark.parametrize("estimator", [
-    pytest.param(POINT, id="point"),
-    pytest.param(QuantileEstimatorSpec(kind="lower_mean"), id="lower_mean"),
-    pytest.param(QuantileEstimatorSpec(kind="kernel", bandwidth=0.1), id="kernel"),
-])
-@pytest.mark.parametrize("batches", [
-    pytest.param({}, id="full-batch"),
-    pytest.param({"batch_size": 7, "constraint_batch_size": 5}, id="minibatch"),
-    # no constraint_batch_size: one loop per run
-    pytest.param({"batch_size": 7}, id="intersection"),
-])
-def test_lockstep_rows_with_mixed_budgets_equal_their_single_model_runs(
-        estimator, batches):
-    # six rows of their own steps and eval points in one call: the
-    # minibatch queues of 40 samples refill at steps 1, 6, 11 and 16
-    # (the constraint queue's at 1, 9 and 17), after the 1- and 3-step
-    # rows stopped; each row is bit for bit what sgd_train gives alone
-    d = small_dataset(seed=59, n=40, dim=4)
-    models = [(spec, replace(config, steps=steps, eval_every=every))
-              for (spec, config), steps, every
-              in zip(lockstep_models(estimator, K=6, **batches),
-                     (3, 11, 7, 11, 1, 20), (4, 4, 2, 5, 1, 3))]
-    results = lockstep_train(d, models)
-    assert [len(got.loss_trace) for got in results] == [1, 3, 4, 3, 1, 7]
-    for (spec, config), got in zip(models, results):
-        alone = sgd_train(d, spec, config)
-        assert got.model.weights.tobytes() == alone.model.weights.tobytes()
-        assert got.loss_trace == alone.loss_trace
-        assert got.final_train_loss == alone.final_train_loss
-
-
 @pytest.mark.parametrize("lr_decay", ["constant", "inv_sqrt"])
 @pytest.mark.parametrize("batches", [
     pytest.param({}, id="full-batch"),
@@ -449,14 +418,16 @@ def test_lockstep_models_must_share_all_but_level_decay_and_seed():
         lockstep_train(d, models[:2] + [(other, models[2][1])])
     with pytest.raises(InvalidSpec):
         lockstep_train(d, [])
-    # minibatch rows too, whether they train in one loop or one by one
-    for cbs in (4, None):
-        mb = lockstep_models(POINT, K=3, batch_size=5,
-                             constraint_batch_size=cbs)
-        for change in (dict(batch_size=6), dict(learning_rate=0.3)):
-            odd = (mb[2][0], replace(mb[2][1], **change))
+    # one step budget for every row; minibatch rows too, whether they
+    # train in one loop or one by one
+    for batches in ({}, dict(batch_size=5, constraint_batch_size=4),
+                    dict(batch_size=5)):
+        rows = lockstep_models(POINT, K=3, **batches)
+        for change in (dict(batch_size=6), dict(learning_rate=0.3),
+                       dict(steps=12), dict(eval_every=3)):
+            odd = (rows[2][0], replace(rows[2][1], **change))
             with pytest.raises(InvalidSpec):
-                lockstep_train(d, mb[:2] + [odd])
+                lockstep_train(d, rows[:2] + [odd])
 
 
 def diverged_step(call):
@@ -499,42 +470,6 @@ def test_lockstep_divergence_reports_the_first_row_to_overflow():
         assert diverged_step(lambda: lockstep_train(d, models)) == min(alone)
         assert diverged_step(
             lambda: lockstep_train(d, models[:2])) == alone[0]
-
-
-@pytest.mark.parametrize("batches", [
-    pytest.param({}, id="full-batch"),
-    pytest.param({"batch_size": 5, "constraint_batch_size": 4}, id="minibatch"),
-])
-def test_a_row_stops_at_its_budget_before_it_would_overflow(batches):
-    # a decay of 1e100 overflows within a few steps; a row of that decay
-    # whose budget ends first leaves the loop with finite weights beside
-    # a healthy 20-step row, while one step more still raises at the
-    # step it raises at alone
-    d = small_dataset(seed=71, n=20, dim=3)
-    spec = fp_spec()
-    healthy = (spec, TrainConfig(learning_rate=1.0, steps=20, seed=0,
-                                 eval_every=20, weight_decay=0.01, **batches))
-    blowup = replace(healthy[1], seed=2, weight_decay=1e100)
-    last = 1  # the longest budget the 1e100 row completes alone
-    while last < 20:
-        try:
-            sgd_train(d, spec, replace(blowup, steps=last + 1))
-        except Diverged:
-            break
-        last += 1
-    # alone at 20 steps it overflows after that budget
-    assert last < diverged_step(lambda: sgd_train(d, spec, blowup))
-    short = (spec, replace(blowup, steps=last))
-    for got, (spec_k, config) in zip(lockstep_train(d, [short, healthy]),
-                                     [short, healthy]):
-        alone = sgd_train(d, spec_k, config)
-        assert got.model.weights.tobytes() == alone.model.weights.tobytes()
-        assert got.loss_trace == alone.loss_trace
-    longer = (spec, replace(blowup, steps=last + 1))
-    alone = diverged_step(lambda: sgd_train(d, *longer))
-    assert alone == last + 1
-    assert diverged_step(
-        lambda: lockstep_train(d, [short, healthy, longer])) == alone
 
 
 def constraint_draws(monkeypatch, d, models):

@@ -29,9 +29,22 @@ the preset's estimator and level, as the fastest of 7 runs of 20 calls.
 perfbench books this path to `concentration`, so it has no layer of
 its own there.
 
+It also counts package calls per loop step, a figure that host noise
+cannot blur: the `call` and `c_call` profile events whose caller is a
+quantrate frame, in a 20-step lockstep_train call less those in a
+10-step one, over 10 (steps 11-20 less steps 1-10; each run evaluates
+its loss once, after its last step, follows an uncounted run and
+starts with `_sorted_table` cleared).  It counts the K=4 models above
+at full batch with each estimator kind, and 10 lower-mean rows of the
+convex lab's minibatch training on its preset's data: batches of 50
+and constraint batches of 50 drawn from each row's own queues.  Python
+3.11 counts a list comprehension as a call; later versions inline it,
+and operators such as `a + b` make no event.
+
 The last line is one JSON object with the eight figures in
-microseconds and the quantile/logistic ratio at K=4, the cost of the
-rate constraint over the unconstrained loss on the same data and K.
+microseconds, the quantile/logistic ratio at K=4, the cost of the rate
+constraint over the unconstrained loss on the same data and K, and the
+five counts of calls per step.
 """
 
 from __future__ import annotations
@@ -50,9 +63,18 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import write_ionosphere  # noqa: E402
-from quantrate import RateConstraint, SurrogateLossSpec, baseline, estimate  # noqa: E402
+from quantrate import (  # noqa: E402
+    QuantileEstimatorSpec,
+    RateConstraint,
+    SurrogateLossSpec,
+    TrainConfig,
+    baseline,
+    estimate,
+    estimators,
+    generate_synthetic,
+)
 from quantrate import presets  # noqa: E402
-from quantrate.config import estimator_spec, experiment_spec  # noqa: E402
+from quantrate.config import concentration_spec, estimator_spec, experiment_spec  # noqa: E402
 from quantrate.data import split, standardize  # noqa: E402
 from quantrate.experiment import load_experiment_dataset  # noqa: E402
 from quantrate.losses import _row_values  # noqa: E402
@@ -60,6 +82,11 @@ from quantrate.train import lockstep_train, sgd_train  # noqa: E402
 
 SEED, REPEATS, CALLS, LAB_CALLS = 1, 7, 100, 20
 LAB_PENALIZED = 2240  # the negatives of a b = 3200 batch at positive prior 0.3
+PARTITION_KINDS = (  # beside the preset's kernel
+    QuantileEstimatorSpec(kind="point"),
+    QuantileEstimatorSpec(kind="lower_mean"),
+    QuantileEstimatorSpec(kind="interval", k1=0.25, k2=0.75),
+)
 
 
 def fastest(call) -> float:
@@ -71,7 +98,40 @@ def fastest(call) -> float:
     return best
 
 
-def main() -> int:
+def package_calls(call) -> int:
+    """The call and c_call events of call() whose caller is a quantrate
+    frame, with the kernel's table cache cleared first."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        caller = frame.f_back if event == "call" else frame
+        if event in ("call", "c_call") and caller is not None:
+            count += caller.f_globals.get("__name__", "").startswith("quantrate")
+
+    estimators._sorted_table.cache_clear()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def calls_per_step(dataset, models) -> float:
+    """Package calls per loop step of lockstep_train(dataset, models):
+    steps 11-20 of a 20-step call less steps 1-10 of a 10-step one, each
+    counted after an uncounted call, which fills the record types' caches."""
+    counts = []
+    for steps in (10, 20):
+        rows = [(spec, replace(c, steps=steps, eval_every=20)) for spec, c in models]
+        lockstep_train(dataset, rows)
+        counts.append(package_calls(lambda: lockstep_train(dataset, rows)))
+    return (counts[1] - counts[0]) / 10
+
+
+def ionosphere():
+    """The preset's spec and its standardized training split at SEED."""
     config = presets.load_preset("ionosphere")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ionosphere.data"
@@ -79,8 +139,40 @@ def main() -> int:
         dataset = load_experiment_dataset(config, str(path))
     spec = experiment_spec(config)
     train_set, test_set = split(dataset, replace(spec.split, seed=SEED))
-    train_set, _, _ = standardize(train_set, test_set)
+    return spec, standardize(train_set, test_set)[0]
 
+
+def full_batch_calls(train_set, first_level) -> dict:
+    """calls_per_step of the K=4 models at each estimator kind."""
+    return {
+        estimator.kind.value: calls_per_step(train_set, [
+            (replace(loss, estimator=estimator), c) for loss, c in first_level])
+        for estimator in (first_level[0][0].estimator, *PARTITION_KINDS)
+    }
+
+
+def minibatch_calls() -> float:
+    """calls_per_step of the convex lab's minibatch rows: 10 trials of
+    lower-mean recall training with batches of 50 on its preset's data."""
+    lab = presets.load_preset("convex_convergence")
+    _, args = concentration_spec(lab, None)
+    dataset = generate_synthetic(args["dataset"])
+    loss = SurrogateLossSpec(
+        objective="p_at_r",
+        constraint=RateConstraint("positives", "at_least", args["c"]),
+        estimator=QuantileEstimatorSpec(kind="lower_mean"),
+    )
+    config = TrainConfig(learning_rate=0.01, steps=20, seed=0, momentum=0.0,
+                         batch_size=args["batch_size"],
+                         constraint_batch_size=args["batch_size"],
+                         lr_decay="inv_sqrt")
+    return calls_per_step(dataset, [(loss, replace(config, seed=trial))
+                                    for trial in range(args["trials"])])
+
+
+def preset_models(spec):
+    """The preset's 20 quantile models, and its 4 at the first level with
+    one restart each."""
     models = [
         (
             SurrogateLossSpec(
@@ -93,9 +185,14 @@ def main() -> int:
         for li, level in enumerate(spec.levels)
         for wi, wd in enumerate(spec.weight_decays)
     ]
+    return models, [(loss, replace(c, restarts=1))
+                    for loss, c in models[:len(spec.weight_decays)]]
+
+
+def main() -> int:
+    spec, train_set = ionosphere()
+    models, first_level = preset_models(spec)
     rows = len(models) * spec.train.restarts
-    first_level = [(loss, replace(c, restarts=1))
-                   for loss, c in models[:len(spec.weight_decays)]]
     fits = [(wd, replace(spec.logistic, seed=wi))
             for wi, wd in enumerate(spec.weight_decays)]
     q_steps, l_steps = spec.train.steps, spec.logistic.steps
@@ -141,6 +238,9 @@ def main() -> int:
         us["quantile_k4_us_per_model_step"] / us["logistic_k4_us_per_model_step"], 3
     )
     figures["rows"], figures["features"] = train_set.n, train_set.dim
+    for kind, calls in full_batch_calls(train_set, first_level).items():
+        figures[f"{kind}_k4_calls_per_step"] = calls
+    figures["minibatch_lower_mean_k10_calls_per_step"] = minibatch_calls()
     print(json.dumps(figures, sort_keys=True))
     return 0
 
