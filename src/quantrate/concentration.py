@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .data import seed_of, stream
 from .errors import BatchTooLarge, ConstraintBatchEmpty, InvalidSpec
-from .estimators import _checked, estimate
+from .estimators import _check_level, _row_weights, estimate, row_dots
 from .losses import _dataset_eval, _resolved, _row_values
 from .train import lockstep_train
 from .types import (
     Dataset,
+    EstimatorKind,
     QuantileEstimatorSpec,
     RateConstraint,
     SurrogateLossSpec,
@@ -36,6 +37,7 @@ from .types import (
     check_seed,
     plain,
     typed,
+    typed_array,
 )
 
 SCORE_LAWS = ("uniform", "gaussian", "constant")
@@ -46,8 +48,8 @@ _MODEL_STREAM = 15485863
 
 _REDRAW_CAP = 100
 
-# scores per estimate in estimator_stability, and per loss in
-# loss_uniform_deviation: bounds the (n, K) arrays of one call at the
+# scores per _row_weights call in estimator_stability, and per loss in
+# loss_uniform_deviation: bounds the (K, n) arrays of one call at the
 # largest batch sizes
 _CHUNK_SCORES = 2**18
 
@@ -62,7 +64,7 @@ class ConcentrationReport:
     batch_sizes: Tuple[int, ...]
     mean_abs_dev: Tuple[float, ...]
     q95_abs_dev: Tuple[float, ...]
-    fitted_slope: float
+    fitted_slope: Optional[float]
     trials: int
     seed: int
 
@@ -89,7 +91,7 @@ class ConvexConvergenceReport:
     t_grid: Tuple[int, ...]
     mean_excess: Tuple[float, ...]
     ref_loss: float
-    fitted_slope: float
+    fitted_slope: Optional[float]
     trials: int
     seed: int
 
@@ -101,17 +103,17 @@ class ConvexConvergenceReport:
         return [("t", "mean_excess")] + list(zip(self.t_grid, self.mean_excess))
 
 
-def _fit_slope(batch_sizes, mean_devs) -> float:
+def _fit_slope(batch_sizes, mean_devs) -> Optional[float]:
     """Least-squares slope of log(mean dev) against log(b).
 
     Batch sizes (or step budgets) whose mean is not positive carry no
-    log value and are excluded; fewer than two usable points give nan.
+    log value and are excluded; fewer than two usable points give None.
     """
     b = np.asarray(batch_sizes, dtype=np.float64)
     d = np.asarray(mean_devs, dtype=np.float64)
     mask = d > 0.0
     if np.count_nonzero(mask) < 2:
-        return float("nan")
+        return None
     coeffs = np.polyfit(np.log(b[mask]), np.log(d[mask]), 1)
     return float(coeffs[0])
 
@@ -184,16 +186,18 @@ def estimator_stability(
     Draws one population of n scores from score_law, then for every
     batch size and trial subsamples without replacement and records the
     absolute difference between the population estimate and the
-    subsample estimate at level c.  Each estimate covers a chunk of t
-    trials, a (b, t) matrix of about _CHUNK_SCORES scores with one trial
-    per column, whose values are those of a call on each subsample
-    alone.
+    subsample estimate at level c.  The subsamples of a chunk of t
+    trials, about _CHUNK_SCORES scores, are weighed at once as the (t, b)
+    rows of one _row_weights call, whose values are those of estimate
+    on each subsample alone.
     """
     seed = check_seed(seed)
     batches = _check_batches(batch_sizes, typed(int, n, "n"), trials)
     rng = np.random.default_rng(seed)
     population = _draw_population(score_law, n, rng)
     q_full = estimate(estimator_spec, population, c).value
+    if estimator_spec.kind is not EstimatorKind.INTERVAL:
+        c = _check_level(c)  # a float, as estimate reads it
     devs = []
     for b in batches:
         estimates = np.empty(trials)
@@ -201,9 +205,9 @@ def estimator_stability(
         for t0 in range(0, trials, step):
             chunk = range(t0, min(t0 + step, trials))
             subsamples = _subsamples(population, b, chunk, seed)
-            estimates[t0:chunk.stop] = estimate(
-                estimator_spec, subsamples.T, c
-            ).value
+            estimates[t0:chunk.stop] = row_dots(
+                _row_weights(estimator_spec, subsamples, c), subsamples
+            )
         devs.append(np.abs(q_full - estimates))
     return _report(batches, devs, trials, seed)
 
@@ -247,6 +251,7 @@ def loss_uniform_deviation(
     """
     seed = check_seed(seed)
     batches = _check_batches(batch_sizes, dataset.n, trials)
+    w_norm_bound = typed(float, w_norm_bound, "w_norm_bound")
     if not 0 <= w_norm_bound < math.inf:
         raise InvalidSpec("w_norm_bound must be nonnegative and finite")
     if typed(int, n_models, "n_models") < 1:
@@ -266,7 +271,7 @@ def loss_uniform_deviation(
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         radii = w_norm_bound * model_rng.random(n_models) ** (1.0 / dim)
         W = raw * radii[:, None]
-    scores_by_model = _checked(dataset.features @ W.T)
+    scores_by_model = typed_array(dataset.features @ W.T, "scores")
 
     sub_mask = np.isin(np.arange(dataset.n), sub)
     full_losses = _model_losses(scores_by_model, pen, sub, sign, level, spec)

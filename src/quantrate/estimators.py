@@ -1,13 +1,13 @@
-"""Empirical quantile estimators over score vectors and score matrices.
+"""Empirical quantile estimators over score vectors.
 
-Every estimator works along the sample axis.  It takes a vector of n
-scores, or an (n, K) matrix whose K columns (one per model, say) are
-estimated independently, each with the weights a call on that column
-alone gives.  A matrix takes one level for all columns or a K-vector of
-levels, one per column.  The estimate is a weighted average of the
-scores; the weights are what the surrogate-loss gradients differentiate
-through (weights themselves are rank-dependent and treated as locally
-constant), and estimate computes every value as that weighted sum.
+Every estimator works along the sample axis of a vector of n scores.
+Below the public calls there is one shape: a C-ordered (K, n) stack of
+K score rows (one per model, say) at one level or one level per row,
+each row weighed as a call on it alone would weigh it.  The estimate
+is a weighted average of the scores; the weights are what the
+surrogate-loss gradients differentiate through (weights themselves are
+rank-dependent and treated as locally constant), and estimate computes
+every value as that weighted sum.
 
 The canonical exact quantile at level c of N ascending order statistics
 is the k-th one with k = max{ integer k >= 1 : k/N <= c }; when no such
@@ -19,7 +19,7 @@ input order.  The point, lower-mean and interval estimators and
 exact_quantile find their order statistics with np.partition, in O(n)
 and without sorting, and then pick exactly the positions a stable sort
 would put at the selected ranks.  The kernel estimator weights every
-rank, so it sorts along each column.  Untied columns scatter a cached
+rank, so it sorts along each row.  Untied rows scatter a cached
 table of the weights at ranks 1..n; in tied ones each score of a run
 takes the weight of the run's last rank, by the same formula, so the
 weights are the same either way and the sort need not be stable.
@@ -41,61 +41,36 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class QuantileResult:
     """Estimate plus the weights that produced it.
 
-    For a vector of n scores, value is a float and weights a read-only
-    n-vector aligned with the *input* score order (not sorted order);
-    value is weights times scores as row_dots sums it, whatever the BLAS
-    thread count, which for n <= 8192 is float(weights @ scores).
-
-    For an (n, K) score matrix, value holds the K column estimates and
-    weights is the read-only (n, K) matrix whose column j is the weight
-    vector of column j.  Each column's value is its weights times its
-    scores, bit for bit the value of the vector call on a contiguous
-    copy of that column.  weights is the transpose of a C-ordered
-    (K, n) array, so each column is contiguous.
+    value is a float and weights a read-only n-vector aligned with the
+    *input* score order (not sorted order); value is weights times
+    scores as row_dots sums it, whatever the BLAS thread count, which
+    for n <= 8192 is float(weights @ scores).
     """
 
-    def __init__(self, value, weights: np.ndarray):
+    def __init__(self, value: float, weights: np.ndarray):
         self.value = value
         self.weights = _frozen(weights)
 
     @property
-    def support(self):
-        """The input indices carrying nonzero weight; for a matrix, the
-        tuple of the K columns' supports."""
-        w = self.weights
-        if w.ndim == 1:
-            return _frozen(np.flatnonzero(w))
-        return tuple(_frozen(np.flatnonzero(col)) for col in w.T)
+    def support(self) -> np.ndarray:
+        """The input indices carrying nonzero weight."""
+        return _frozen(np.flatnonzero(self.weights))
 
 
-def _checked(scores, vector: bool = False) -> np.ndarray:
-    """Finite nonempty scores: a vector, or unless vector, an (n, K) matrix."""
-    if vector:
-        s = typed_array(scores, "scores", lambda shape: len(shape) == 1,
-                        "scores must be a 1-d array")
-    else:
-        s = typed_array(scores, "scores", lambda shape: len(shape) in (1, 2),
-                        "scores must be a vector or an (n, K) matrix")
+def _checked(scores) -> np.ndarray:
+    """Finite nonempty scores as a vector."""
+    s = typed_array(scores, "scores", lambda shape: len(shape) == 1,
+                    "scores must be a 1-d array")
     if s.size == 0:
         raise EmptyInput("empty score vector")
     return s
 
 
-def _check_level(c, s=None, kind=None):
-    """c as a float; for an (n, K) matrix s, also a K-vector of levels;
-    c as given for kind INTERVAL, which ignores it."""
-    if kind is EstimatorKind.INTERVAL:
-        return c
-    if not isinstance(c, (list, tuple, np.ndarray)) or np.ndim(c) == 0:
-        c = typed(float, c[()] if isinstance(c, np.ndarray) else c, "quantile level")
-        if not 0.0 <= c <= 1.0:
-            raise InvalidSpec(f"quantile level {c} outside [0, 1]")
-        return c
-    columns = s.shape[1:] if s is not None and s.ndim == 2 else None
-    c = typed_array(c, "quantile levels", lambda shape: shape == columns,
-                    "levels must be a scalar or one per column of a score matrix")
-    if not np.all((c >= 0.0) & (c <= 1.0)):
-        raise InvalidSpec(f"quantile levels {c} outside [0, 1]")
+def _check_level(c) -> float:
+    """c as a float in [0, 1]."""
+    c = typed(float, c[()] if isinstance(c, np.ndarray) else c, "quantile level")
+    if not 0.0 <= c <= 1.0:
+        raise InvalidSpec(f"quantile level {c} outside [0, 1]")
     return c
 
 
@@ -132,7 +107,7 @@ def order_rank(n: int, c: float) -> int:
 def exact_quantile(scores, c) -> float:
     """The canonical order-statistic quantile of a score vector (see
     module docstring)."""
-    s = _checked(scores, vector=True)
+    s = _checked(scores)
     k = max(1, order_rank(s.size, _check_level(c)))
     return float(np.partition(s, k - 1)[k - 1])
 
@@ -278,19 +253,10 @@ def _row_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndarray
 
 
 def estimate(spec: QuantileEstimatorSpec, scores, c) -> QuantileResult:
-    """The spec's estimate of a score vector or matrix; c is ignored by
-    INTERVAL.
-
-    scores is a vector, or an (n, K) matrix estimated column by column;
-    for a matrix, c is one level or a K-vector of levels, one per column.
-    Every kind weights each column on its own, as rows of a C-ordered
-    (K, n) array, and takes each value as the dot product of a row of
-    weights with its scores.
-    """
-    s = _checked(scores)
-    rows = s[None] if s.ndim == 1 else np.ascontiguousarray(s.T)
-    w = _row_weights(spec, rows, _check_level(c, s, spec.kind))
-    if s.ndim == 1:
-        return QuantileResult(float(row_dots(w, rows)[0]), w[0])
-    return QuantileResult(row_dots(w, rows), w.T)
-
+    """The spec's estimate of a score vector at level c, which INTERVAL
+    ignores: the weights _row_weights gives the one-row stack of the
+    scores, and their dot product with the scores."""
+    rows = _checked(scores)[None]
+    level = c if spec.kind is EstimatorKind.INTERVAL else _check_level(c)
+    w = _row_weights(spec, rows, level)
+    return QuantileResult(float(row_dots(w, rows)[0]), w[0])

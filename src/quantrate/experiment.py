@@ -308,8 +308,9 @@ def format_number(value) -> str:
 
 
 def json_text(payload) -> str:
-    """A JSON output file: sorted keys, indent 2, final newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """A JSON output file: sorted keys, indent 2, final newline; a nan
+    or inf, which JSON cannot hold, raises ValueError."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_text(rows) -> str:

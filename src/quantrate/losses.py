@@ -111,36 +111,30 @@ def core_eval(
     """Loss, or gradient, of one penalized/subset matrix pair.
 
     w is a (K, d) matrix of K models, one per row, with level a scalar
-    or a K-vector of levels, or a weight vector, run as the lone row of
-    such a matrix.  X_pen and X_sub are shared by every row, or
-    (K, p, d) and (K, m, d) stacks of each row's own.  Row k equals the
-    call on w[k] and its own matrices at its level bit for bit, the
-    threshold's estimate included.  pen_mask, 0/1 per penalized row,
-    drops the rows it zeroes, so a minibatch keeps its shape whatever
-    its penalized count.  An empty penalized matrix contributes zero; a
-    nonempty subset gives the estimator its scores.  Returns (value,
-    per_sample, None), or with want_grad (None, None, grad): K values,
-    (K, p) summands, (K, d) gradients; a float, (p,), (d,) for a vector.
-    Levels, a float or a float64 K-vector, are checked when a spec is
-    built; core_eval checks only that the subset's scores and the values
-    are finite, and its InvalidSpec is what training reports as Diverged.
+    or a K-vector of levels.  X_pen and X_sub are shared by every row,
+    or (K, p, d) and (K, m, d) stacks of each row's own.  Row k equals
+    the one-row call on w[k:k+1] and its own matrices at its level bit
+    for bit, the threshold's estimate included.  pen_mask, 0/1 per
+    penalized row, drops the rows it zeroes, so a minibatch keeps its
+    shape whatever its penalized count.  An empty penalized matrix
+    contributes zero; a nonempty subset gives the estimator its scores.
+    Returns (value, per_sample, None), or with want_grad (None, None,
+    grad): K values, (K, p) summands, (K, d) gradients.  Levels, a float
+    or a float64 K-vector, are checked when a spec is built; core_eval
+    checks only that the subset's scores and the values are finite, and
+    its InvalidSpec is what training reports as Diverged.
     """
     if X_sub.shape[-1] != w.shape[-1]:
         raise DimensionError(
             f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
-    vector = w.ndim == 1
-    W = w[None] if vector else w
-    sub_rows = _finite(_times(X_sub, W), "scores")
+    sub_rows = _finite(_times(X_sub, w), "scores")
     if not want_grad:
-        value, per_sample = _row_values(_times(X_pen, W), sub_rows, sign, level,
+        value, per_sample = _row_values(_times(X_pen, w), sub_rows, sign, level,
                                         est_spec, math.log(base), pen_mask)
-        _finite(value, "losses")
-        if vector:
-            return float(value[0]), per_sample[0], None
-        return value, per_sample, None
+        return _finite(value, "losses"), per_sample, None
     q_weights = _row_weights(est_spec, sub_rows, level)  # C-ordered (K, m)
-    pen_rows, theta = _times(X_pen, W), row_dots(q_weights, sub_rows)[:, None]
+    pen_rows, theta = _times(X_pen, w), row_dots(q_weights, sub_rows)[:, None]
     # sign * (pen - theta) but for a zero's sign, which _sigmoid ignores
     z = pen_rows - theta if sign > 0 else theta - pen_rows
     a = _sigmoid(z)
@@ -151,7 +145,7 @@ def core_eval(
         _times(X_pen.swapaxes(-1, -2), a)
         - a.sum(axis=-1, keepdims=True) * anchor
     )
-    return None, None, (grad[0] if vector else grad)
+    return None, None, grad
 
 
 def _row_values(pen_rows, sub_rows, sign, level, est_spec, ln_base, pen_mask=None):
@@ -186,8 +180,8 @@ def _dataset_eval(
     loss_spec: SurrogateLossSpec,
     want_grad: bool = False,
 ):
-    """core_eval of a loss spec over a whole dataset, for one weight
-    vector or a (K, d) matrix of K models at the spec's level."""
+    """core_eval of a loss spec over a whole dataset, for the (K, d)
+    weight rows of K models at the spec's level."""
     sub, pen, sign, level = _resolved(loss_spec, dataset)
     X = dataset.features
     return core_eval(
@@ -208,8 +202,8 @@ def surrogate_loss(
     on its constraint's subset and penalizes the side it names.  The
     exact calibrator handles the at_most tie adjustment after training.
     """
-    value, per_sample, _ = _dataset_eval(model.weights, dataset, loss_spec)
-    return LossValue(value, per_sample)
+    value, per_sample, _ = _dataset_eval(model.weights[None], dataset, loss_spec)
+    return LossValue(float(value[0]), per_sample[0])
 
 
 def loss_gradient(
@@ -221,4 +215,4 @@ def loss_gradient(
     sum_{i in P} sigma(s*(f(x_i) - theta)) * s * (x_i - x_bar) / ln(base)
     with x_bar the estimator's weighted support point over the subset.
     """
-    return _dataset_eval(model.weights, dataset, loss_spec, want_grad=True)[2]
+    return _dataset_eval(model.weights[None], dataset, loss_spec, want_grad=True)[2][0]

@@ -38,7 +38,7 @@ class PRPoint:
 
 def rate(scores, threshold: float) -> float:
     """Fraction of scores strictly above the threshold."""
-    s = _checked(scores, vector=True)
+    s = _checked(scores)
     return float(np.count_nonzero(s > threshold)) / s.size
 
 
@@ -69,7 +69,7 @@ def calibrate_threshold(scores, constraint: RateConstraint) -> float:
     float
         A threshold feasible for the constraint on these scores.
     """
-    s = _checked(scores, vector=True)
+    s = _checked(scores)
     n, c = s.size, constraint.target
     m = order_rank(n, c)
     if constraint.direction is Direction.AT_MOST:
@@ -120,7 +120,7 @@ def precision_at_rate(scores, labels, tau: float) -> float:
     precision is reported as 0.0.
     """
     check_fraction(tau, "tau")
-    s = _checked(scores, vector=True)
+    s = _checked(scores)
     y = plus_minus_one(labels, s.size, "score")
     n = s.size
     m = max(1, order_rank(n, tau))
@@ -171,7 +171,7 @@ def _check_grid(grid) -> np.ndarray:
 def pr_points(scores, labels, grid: Sequence[float]) -> List[PRPoint]:
     """Precision-recall samples at each recall level of the grid."""
     g = _check_grid(grid)
-    s = _checked(scores, vector=True)
+    s = _checked(scores)
     positive = plus_minus_one(labels, s.size, "score") == 1
     if not np.any(positive):
         raise NoConstraintSubset("no positive samples to constrain recall on")

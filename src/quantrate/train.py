@@ -70,9 +70,12 @@ def _batches(rngs, n: int, size: int):
 
 def _alike(rows, free: Sequence[str], message: str) -> None:
     """Raise InvalidSpec(message) unless the lockstep rows, each a tuple
-    of records, agree in every field but those named free."""
+    of records, agree in every field but those named free; with no rows,
+    an InvalidSpec that says so."""
+    if not rows:
+        raise InvalidSpec("a lockstep call needs at least one model")
     kept = [[dict(vars(r), **dict.fromkeys(free)) for r in row] for row in rows]
-    if not kept or kept.count(kept[0]) < len(kept):
+    if kept.count(kept[0]) < len(kept):
         raise InvalidSpec(message)
 
 

@@ -454,6 +454,23 @@ def test_concentration_stability_outputs(tmp_path):
         out2 / "report.csv").read_bytes()
 
 
+def test_a_flat_law_report_holds_no_nan(tmp_path):
+    # constant scores never deviate, so the slope fit has no points: the
+    # report writes null there, not NaN, which JSON does not hold
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    config_path = tmp_path / "flat.json"
+    config_path.write_text(json.dumps(dict(STABILITY_CONFIG, score_law="constant")),
+                           encoding="utf-8")
+    assert main(["concentration", "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 0
+    text = (tmp_path / "out" / "report.json").read_text()
+    report = json.loads(text, parse_constant=refuse)["report"]
+    assert report["fitted_slope"] is None
+    assert report["mean_abs_dev"] == [0.0, 0.0]
+
+
 def test_concentration_convergence_outputs(tmp_path):
     config = {
         "kind": "convex_sgd_convergence",

@@ -47,9 +47,9 @@ def test_fit_slope_recovers_a_power_law():
 
 
 def test_fit_slope_needs_two_positive_points():
-    assert np.isnan(_fit_slope([10, 20], [0.0, 0.0]))
-    assert np.isnan(_fit_slope([10, 20], [0.5, 0.0]))
-    assert not np.isnan(_fit_slope([10, 20], [0.5, 0.3]))
+    assert _fit_slope([10, 20], [0.0, 0.0]) is None
+    assert _fit_slope([10, 20], [0.5, 0.0]) is None
+    assert _fit_slope([10, 20], [0.5, 0.3]) is not None
 
 
 def test_stability_full_batch_has_zero_deviation():
@@ -61,7 +61,7 @@ def test_stability_full_batch_has_zero_deviation():
                             c=0.8, score_law="uniform", seed=5)
     assert r.mean_abs_dev == (0.0,)
     assert r.q95_abs_dev == (0.0,)
-    assert np.isnan(r.fitted_slope)
+    assert r.fitted_slope is None
 
 
 def test_stability_constant_scores_never_deviate():
@@ -396,6 +396,14 @@ def test_loss_deviation_refuses_a_nan_norm_bound():
     constraint = RateConstraint("positives", "at_least", 0.8)
     with pytest.raises(InvalidSpec, match="w_norm_bound must be nonnegative"):
         loss_uniform_deviation(d, constraint, KERNEL, [10], 100, float("nan"), 2, 0)
+
+
+def test_loss_deviation_refuses_a_norm_bound_that_is_not_a_number():
+    d = small_dataset()
+    constraint = RateConstraint("positives", "at_least", 0.8)
+    for bad in ("5", True):
+        with pytest.raises(InvalidSpec, match="w_norm_bound must be a number"):
+            loss_uniform_deviation(d, constraint, KERNEL, [10], 100, bad, 2, 0)
 
 
 def test_labs_refuse_non_integral_sizes():

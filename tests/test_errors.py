@@ -291,7 +291,6 @@ ARRAY_ARGUMENTS = {
     "weights": ("weights", lambda e: LinearModel(e)),
     "scored_matrix": ("features", lambda e: LinearModel([1.0]).scores([[e[0]], [e[1]]])),
     "scores": ("scores", lambda e: estimate(_POINT, e, 0.5)),
-    "levels": ("quantile levels", lambda e: estimate(_POINT, np.zeros((3, 2)), e)),
     "metric_labels": ("labels", lambda e: precision_at_rate([0.3, 0.1], e, 0.5)),
     "recall_grid": ("recall grid", lambda e: pr_points([0.3, 0.1], [1, -1], e)),
     "standardized": ("features", lambda e: StandardizeTransform(
@@ -312,6 +311,11 @@ for _arg, (_name, _call) in ARRAY_ARGUMENTS.items():
         REFUSALS[f"array_{_arg}_{_form}"] = (
             functools.partial(_call, _entries), errors.InvalidSpec,
             f"{_name} must be {_want}, got {_dtype} values")
+# a quantile level is one number: an array level is refused whatever it holds
+for _form, (_entries, _) in WRONG_ENTRIES.items():
+    REFUSALS[f"array_levels_{_form}"] = (
+        functools.partial(estimate, _POINT, [0.3, 0.1], _entries), errors.InvalidSpec,
+        f"quantile level must be a number, got {_entries!r}")
 # a two-class set and a loss whose subset, the positive row, a model
 # of weights [1e308, 1e308] scores at inf
 _THREE = Dataset([[1, 1], [1, -1], [-1, -1]], [1, -1, -1])
@@ -369,7 +373,7 @@ REFUSALS.update({
         errors.InvalidSpec, "losses must be finite"),
     "core_eval_nan_loss": (
         lambda: np.errstate(over="ignore", invalid="ignore")(core_eval)(
-            np.array([1e308]), np.array([[-1.5], [1.0]]), np.array([[1.5]]),
+            np.array([[1e308]]), np.array([[-1.5], [1.0]]), np.array([[1.5]]),
             -1.0, 0.5, _POINT, 2.0, pen_mask=np.array([0.0, 1.0])),
         errors.InvalidSpec, "losses must be finite"),
     # finite scores whose losses overflow: once written out as NaN and

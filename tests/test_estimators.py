@@ -19,7 +19,8 @@ from quantrate import (
     exact_quantile,
     order_rank,
 )
-from quantrate.estimators import _sorted_table, row_dots
+from quantrate.estimators import _row_weights, _sorted_table, row_dots
+from quantrate.losses import core_eval
 from simd import by_dispatch
 
 POINT = QuantileEstimatorSpec(kind="point")
@@ -438,57 +439,92 @@ def score_matrices():
     yield mixed
 
 
+def column_rows(spec, S, c):
+    """The values and (K, n) weights of the K columns of (n, K) scores S
+    as the C-ordered rows of one _row_weights call at level c, a float or
+    one per row, summed by row_dots."""
+    rows = np.ascontiguousarray(S.T)
+    w = _row_weights(spec, rows, c)
+    return row_dots(w, rows), w
+
+
 def test_every_kind_on_a_matrix_agrees_with_its_columns():
-    # column j of an (n, K) call is the 1-d call on column j: identical
-    # support, weights and value, bit for bit, for every kind
+    # row j of a call on the columns of an (n, K) matrix is estimate on
+    # column j: identical weights and value, bit for bit, for every kind
     for spec in ALL_SPECS:
         for S in score_matrices():
             for c in (0.0, 0.3, 0.5, 2.0 / 3.0, 0.95, 1.0):
-                res = estimate(spec, S, c)
-                assert res.value.shape == (S.shape[1],)
-                assert res.weights.shape == S.shape
-                assert not res.weights.flags.writeable
-                assert len(res.support) == S.shape[1]
+                values, w = column_rows(spec, S, c)
+                assert values.shape == (S.shape[1],)
+                assert w.shape == S.T.shape
                 for j in range(S.shape[1]):
                     one = estimate(spec, S[:, j].copy(), c)
-                    assert bits(res.value[j]) == bits(one.value), (spec, c, j)
-                    assert np.array_equal(res.support[j], one.support)
-                    assert not res.support[j].flags.writeable
-                    assert np.array_equal(res.weights[:, j], one.weights)
+                    assert bits(values[j]) == bits(one.value), (spec, c, j)
+                    assert not one.weights.flags.writeable
+                    assert not one.support.flags.writeable
+                    assert np.array_equal(w[j], one.weights)
 
 
 def test_estimate_leaves_its_input_unmodified():
     rng = np.random.default_rng(41)
     for spec in ALL_SPECS:
-        for S in (rng.standard_normal((33, 4)), np.round(rng.standard_normal(33))):
-            before = S.copy()
-            estimate(spec, S, 0.6)
-            assert np.array_equal(S, before)
+        rows, s = rng.standard_normal((4, 33)), np.round(rng.standard_normal(33))
+        before = rows.copy(), s.copy()
+        _row_weights(spec, rows, 0.6)
+        estimate(spec, s, 0.6)
+        assert np.array_equal(rows, before[0])
+        assert np.array_equal(s, before[1])
 
 
 def test_bad_matrices_raise_as_vectors_do():
+    # estimate refuses any 2-d score array; a stack of score rows reaches
+    # the estimators through core_eval, which refuses nonfinite scores and
+    # a window that selects nothing as estimate does for one vector
+    W = np.ones((3, 2))
     for spec in ALL_SPECS:
-        with pytest.raises(EmptyInput):
-            estimate(spec, np.zeros((0, 3)), 0.5)
-        with pytest.raises(EmptyInput):
-            estimate(spec, np.zeros((4, 0)), 0.5)
-        for bad in (np.nan, np.inf, -np.inf):
-            S = np.ones((5, 3))
-            S[2, 1] = bad
-            with pytest.raises(InvalidSpec):
+        for S in (np.ones((5, 3)), np.zeros((0, 3)), np.zeros((4, 0)),
+                  np.ones((3, 2, 2))):
+            with pytest.raises(InvalidSpec, match="scores must be a 1-d array"):
                 estimate(spec, S, 0.5)
-        with pytest.raises(InvalidSpec):
-            estimate(spec, np.ones((3, 2, 2)), 0.5)
+        with pytest.raises(EmptyInput):
+            estimate(spec, np.zeros(0), 0.5)
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.ones((5, 2))
+            X[2, 1] = bad
+            with pytest.raises(InvalidSpec):
+                estimate(spec, X @ W[0], 0.5)
+            with pytest.raises(InvalidSpec, match="scores must be finite"):
+                core_eval(W, X, X, 1.0, 0.5, spec, 2.0)
+    degenerate = QuantileEstimatorSpec(kind="interval", k1=0.41, k2=0.49)
     with pytest.raises(DegenerateInterval):
-        estimate(QuantileEstimatorSpec(kind="interval", k1=0.41, k2=0.49),
-                 np.ones((10, 3)), 0.5)
+        estimate(degenerate, np.ones(10), 0.5)
+    with pytest.raises(DegenerateInterval):
+        core_eval(W, np.ones((4, 2)), np.ones((10, 2)), 1.0, 0.5, degenerate, 2.0)
+
+
+def test_bad_vector_levels_raise():
+    # estimate takes one level: an array of levels is refused, as is a
+    # level outside [0, 1]; interval ignores its level
+    s = np.random.default_rng(47).standard_normal(20)
+    for spec in ALL_SPECS:
+        if spec.kind.value == "interval":
+            continue  # interval ignores its level
+        for bad in ([0.5], [0.5, 0.5], [[0.5] * 3], [0.2, np.nan, 0.3]):
+            with pytest.raises(InvalidSpec, match="quantile level must be a number"):
+                estimate(spec, s, np.array(bad))
+            with pytest.raises(InvalidSpec, match="quantile level must be a number"):
+                estimate(spec, s, bad)
+        for bad in (1.5, -0.1, np.nan):
+            with pytest.raises(InvalidSpec):
+                estimate(spec, s, bad)
+    interval = estimate(INTERVAL, s, np.array([0.1, 0.5, 0.9]))
+    assert interval.value == estimate(INTERVAL, s, 0.5).value
 
 
 def test_vector_levels_match_the_scalar_call_on_each_column():
-    # one level per column: column j's weights and value are those of the
-    # 1-d call at level c[j] and of the scalar-level call on the same
-    # column, bit for bit, for every kind; so is row_dots of the weights,
-    # whose transpose has C-ordered rows
+    # one level per row: row j's weights and value are those of estimate
+    # on column j at level c[j] and of the scalar-level call on that
+    # column alone, bit for bit, for every kind
     rng = np.random.default_rng(43)
     for spec in ALL_SPECS:
         for S in score_matrices():
@@ -496,32 +532,14 @@ def test_vector_levels_match_the_scalar_call_on_each_column():
             # the last levels differ but share one rank
             for c in (rng.random(K), np.linspace(0.0, 1.0, K), np.full(K, 0.5),
                       0.5 + 1e-9 * np.arange(K)):
-                res = estimate(spec, S, c)
-                assert res.value.shape == (K,)
-                dots = row_dots(res.weights.T, np.ascontiguousarray(S.T))
+                values, w = column_rows(spec, S, c)
+                assert values.shape == (K,)
                 for j in range(K):
                     one = estimate(spec, S[:, j].copy(), c[j])
-                    alone = estimate(spec, S[:, [j]], c[j])
-                    assert res.weights[:, j].tobytes() == one.weights.tobytes()
-                    assert np.array_equal(res.support[j], one.support)
-                    assert bits(res.value[j]) == bits(alone.value[0])
-                    assert bits(dots[j]) == bits(one.value), (spec, j)
-                    assert bits(res.value[j]) == bits(one.value), (spec, j)
-
-
-def test_bad_vector_levels_raise():
-    S = np.random.default_rng(47).standard_normal((20, 3))
-    for spec in ALL_SPECS:
-        if spec.kind.value == "interval":
-            continue  # interval ignores its level
-        for bad in ([0.5, 0.5], [0.5] * 4, [[0.5] * 3], [0.2, 1.5, 0.3],
-                    [0.2, -0.1, 0.3], [0.2, np.nan, 0.3]):
-            with pytest.raises(InvalidSpec):
-                estimate(spec, S, np.array(bad))
-        with pytest.raises(InvalidSpec):
-            estimate(spec, S[:, 0], np.array([0.5]))  # a vector has no columns
-    interval = estimate(INTERVAL, S, np.array([0.1, 0.5, 0.9]))
-    assert np.array_equal(interval.value, estimate(INTERVAL, S, 0.5).value)
+                    alone = column_rows(spec, S[:, [j]], c[j])[0]
+                    assert w[j].tobytes() == one.weights.tobytes()
+                    assert bits(values[j]) == bits(alone[0])
+                    assert bits(values[j]) == bits(one.value), (spec, j)
 
 
 def ref_kernel_untied(S, c, h, normalize):
@@ -555,10 +573,9 @@ def test_untied_kernel_weights_match_the_rank_formula():
         for normalize in (True, False):
             for h in (1e-4, 0.05):
                 for c in (0.0, 1.0, rng.random(K)):
-                    res = estimate(kernel_spec(h, normalize), S, c)
+                    _, w = column_rows(kernel_spec(h, normalize), S, c)
                     ref = ref_kernel_untied(S, c, h, normalize)
-                    np.testing.assert_allclose(res.weights, ref, rtol=1e-12,
-                                               atol=1e-12)
+                    np.testing.assert_allclose(w.T, ref, rtol=1e-12, atol=1e-12)
 
 
 def kernel_calls():
@@ -577,12 +594,12 @@ def kernel_calls():
 
 
 def test_kernel_calls_frozen_bits():
-    # sha256 of every value's then weights' bytes over the calls: a
-    # table keyed or computed differently from the rank formula shows
+    # sha256 of every value's then (n, K) weights' bytes over the calls:
+    # a table keyed or computed differently from the rank formula shows
     digest = hashlib.sha256()
     for spec, S, c in kernel_calls():
-        res = estimate(spec, S, c)
-        digest.update(res.value.tobytes() + res.weights.tobytes())
+        values, w = column_rows(spec, S, c)
+        digest.update(values.tobytes() + w.T.tobytes())
     assert digest.hexdigest() == by_dispatch(
         "28a3c0c634c9e6968fd8bca64268a4c11c4bbf26dd859db62c2e90607cb11721",
         "3cd20b92c4700d69eaba1f56c176526365454b3a59d1c862ccb92f9290c6b3a2",
@@ -592,31 +609,30 @@ def test_kernel_calls_frozen_bits():
 def test_kernel_weights_are_read_only_and_not_shared():
     S = np.random.default_rng(67).standard_normal((30, 4))
     for c in (0.4, np.array([0.2, 0.4, 0.6, 0.8])):
-        first, second = (estimate(kernel_spec(0.1), S, c) for _ in range(2))
-        assert first.weights.tobytes() == second.weights.tobytes()
-        assert not np.shares_memory(first.weights, second.weights)
-        with pytest.raises(ValueError):
-            first.weights[0, 0] = 1.0
+        first, second = (column_rows(kernel_spec(0.1), S, c)[1] for _ in range(2))
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
         for j in range(4):
             one, again = (estimate(kernel_spec(0.1), S[:, j].copy(), 0.4)
                           for _ in range(2))
-            assert not one.weights.flags.writeable
+            with pytest.raises(ValueError):
+                one.weights[0] = 1.0
             assert not np.shares_memory(one.weights, again.weights)
 
 
 def test_a_scalar_level_keeps_one_table_whatever_k():
     # a scalar level keys one n-weight table that a lone vector and all
-    # 60 columns of a matrix share; a level broadcast to K columns would
-    # key a second, 60n-weight table (past the size limit at this n)
+    # 60 rows of a stack share; a level broadcast to K rows would key a
+    # second, 60n-weight table (past the size limit at this n)
     n, spec = 2000, kernel_spec(0.05)
     S = np.random.default_rng(73).standard_normal((n, 60))
     _sorted_table.cache_clear()
     alone = estimate(spec, S[:, 7].copy(), 0.3)
-    together = estimate(spec, S, 0.3)
+    together = column_rows(spec, S, 0.3)[1]
     info = _sorted_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert _sorted_table(n, np.float64(0.3).tobytes(), 0.05, True).shape == (1, n)
-    assert together.weights[:, 7].tobytes() == alone.weights.tobytes()
+    assert together[7].tobytes() == alone.weights.tobytes()
 
 
 THREAD_SCRIPT = """

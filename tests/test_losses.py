@@ -345,7 +345,7 @@ def test_gradient_calls_return_golden_bytes_and_no_loss():
     W = rng.standard_normal((3, 4))
     kernel = QuantileEstimatorSpec(kind="kernel", bandwidth=0.2)
     calls = [
-        (core_eval(W[0], X_pen, X_sub, 1.0, 0.3, kernel, 2.0, want_grad=True),
+        (core_eval(W[:1], X_pen, X_sub, 1.0, 0.3, kernel, 2.0, want_grad=True),
          GOLDEN_K1),
         (core_eval(W, X_pen, X_sub, -1.0, np.array([0.1, 0.5, 0.85]), kernel,
                    np.e, want_grad=True),
@@ -431,10 +431,10 @@ def test_logloss_is_the_core_eval_summand_bit_for_bit():
     z = np.concatenate([np.geomspace(1e-6, 750.0, 600), rng.standard_normal(400) * 5.0])
     z = np.concatenate([z, -z, [0.0, -0.0, 800.0, -800.0]])
     for base in (2.0, math.e, 10.0):
-        _, per_sample, _ = core_eval(np.ones(1), z[:, None], np.zeros((1, 1)),
+        _, per_sample, _ = core_eval(np.ones((1, 1)), z[:, None], np.zeros((1, 1)),
                                      1.0, 0.5, POINT, base)
         want = np.array([logloss(x, base) for x in z])
-        assert want.tobytes() == per_sample.tobytes()
+        assert want.tobytes() == per_sample[0].tobytes()
 
 
 def test_value_calls_drop_masked_rows():
@@ -499,8 +499,8 @@ def value_calls():
             W = rng.standard_normal((3, 4))
             mask = (rng.random((3, 6)) < 0.6) * 1.0
             levels = np.array([0.1, 0.5, 0.85])
-            yield W[0], X_pen, X_sub, 1.0, 0.3, spec, 2.0, None
-            yield W[1], X_pen, X_sub, -1.0, 0.7, spec, np.e, (rng.random(9) < 0.5) * 1.0
+            yield W[:1], X_pen, X_sub, 1.0, 0.3, spec, 2.0, None
+            yield W[1:2], X_pen, X_sub, -1.0, 0.7, spec, np.e, (rng.random(9) < 0.5) * 1.0
             yield W, X_pen, X_sub, -1.0, levels, spec, np.e, None
             yield W, X_pen, X_sub, 1.0, 0.4, spec, 2.0, (rng.random(9) < 0.5) * 1.0
             yield W[:1], P[:1], S[:1], 1.0, 0.6, spec, 2.0, mask[:1]
@@ -516,7 +516,7 @@ def test_value_calls_frozen_bits():
         value, per_sample, grad = core_eval(w, X_pen, X_sub, sign, level, spec,
                                             base, pen_mask=mask)
         assert grad is None
-        digest.update(np.asarray(value).tobytes() + per_sample.tobytes())
+        digest.update(value.tobytes() + per_sample.tobytes())
     assert digest.hexdigest() == by_dispatch(
         "af306c9fd90fc0dc609c7c458e065ddbe43815df87d824f542743b4db5acf86f",
         "790c5d1131e7f4e1c31d06318ef2530e1bd7c8f55ffd9fab85e72103c73223ec",

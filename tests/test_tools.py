@@ -26,12 +26,19 @@ def test_tool_imports_as_a_module(monkeypatch, name):
 
 
 def test_full_batch_steps_make_no_more_package_calls(monkeypatch):
-    # step_cost's count of the calls a full-batch lockstep step at K=4
-    # makes from package frames, on Python 3.11 and numpy 2.4; a change
-    # that adds a call to the descent loop, the loss or the estimator
-    # moves it
+    # step_cost's count of the calls a full-batch lockstep step makes
+    # from package frames, on Python 3.11 and numpy 2.4; a change that
+    # adds a call to the descent loop, the loss or the estimator moves
+    # it, and one that adds a call per row makes it grow with K
     step_cost = load(monkeypatch, "step_cost")
     spec, train_set = step_cost.ionosphere()
-    _, first_level = step_cost.preset_models(spec)
-    assert step_cost.full_batch_calls(train_set, first_level) == {
+    models, first_level = step_cost.preset_models(spec)
+    at_k4 = step_cost.full_batch_calls(train_set, first_level)
+    assert at_k4 == {
         "kernel": 30.0, "point": 33.0, "lower_mean": 36.0, "interval": 37.0}
+    scaling = step_cost.scaling_calls(train_set, models, first_level,
+                                      step_cost.logistic_fits(spec))
+    assert scaling == {"kernel_k1": 30.0, "kernel_k60": 30.0,
+                       "logistic_k1": 8.0, "logistic_k4": 8.0}
+    assert scaling["kernel_k1"] == at_k4["kernel"] == scaling["kernel_k60"]
+    assert scaling["logistic_k1"] == scaling["logistic_k4"]

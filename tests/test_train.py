@@ -25,7 +25,7 @@ from quantrate import (
     sgd_train,
     surrogate_loss,
 )
-from quantrate import losses, train
+from quantrate import baseline, losses, train
 from quantrate.losses import core_eval
 
 POINT = QuantileEstimatorSpec(kind="point")
@@ -142,10 +142,10 @@ def test_three_steps_replay_the_epoch_queue_and_momentum_exactly():
         pen_batch = batch[d.labels[batch] == -1]
         sub_batch = sub[drawn]
         if pen_batch.size > 0:
-            _, _, grad = core_eval(w, d.features[pen_batch],
+            _, _, grad = core_eval(w[None], d.features[pen_batch],
                                    d.features[sub_batch], 1.0, 1.0 - c,
                                    POINT, 2.0, want_grad=True)
-            grad = (pen.size / pen_batch.size) * grad
+            grad = (pen.size / pen_batch.size) * grad[0]
         else:
             grad = np.zeros(3)
         grad = grad + 0.01 * w
@@ -428,6 +428,13 @@ def test_lockstep_models_must_share_all_but_level_decay_and_seed():
             odd = (rows[2][0], replace(rows[2][1], **change))
             with pytest.raises(InvalidSpec):
                 lockstep_train(d, rows[:2] + [odd])
+
+
+def test_an_empty_lockstep_call_says_no_model_was_given():
+    d = small_dataset(seed=67)
+    for call in (lockstep_train, baseline.lockstep_logistic_train):
+        with pytest.raises(InvalidSpec, match="^a lockstep call needs at least one model"):
+            call(d, [])
 
 
 def diverged_step(call):

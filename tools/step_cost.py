@@ -17,9 +17,10 @@ the fastest of 7 calls:
 * logistic K=1: one logistic_train call per decay, summed.
 
 Each time is divided by the call's model-steps (rows x steps).  It
-also times one kernel estimate call at the two quantile shapes, the
-preset's estimator on the (105, K) scores of K seeded rows at their
-levels (K=4 and K=60), as the fastest of 7 runs of 100 calls.
+also times one `estimators._row_weights` call at the two quantile
+shapes, the preset's kernel estimator on the (K, 105) score rows of K
+seeded models at their levels (K=4 and K=60), as the fastest of 7 runs
+of 100 calls.
 
 It also times one value call of the loss-deviation lab at the
 `loss_deviation` preset's largest batch: `losses._row_values` on 50
@@ -35,16 +36,20 @@ quantrate frame, in a 20-step lockstep_train call less those in a
 10-step one, over 10 (steps 11-20 less steps 1-10; each run evaluates
 its loss once, after its last step, follows an uncounted run and
 starts with `_sorted_table` cleared).  It counts the K=4 models above
-at full batch with each estimator kind, and 10 lower-mean rows of the
-convex lab's minibatch training on its preset's data: batches of 50
-and constraint batches of 50 drawn from each row's own queues.  Python
-3.11 counts a list comprehension as a call; later versions inline it,
-and operators such as `a + b` make no event.
+at full batch with each estimator kind, the kernel models at K=1 and
+K=60 too, and 10 lower-mean rows of the convex lab's minibatch
+training on its preset's data: batches of 50 and constraint batches
+of 50 drawn from each row's own queues.  It counts the logistic fits
+at K=1 and K=4 the same way, over lockstep_logistic_train steps.  A
+count that grows with K is a per-row call in the loop.  Python 3.11
+counts a list comprehension as a call; later versions inline it, and
+operators such as `a + b` make no event.
 
 The last line is one JSON object with the eight figures in
-microseconds, the quantile/logistic ratio at K=4, the cost of the rate
-constraint over the unconstrained loss on the same data and K, and the
-five counts of calls per step.
+microseconds, the quantile/logistic ratio at K=4 (the cost of the rate
+constraint over the unconstrained loss on the same data and K), the
+training split's rows and features, and the nine counts of calls per
+step.
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ from quantrate import (  # noqa: E402
     SurrogateLossSpec,
     TrainConfig,
     baseline,
-    estimate,
     estimators,
     generate_synthetic,
 )
@@ -118,15 +122,16 @@ def package_calls(call) -> int:
     return count
 
 
-def calls_per_step(dataset, models) -> float:
-    """Package calls per loop step of lockstep_train(dataset, models):
-    steps 11-20 of a 20-step call less steps 1-10 of a 10-step one, each
-    counted after an uncounted call, which fills the record types' caches."""
+def calls_per_step(dataset, models, train=lockstep_train) -> float:
+    """Package calls per loop step of train(dataset, models), models
+    being (loss spec or weight decay, config) pairs: steps 11-20 of a
+    20-step call less steps 1-10 of a 10-step one, each counted after an
+    uncounted call, which fills the record types' caches."""
     counts = []
     for steps in (10, 20):
-        rows = [(spec, replace(c, steps=steps, eval_every=20)) for spec, c in models]
-        lockstep_train(dataset, rows)
-        counts.append(package_calls(lambda: lockstep_train(dataset, rows)))
+        rows = [(m, replace(c, steps=steps, eval_every=20)) for m, c in models]
+        train(dataset, rows)
+        counts.append(package_calls(lambda: train(dataset, rows)))
     return (counts[1] - counts[0]) / 10
 
 
@@ -148,6 +153,18 @@ def full_batch_calls(train_set, first_level) -> dict:
         estimator.kind.value: calls_per_step(train_set, [
             (replace(loss, estimator=estimator), c) for loss, c in first_level])
         for estimator in (first_level[0][0].estimator, *PARTITION_KINDS)
+    }
+
+
+def scaling_calls(train_set, models, first_level, fits) -> dict:
+    """calls_per_step of the preset's kernel models at K=1 and K=60, full
+    batch, and of its logistic fits at K=1 and K=4."""
+    logistic = baseline.lockstep_logistic_train
+    return {
+        "kernel_k1": calls_per_step(train_set, first_level[:1]),
+        "kernel_k60": calls_per_step(train_set, models),
+        "logistic_k1": calls_per_step(train_set, fits[:1], logistic),
+        "logistic_k4": calls_per_step(train_set, fits, logistic),
     }
 
 
@@ -189,12 +206,17 @@ def preset_models(spec):
                     for loss, c in models[:len(spec.weight_decays)]]
 
 
+def logistic_fits(spec):
+    """The preset's 4 logistic (weight decay, config) fits of a repetition."""
+    return [(wd, replace(spec.logistic, seed=wi))
+            for wi, wd in enumerate(spec.weight_decays)]
+
+
 def main() -> int:
     spec, train_set = ionosphere()
     models, first_level = preset_models(spec)
     rows = len(models) * spec.train.restarts
-    fits = [(wd, replace(spec.logistic, seed=wi))
-            for wi, wd in enumerate(spec.weight_decays)]
+    fits = logistic_fits(spec)
     q_steps, l_steps = spec.train.steps, spec.logistic.steps
     us = {
         "quantile_k60_us_per_model_step": fastest(
@@ -218,9 +240,10 @@ def main() -> int:
         levels = np.array([1.0 - loss.constraint.target
                            for loss, c in group for _ in range(c.restarts)])
         W = np.random.default_rng(SEED).standard_normal((levels.size, train_set.dim))
-        scores = train_set.features @ W.T
-        us[f"kernel_estimate_k{levels.size}_us_per_call"] = fastest(
-            lambda: [estimate(spec.estimator, scores, levels) for _ in range(CALLS)]
+        scores = W @ train_set.features.T
+        us[f"kernel_weights_k{levels.size}_us_per_call"] = fastest(
+            lambda: [estimators._row_weights(spec.estimator, scores, levels)
+                     for _ in range(CALLS)]
         ) / CALLS
     lab = presets.load_preset("loss_deviation")
     lab_spec = estimator_spec(lab["estimator"])
@@ -240,6 +263,8 @@ def main() -> int:
     figures["rows"], figures["features"] = train_set.n, train_set.dim
     for kind, calls in full_batch_calls(train_set, first_level).items():
         figures[f"{kind}_k4_calls_per_step"] = calls
+    for name, calls in scaling_calls(train_set, models, first_level, fits).items():
+        figures[f"{name}_calls_per_step"] = calls
     figures["minibatch_lower_mean_k10_calls_per_step"] = minibatch_calls()
     print(json.dumps(figures, sort_keys=True))
     return 0
