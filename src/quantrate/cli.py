@@ -107,13 +107,16 @@ def _load_model(path: str):
 
 
 def _model_scores(payload: dict, dataset: Dataset):
-    transform = payload.get("transform")
+    """The data and its scores as the model file's weights and transform see them."""
+    model, transform = LinearModel(payload["weights"]), payload.get("transform")
     if transform:
-        dataset = Dataset(StandardizeTransform(
-            typed_array(transform["mean"], "transform mean"),
-            typed_array(transform["std"], "transform std"),
-        ).apply(dataset.features), dataset.labels)
-    return dataset, LinearModel(payload["weights"]).scores(dataset)
+        mean, std = (typed_array(transform[k], f"transform {k}") for k in ("mean", "std"))
+        if not mean.shape == std.shape == model.weights.shape:
+            raise InvalidSpec(f"model file transform has {mean.size} means and "
+                              f"{std.size} stds for {model.weights.size} weights")
+        dataset = Dataset(StandardizeTransform(mean, std).apply(model._matrix(dataset)),
+                          dataset.labels)
+    return dataset, model.scores(dataset)
 
 
 def cmd_eval(args) -> int:

@@ -163,13 +163,20 @@ def _draw_population(score_law: str, n: int, rng) -> np.ndarray:
     raise InvalidSpec(f"score_law must be one of {SCORE_LAWS}, got {score_law!r}")
 
 
-def _subsamples(population: np.ndarray, b: int, trials: range, seed: int):
-    """(len(trials), b): the row of trial t draws b of the population
-    without replacement from its own stream, stream(seed, b, t)."""
-    picks = np.empty((len(trials), b), dtype=np.int64)
-    for row, t in zip(picks, trials):
-        row[:] = stream(seed, b, t).choice(population.size, size=b, replace=False)
-    return population[picks]
+def _draw(n: int, b: int, t: int, seed: int, masks=()):
+    """Trial t's draw of b of range(n) without replacement, from its own
+    stream, stream(seed, b, t), and the share of each boolean n-mask in
+    it.  While a share is empty the trial draws again from that stream;
+    after _REDRAW_CAP draws it raises ConstraintBatchEmpty."""
+    rng = stream(seed, b, t)
+    for _ in range(_REDRAW_CAP):
+        idx = rng.choice(n, size=b, replace=False)
+        shares = [idx[mask[idx]] for mask in masks]
+        if all(share.size for share in shares):
+            return idx, shares
+    raise ConstraintBatchEmpty(
+        f"batch size {b} kept missing the constraint subset or the penalized side"
+    )
 
 
 def estimator_stability(
@@ -204,7 +211,7 @@ def estimator_stability(
         step = max(1, _CHUNK_SCORES // b)
         for t0 in range(0, trials, step):
             chunk = range(t0, min(t0 + step, trials))
-            subsamples = _subsamples(population, b, chunk, seed)
+            subsamples = population[[_draw(n, b, t, seed)[0] for t in chunk]]
             estimates[t0:chunk.stop] = row_dots(
                 _row_weights(estimator_spec, subsamples, c), subsamples
             )
@@ -280,18 +287,8 @@ def loss_uniform_deviation(
     for b in batches:
         dev = np.empty(trials)
         for t in range(trials):
-            sub_rng = stream(seed, b, t)
-            for _ in range(_REDRAW_CAP):
-                idx = sub_rng.choice(dataset.n, size=b, replace=False)
-                batch_sub = idx[sub_mask[idx]]
-                batch_pen = idx[pen_mask[idx]]
-                if batch_sub.size and batch_pen.size:
-                    break
-            else:
-                raise ConstraintBatchEmpty(
-                    f"batch size {b} kept missing the constraint subset or "
-                    "the penalized side"
-                )
+            _, (batch_sub, batch_pen) = _draw(dataset.n, b, t, seed,
+                                              (sub_mask, pen_mask))
             batch_losses = _model_losses(scores_by_model, batch_pen, batch_sub,
                                          sign, level, spec)
             dev[t] = float(np.max(np.abs(full_losses - batch_losses)))

@@ -112,46 +112,34 @@ def exact_quantile(scores, c) -> float:
     return float(np.partition(s, k - 1)[k - 1])
 
 
-def _stable_window(rows: np.ndarray, lo: int, hi: int, v_lo, v_hi) -> np.ndarray:
-    """Mask of the positions a stable sort of each row puts at ranks
-    lo..hi-1.
-
-    v_lo and v_hi hold each row's scores at ranks lo (-inf when lo is 0)
-    and hi - 1.  Every score strictly between them is in.  A
-    stable sort ranks the scores tied with an edge value in input order,
-    starting from the count of smaller scores; those whose rank falls in
-    the window are in.
-    """
-    inside = rows <= v_hi[:, None]
-    if lo:
-        inside &= rows >= v_lo[:, None]
-    if np.count_nonzero(inside) == len(rows) * (hi - lo):
-        return inside  # each row holds at least hi - lo, so exactly that
-    # the rows where a tied run crosses an edge of the window
-    for i in np.flatnonzero(np.count_nonzero(inside, axis=1) != hi - lo):
-        s = rows[i]
-        inside[i] = (s > v_lo[i]) & (s < v_hi[i])
-        for v in {v_lo[i], v_hi[i]}:
-            tied = np.flatnonzero(s == v)
-            first = np.count_nonzero(s < v)
-            inside[i, tied[max(lo - first, 0):hi - first]] = True
-    return inside
-
-
 def _window_weights(rows: np.ndarray, hi: int, lo: int = 0) -> np.ndarray:
-    """Weight 1/(hi - lo) on the stable ranks lo..hi-1 of each row,
-    written over a partitioned copy of the rows once it has given each
-    row's scores at ranks lo (-inf when lo is 0) and hi - 1."""
+    """Weight 1/(hi - lo) on the positions a stable sort of each row puts
+    at ranks lo..hi-1, written over a partitioned copy of the rows.
+
+    Every score from the row's score at rank lo (the minimum when lo is
+    0) to its score at rank hi - 1 is in, unless a tied run crosses an
+    edge of the window.  A stable sort ranks the scores tied with an edge
+    value in input order, starting from the count of smaller scores;
+    those whose rank falls in the window are in.
+    """
     part = np.partition(rows, hi - 1, axis=-1)
-    v_lo, v_hi = np.full(len(rows), -np.inf), part[:, hi - 1]
+    if 0 < lo < hi - 1:
+        # rank hi - 1 stays in place; two single-rank passes, since
+        # np.partition with two ranks took 6x as long at n = 20 000
+        part[:, : hi - 1].partition(lo, axis=-1)
+    inside = rows <= part[:, hi - 1 : hi]
     if lo:
-        v_hi = v_hi.copy()  # the second pass moves rank hi - 1
-        # two single-rank passes: np.partition with two ranks took 6x as
-        # long at n = 20 000
-        part[:, :hi].partition(lo, axis=-1)
-        v_lo = part[:, lo]
-    return np.multiply(_stable_window(rows, lo, hi, v_lo, v_hi), 1.0 / (hi - lo),
-                       out=part)
+        inside &= rows >= part[:, lo : lo + 1]
+    # each row holds hi - lo or more, more when a tied run crosses an edge
+    if np.count_nonzero(inside) != rows.shape[0] * (hi - lo):
+        for i in np.flatnonzero(np.count_nonzero(inside, axis=1) != hi - lo):
+            s, v_lo, v_hi = rows[i], part[i, lo] if lo else -np.inf, part[i, hi - 1]
+            inside[i] = (s > v_lo) & (s < v_hi)
+            for v in {v_lo, v_hi}:
+                tied = np.flatnonzero(s == v)
+                first = np.count_nonzero(s < v)
+                inside[i, tied[max(lo - first, 0):hi - first]] = True
+    return np.multiply(inside, 1.0 / (hi - lo), out=part)
 
 
 def _point_weights(rows: np.ndarray, k: int) -> np.ndarray:
@@ -210,9 +198,8 @@ def _kernel_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndar
         ends = np.where(run_end, np.arange(n), n)
         ranks = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1] + 1
         w = _kernel_at(ranks, n, c, h, normalize)
-    dense = np.empty(rows.shape)
-    dense.ravel()[order] = w
-    return dense
+    ranked.ravel()[order] = w  # the gather, free after the tie test
+    return ranked
 
 
 def _row_weights(spec: QuantileEstimatorSpec, rows: np.ndarray, c) -> np.ndarray:

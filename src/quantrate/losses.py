@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, EmptyObjective, InvalidSpec
+from .errors import DimensionError, EmptyInput, EmptyObjective, InvalidSpec
 from .estimators import _row_weights, row_dots
 from .types import (
     Dataset,
@@ -117,7 +117,7 @@ def core_eval(
     for bit, the threshold's estimate included.  pen_mask, 0/1 per
     penalized row, drops the rows it zeroes, so a minibatch keeps its
     shape whatever its penalized count.  An empty penalized matrix
-    contributes zero; a nonempty subset gives the estimator its scores.
+    contributes zero; an empty subset raises EmptyInput, as estimate does.
     Returns (value, per_sample, None), or with want_grad (None, None,
     grad): K values, (K, p) summands, (K, d) gradients.  Levels, a float
     or a float64 K-vector, are checked when a spec is built; core_eval
@@ -128,6 +128,8 @@ def core_eval(
         raise DimensionError(
             f"feature dim {X_sub.shape[-1]} != weight dim {w.shape[-1]}"
         )
+    if X_sub.shape[-2] == 0:
+        raise EmptyInput("empty score vector")
     sub_rows = _finite(_times(X_sub, w), "scores")
     if not want_grad:
         value, per_sample = _row_values(_times(X_pen, w), sub_rows, sign, level,

@@ -249,17 +249,19 @@ class LinearModel:
         object.__setattr__(self, "weights", _frozen(w.copy()))
         typed_fields(self)
 
-    def scores(self, dataset_or_matrix) -> np.ndarray:
-        """X @ w of a Dataset's or a matrix's rows X; inf or nan is refused."""
-        X = dataset_or_matrix  # a Dataset's features passed the rule when it was built
+    def _matrix(self, X) -> np.ndarray:
+        """The rows of a Dataset, whose features passed the rule when it was
+        built, or of a matrix; DimensionError unless one column per weight."""
         X = X.features if isinstance(X, Dataset) else typed_array(X, "features")
         if X.ndim != 2 or X.shape[1] != self.weights.shape[0]:
-            raise DimensionError(
-                f"feature matrix {X.shape} incompatible with weight dim "
-                f"{self.weights.shape[0]}"
-            )
+            raise DimensionError(f"feature matrix {X.shape} incompatible with "
+                                 f"weight dim {self.weights.shape[0]}")
+        return X
+
+    def scores(self, dataset_or_matrix) -> np.ndarray:
+        """X @ w of _matrix's rows X; inf or nan is refused."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return typed_array(X @ self.weights, "scores")
+            return typed_array(self._matrix(dataset_or_matrix) @ self.weights, "scores")
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,34 @@ def test_eval_refuses_overflowing_scores_under_every_metric(tmp_path, capsys):
         assert err == {"kind": "config", "message": "scores must be finite"}
 
 
+def test_eval_refuses_data_of_another_width_before_its_transform(tmp_path, capsys):
+    # standardized or not, a 3-weight model refuses 4-feature data alike
+    model_path, _, _ = train_model(tmp_path)
+    payload = json.loads(model_path.read_text())
+    wide = tmp_path / "wide.csv"
+    wide.write_text("".join(f"{i},0.5,-1.0,2.0,{'gb'[i % 2]}\n" for i in range(40)))
+    for transform in (payload["transform"], None):
+        model_path.write_text(json.dumps(dict(payload, transform=transform)))
+        argv = ["eval", "--config", str(model_path), "--data", str(wide), "--quiet"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "kind": "config",
+            "message": "feature matrix (40, 4) incompatible with weight dim 3"}
+
+
+def test_eval_refuses_a_transform_of_another_width(tmp_path, capsys):
+    model_path, _, _ = train_model(tmp_path)
+    payload = json.loads(model_path.read_text())
+    mean, std = payload["transform"]["mean"], payload["transform"]["std"]
+    for bad in ({"mean": mean[:2], "std": std}, {"mean": mean, "std": std + [1.0]}):
+        model_path.write_text(json.dumps(dict(payload, transform=bad)))
+        assert main(["eval", "--config", str(model_path), "--quiet"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "config"
+        assert err["message"] == (f"model file transform has {len(bad['mean'])} means "
+                                  f"and {len(bad['std'])} stds for 3 weights")
+
+
 def test_overflow_leaves_stderr_empty_from_the_command_line(tmp_path):
     # numpy writes its warnings to the process's own stderr, which only a
     # fresh interpreter shows; the package's report goes to stdout

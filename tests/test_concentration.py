@@ -104,6 +104,23 @@ def test_stability_is_deterministic():
     assert estimator_stability(**kwargs) == estimator_stability(**kwargs)
 
 
+@pytest.mark.parametrize("spec", [
+    QuantileEstimatorSpec(kind="point"), QuantileEstimatorSpec(kind="lower_mean"),
+    QuantileEstimatorSpec(kind="interval", k1=0.3, k2=0.6), KERNEL],
+    ids=lambda spec: spec.kind.value)
+def test_stability_reports_do_not_depend_on_the_chunking(monkeypatch, spec):
+    # trials weighed one row per call, a few per call and all at once give
+    # equal reports; constant scores send every row through the tie loop
+    for law in ("uniform", "gaussian", "constant"):
+        kwargs = dict(n=2000, batch_sizes=[7, 20, 60], trials=100,
+                      estimator_spec=spec, c=0.7, score_law=law, seed=13)
+        default = estimator_stability(**kwargs)
+        for chunk in (1, 700):
+            monkeypatch.setattr(concentration, "_CHUNK_SCORES", chunk)
+            assert estimator_stability(**kwargs) == default
+        monkeypatch.undo()
+
+
 def test_loss_deviation_zero_bound_gives_the_zero_model():
     # the only model in a radius-0 ball scores everything 0, making the
     # full and subsample mean losses both exactly logloss(0) = 1

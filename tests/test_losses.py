@@ -9,6 +9,7 @@ import pytest
 from quantrate import (
     Dataset,
     DimensionError,
+    EmptyInput,
     EmptyObjective,
     InvalidSpec,
     LinearModel,
@@ -547,3 +548,19 @@ def test_score_row_values_leave_their_rows_unchanged():
                 assert sub.tobytes() == kept[1].tobytes()
                 assert per_sample.tobytes() == want_rows.tobytes()
             assert value.tobytes() == want.tobytes()
+
+
+def test_an_empty_subset_matrix_raises_empty_input_on_every_path():
+    # the estimator's own faults differed by kind; the shape is read
+    # before any of them runs
+    specs = [QuantileEstimatorSpec(kind="point"), QuantileEstimatorSpec(kind="lower_mean"),
+             QuantileEstimatorSpec(kind="interval", k1=0.25, k2=0.75),
+             QuantileEstimatorSpec(kind="kernel", bandwidth=0.1)]
+    W, X_pen, X_sub = np.ones((2, 3)), np.ones((4, 3)), np.zeros((0, 3))
+    for spec in specs:
+        for pen, sub in ((X_pen, X_sub), (np.stack([X_pen] * 2), np.stack([X_sub] * 2))):
+            for want_grad in (False, True):
+                with pytest.raises(EmptyInput) as caught:
+                    core_eval(W, pen, sub, 1.0, 0.5, spec, 2.0, want_grad=want_grad)
+                assert type(caught.value) is EmptyInput
+                assert str(caught.value) == "empty score vector"

@@ -35,10 +35,16 @@ def test_full_batch_steps_make_no_more_package_calls(monkeypatch):
     models, first_level = step_cost.preset_models(spec)
     at_k4 = step_cost.full_batch_calls(train_set, first_level)
     assert at_k4 == {
-        "kernel": 30.0, "point": 33.0, "lower_mean": 36.0, "interval": 37.0}
+        "kernel": 29.0, "point": 33.0, "lower_mean": 32.0, "interval": 32.0}
     scaling = step_cost.scaling_calls(train_set, models, first_level,
                                       step_cost.logistic_fits(spec))
-    assert scaling == {"kernel_k1": 30.0, "kernel_k60": 30.0,
+    assert scaling == {"kernel_k1": 29.0, "kernel_k60": 29.0,
                        "logistic_k1": 8.0, "logistic_k4": 8.0}
     assert scaling["kernel_k1"] == at_k4["kernel"] == scaling["kernel_k60"]
     assert scaling["logistic_k1"] == scaling["logistic_k4"]
+
+
+def test_minibatch_steps_make_no_more_package_calls(monkeypatch):
+    # the convex lab's path: 10 lower-mean rows with batches and
+    # constraint batches of 50 drawn from each row's own queues
+    assert load(monkeypatch, "step_cost").minibatch_calls() == 45.3
