@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__, concentration
-from .config import concentration_spec, read_seed, train_spec
+from .config import _object, check_keys, concentration_spec, read_seed, train_spec
 from .data import GENERATOR_NAME, StandardizeTransform, generate_synthetic, standardize
 from .errors import DataError, InvalidSpec, QuantrateError
 from .experiment import (
@@ -98,18 +98,21 @@ def cmd_train(args) -> int:
 
 def _load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _object(json.load(fh), "model file")
     if payload.get("schema") != MODEL_SCHEMA:
         raise InvalidSpec(
             f"model file schema {payload.get('schema')!r} is not {MODEL_SCHEMA}"
         )
+    # any key may be present; weights and config must be
+    check_keys(payload, payload, "model file", ("weights", "config"))
     return payload
 
 
 def _model_scores(payload: dict, dataset: Dataset):
     """The data and its scores as the model file's weights and transform see them."""
     model, transform = LinearModel(payload["weights"]), payload.get("transform")
-    if transform:
+    if transform is not None:
+        check_keys(transform, (), "transform", ("mean", "std"))
         mean, std = (typed_array(transform[k], f"transform {k}") for k in ("mean", "std"))
         if not mean.shape == std.shape == model.weights.shape:
             raise InvalidSpec(f"model file transform has {mean.size} means and "

@@ -124,7 +124,7 @@ def data_source(
     """(loader, its keyword arguments) for a config's data block: path,
     format and the loader's parameters.  A given data_path overrides the
     block's path; with need_path false a missing one is no error."""
-    block = _object(config.get("data", {}), "data")
+    block = _object(_object(config, "config").get("data", {}), "data")
     form = _read(str, block.get("format", "delimited"), "format")
     if form not in _LOADERS:
         raise InvalidSpec(f"unknown data format {form!r}")

@@ -204,10 +204,17 @@ def load_delimited(
             f"label_column {label_column} outside a {width}-column file"
         )
     read = float if numeric_labels else str
-    pos_value = read(positive_label_value.strip())
-    neg_value = (
-        read(negative_label_value.strip()) if negative_label_value is not None else None
-    )
+
+    def class_value(hint, value, name: str):
+        value = typed(hint, value, name)
+        try:
+            return None if value is None else read(value.strip())
+        except ValueError:
+            raise InvalidSpec(f"{name} must be numeric when numeric_labels is set, "
+                              f"got {value!r}") from None
+
+    pos_value = class_value(str, positive_label_value, "positive_label_value")
+    neg_value = class_value(Optional[str], negative_label_value, "negative_label_value")
     features = np.empty((len(rows), width - 1), dtype=np.float64)
     labels = np.empty(len(rows), dtype=np.int64)
     for i, (lineno, cells) in enumerate(rows):

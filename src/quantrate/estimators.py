@@ -17,12 +17,13 @@ multiple ranks, so ties count multiply.
 Ranks are those of a stable sort: tied scores take consecutive ranks in
 input order.  The point, lower-mean and interval estimators and
 exact_quantile find their order statistics with np.partition, in O(n)
-and without sorting, and then pick exactly the positions a stable sort
-would put at the selected ranks.  The kernel estimator weights every
-rank, so it sorts along each row.  Untied rows scatter a cached
-table of the weights at ranks 1..n; in tied ones each score of a run
-takes the weight of the run's last rank, by the same formula, so the
-weights are the same either way and the sort need not be stable.
+and without sorting; lower-mean and interval weight the positions a
+stable sort puts at their ranks, and point the last input position of
+the tied run at rank k, which has the same value.  The kernel estimator
+weights every rank, so it sorts along each row.  Untied rows scatter a
+cached table of the weights at ranks 1..n; in tied ones each score of a
+run takes the weight of the run's last rank, by the same formula, so
+the weights are the same either way and the sort need not be stable.
 """
 
 from __future__ import annotations

@@ -224,57 +224,6 @@ def _map_reps(fn, calls: List[tuple], jobs: int) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _run(
-    spec: ExperimentSpec,
-    config: dict,
-    dataset: Optional[Dataset],
-    seed: int,
-    jobs: int,
-) -> ExperimentResult:
-    """The experiment loop shared by both kinds: a task per method of each
-    repetition (see _one_rep), quantile tasks first as the longest, on at
-    most jobs workers; then selection and aggregation."""
-    levels, decays, grid = spec.levels, spec.weight_decays, spec.curve_grid
-    methods = (METHOD_QUANTILE, METHOD_LOGISTIC)
-    tasks = [(spec, dataset, seed, rep, m) for m in methods for rep in range(spec.reps)]
-    done = _map_reps(_one_rep, tasks, jobs)
-    # done is method-major; regrouped by rep, it gives
-    # values[rep, method, side, level, decay]; curves[rep, method, decay, point]
-    values, curves = (
-        np.stack(np.split(np.array(part), len(methods)), axis=1) for part in zip(*done)
-    )
-
-    aggregates = []
-    for m, method in enumerate(methods):
-        aggregates += _select_and_aggregate(
-            method, levels, values[:, m, 0], values[:, m, 1], decays
-        )
-    if spec.kind == "rate_table":
-        curve = [
-            CurvePoint(a.method, a.level, a.mean, a.std)
-            for a in aggregates
-            if a.selection == "test"
-        ]
-    else:
-        curve = []
-        for m, method in enumerate(methods):
-            wi = _best_decay(values[:, m, 0, 0])  # test selection, first level
-            for gi, g in enumerate(grid):
-                points = curves[:, m, wi, gi]
-                curve.append(
-                    CurvePoint(method, float(g), float(points.mean()), _std(points))
-                )
-    return ExperimentResult(
-        kind=spec.kind,
-        name=spec.name,
-        seed=seed,
-        config=config,
-        aggregates=tuple(aggregates),
-        curve=tuple(curve),
-        published=tuple(published_rows(spec.published)) if spec.published else (),
-    )
-
-
 def run_experiment(
     config: dict,
     data_path: Optional[str] = None,
@@ -283,7 +232,10 @@ def run_experiment(
 ) -> Tuple[ExperimentResult, float]:
     """Run one experiment config; returns (result, elapsed seconds).
 
-    The elapsed time is for console reporting only; nothing time-based
+    Both kinds share this loop: a task per method of each repetition
+    (see _one_rep), quantile tasks first as the longest, on at most jobs
+    workers; then selection and aggregation, one method at a time.  The
+    elapsed time is for console reporting only; nothing time-based
     enters the result, so identical configs and seeds reproduce output
     files byte-for-byte.
     """
@@ -296,8 +248,33 @@ def run_experiment(
     dataset = None
     if spec.kind == "rate_table":
         dataset = load_experiment_dataset(config, data_path)
-    result = _run(spec, config, dataset, used_seed, jobs)
-    return result, time.perf_counter() - started
+    methods, reps = (METHOD_QUANTILE, METHOD_LOGISTIC), spec.reps
+    tasks = [(spec, dataset, used_seed, rep, m) for m in methods for rep in range(reps)]
+    done = _map_reps(_one_rep, tasks, jobs)
+    aggregates, curve = [], []
+    for m, method in enumerate(methods):
+        # done is method-major: values[rep, side, level, decay], curves[rep, decay, point]
+        values, curves = (np.array(part) for part in zip(*done[m * reps:(m + 1) * reps]))
+        rows = _select_and_aggregate(
+            method, spec.levels, values[:, 0], values[:, 1], spec.weight_decays
+        )
+        aggregates += rows
+        if spec.kind == "rate_table":
+            curve += [CurvePoint(method, a.level, a.mean, a.std)
+                      for a in rows if a.selection == "test"]
+        else:
+            wi = _best_decay(values[:, 0, 0])  # test selection, first level
+            curve += [CurvePoint(method, float(g), float(p.mean()), _std(p))
+                      for g, p in zip(spec.curve_grid, curves[:, wi].T)]
+    return ExperimentResult(
+        kind=spec.kind,
+        name=spec.name,
+        seed=used_seed,
+        config=config,
+        aggregates=tuple(aggregates),
+        curve=tuple(curve),
+        published=tuple(published_rows(spec.published)) if spec.published else (),
+    ), time.perf_counter() - started
 
 
 def format_number(value) -> str:

@@ -210,6 +210,30 @@ def test_eval_refuses_a_transform_of_another_width(tmp_path, capsys):
                                   f"and {len(bad['std'])} stds for 3 weights")
 
 
+def test_eval_refuses_a_malformed_model_file_by_name(tmp_path, capsys):
+    model_path, _, _ = train_model(tmp_path)
+    payload = json.loads(model_path.read_text())
+    mean = payload["transform"]["mean"]
+    for bad, message in (
+        ([payload], "model file must be a JSON object"),
+        (dict(payload, transform=[1, 2]), "transform must be a JSON object"),
+        (dict(payload, transform={}), "transform lacks keys ['mean', 'std']"),
+        (dict(payload, transform={"mean": mean}), "transform lacks keys ['std']"),
+        (dict(payload, config=[1]), "config must be a JSON object"),
+        ({k: v for k, v in payload.items() if k != "weights"},
+         "model file lacks keys ['weights']"),
+        ({k: v for k, v in payload.items() if k != "config"},
+         "model file lacks keys ['config']"),
+    ):
+        model_path.write_text(json.dumps(bad))
+        assert main(["eval", "--config", str(model_path), "--quiet"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "config", "message": message}
+    # a null transform still means the model scores the data as it is
+    model_path.write_text(json.dumps(dict(payload, transform=None)))
+    assert main(["eval", "--config", str(model_path), "--quiet"]) == 0
+
+
 def test_overflow_leaves_stderr_empty_from_the_command_line(tmp_path):
     # numpy writes its warnings to the process's own stderr, which only a
     # fresh interpreter shows; the package's report goes to stdout

@@ -59,6 +59,26 @@ def test_load_delimited_numeric_labels(tmp_path):
     assert d.labels.tolist() == [1, 1, -1]
 
 
+def test_load_delimited_refuses_class_values_by_name(tmp_path):
+    p = write(tmp_path, "a.csv", "1.0,50.0\n2.0,21.9\n")
+    for kwargs, message in (
+        (dict(positive_label_value="abc", numeric_labels=True),
+         "positive_label_value must be numeric when numeric_labels is set, got 'abc'"),
+        (dict(positive_label_value="50", negative_label_value="x", numeric_labels=True),
+         "negative_label_value must be numeric when numeric_labels is set, got 'x'"),
+        (dict(positive_label_value=3), "positive_label_value must be a string, got 3"),
+        (dict(positive_label_value="g", negative_label_value=2.0),
+         "negative_label_value must be a string, got 2.0"),
+    ):
+        with pytest.raises(InvalidSpec) as info:
+            load_delimited(p, label_column=1, **kwargs)
+        assert str(info.value) == message
+    # padded numeric class values still read as numbers
+    d = load_delimited(p, label_column=1, positive_label_value=" 50 ",
+                       negative_label_value="21.9", numeric_labels=True)
+    assert d.labels.tolist() == [1, -1]
+
+
 def test_load_delimited_unknown_label_needs_both_values(tmp_path):
     p = write(tmp_path, "a.csv", "1.0,g\n2.0,x\n")
     # single-value mode folds everything else into -1

@@ -18,6 +18,7 @@ from quantrate import (
     run_experiment,
     write_results,
 )
+from quantrate import experiment
 from quantrate.config import experiment_spec
 from quantrate.experiment import load_experiment_dataset
 
@@ -101,6 +102,79 @@ def test_recall_point_aggregate_bookkeeping():
         ("logistic", 0.5), ("logistic", 1.0),
     }
     assert result.published == ()
+
+
+# Fixed metric values for the aggregation test, per method and level:
+# (test, train) tables of 3 repetitions x 3 weight decays.  Each column
+# the tests pick is an evenly spaced or constant triple of eighths, so
+# its mean and std are exact.
+FIXED_VALUES = {
+    "quantile": [
+        # test picks decay 1 (means .5 .75 .5), train decay 0
+        ([[0.25, 0.5, 0.25], [0.5, 0.75, 0.5], [0.75, 1.0, 0.75]],
+         [[1.0, 0.0, 0.5]] * 3),
+        # test picks decay 2; train ties decays 0 and 1 and takes 0
+        ([[0.0, 0.25, 0.5]] * 3, [[0.5, 0.5, 0.0]] * 3),
+    ],
+    "logistic": [
+        # test ties decays 0 and 2 and takes 0; train picks decay 2
+        ([[0.25, 0.0, 0.75], [0.5, 0.0, 0.5], [0.75, 0.0, 0.25]],
+         [[0.0, 0.0, 1.0]] * 3),
+        ([[1.0, 0.5, 0.0]] * 3, [[0.0, 1.0, 0.0]] * 3),
+    ],
+}
+# curves[rep][decay] on a two-point grid; 9.0 marks a decay no curve uses
+FIXED_CURVES = {
+    "quantile": [[[9.0, 9.0], [0.25, 1.0], [9.0, 9.0]],
+                 [[9.0, 9.0], [0.5, 0.75], [9.0, 9.0]],
+                 [[9.0, 9.0], [0.75, 0.5], [9.0, 9.0]]],
+    "logistic": [[[0.0, 0.5], [9.0, 9.0], [9.0, 9.0]]] * 3,
+}
+# (method, level index, selection, decay index, per_rep, mean, std)
+FIXED_AGGREGATES = [
+    ("quantile", 0, "test", 1, (0.5, 0.75, 1.0), 0.75, 0.25),
+    ("quantile", 0, "train", 0, (0.25, 0.5, 0.75), 0.5, 0.25),
+    ("quantile", 1, "test", 2, (0.5, 0.5, 0.5), 0.5, 0.0),
+    ("quantile", 1, "train", 0, (0.0, 0.0, 0.0), 0.0, 0.0),
+    ("logistic", 0, "test", 0, (0.25, 0.5, 0.75), 0.5, 0.25),
+    ("logistic", 0, "train", 2, (0.75, 0.5, 0.25), 0.5, 0.25),
+    ("logistic", 1, "test", 0, (1.0, 1.0, 1.0), 1.0, 0.0),
+    ("logistic", 1, "train", 1, (0.5, 0.5, 0.5), 0.5, 0.0),
+]
+
+
+def fixed_rep(spec, dataset, seed, rep, method):
+    # module level, so a pool worker can unpickle it
+    values = np.array(FIXED_VALUES[method])[:, :, rep]  # [level, side, decay]
+    return values.swapaxes(0, 1), np.array(FIXED_CURVES[method][rep])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_aggregates_and_curves_match_hand_written_values(tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(experiment, "_one_rep", fixed_rep)
+    decays = [0.0, 0.1, 0.2]
+    recall = tiny_recall_config(reps=3, recall_levels=[0.5, 0.8], weight_decays=decays,
+                                curve_grid=[0.5, 1.0])
+    rate = dict(tiny_rate_config(tiny_csv(tmp_path)), reps=3, taus=[0.1, 0.3],
+                weight_decays=decays)
+    for config, levels in ((recall, (0.5, 0.8)), (rate, (0.1, 0.3))):
+        result, _ = run_experiment(config, jobs=jobs)
+        assert multiprocessing.active_children() == []
+        assert [
+            (a.method, a.level, a.selection, a.weight_decay, a.per_rep, a.mean, a.std)
+            for a in result.aggregates
+        ] == [(m, levels[li], sel, decays[wi], per_rep, mean, std)
+              for m, li, sel, wi, per_rep, mean, std in FIXED_AGGREGATES]
+        curve = [(p.method, p.level, p.mean, p.std) for p in result.curve]
+        if config is rate:
+            # the test-selected aggregates
+            assert curve == [(m, levels[li], mean, std)
+                             for m, li, sel, _, _, mean, std in FIXED_AGGREGATES
+                             if sel == "test"]
+        else:
+            # the grid at each method's test-selected decay of the first level
+            assert curve == [("quantile", 0.5, 0.5, 0.25), ("quantile", 1.0, 0.75, 0.25),
+                             ("logistic", 0.5, 0.0, 0.0), ("logistic", 1.0, 0.5, 0.0)]
 
 
 def test_single_rep_std_is_zero():
